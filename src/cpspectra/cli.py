@@ -103,7 +103,8 @@ def _load_json(path: str):
 
 
 def _load_matrix(path: str):
-    return matrix_from_json(_load_json(path)), _load_json(path)
+    raw = _load_json(path)
+    return matrix_from_json(raw), raw
 
 
 def _load_tuple(path: str):

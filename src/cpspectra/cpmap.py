@@ -5,8 +5,8 @@ shape of the block-diagonal algebra it acts on.  The three views are related
 by fixed conventions (see :mod:`cpspectra.mats`):
 
 * superoperator of ``X -> sum_i A_i* X A_i`` is ``sum_i kron(A_i.T, A_i.conj().T)``;
-* Choi matrix is ``sum_i outer(conj(vec A_i), vec A_i)``, equivalently
-  assembled from the map's action on the elementary matrices;
+* Choi matrix is ``sum_i outer(conj(vec A_i), vec A_i)``, equivalently the
+  reshuffle ``Choi[p*m + i, r*m + j] = S[p + r*m, i + j*m]`` of the superoperator S;
 * the conjugated Choi matrix has range ``vec(span{A_i})``, which is what makes
   coefficient spaces computable from any one Kraus list.
 """
@@ -238,15 +238,13 @@ def choi_of(tau: CpMap) -> np.ndarray:
 
 
 def choi_of_superop(s: SuperOperator) -> np.ndarray:
-    """Choi matrix assembled from a superoperator's action on the E_ij basis."""
+    """Choi matrix ``sum_ij kron(s(E_ij), E_ij)``, a reshuffled copy of ``S = s.matrix``.
+
+    ``Choi[p*m + i, r*m + j] = S[p + r*m, i + j*m]``: axes (1, 3, 0, 2) of S as (m, m, m, m).
+    """
     m = s.m
-    out = np.zeros((m * m, m * m), dtype=complex)
-    basis = np.eye(m)
-    for i in range(m):
-        for j in range(m):
-            e = np.outer(basis[i], basis[j])
-            out += kron(s(e), e)
-    return out
+    shuffled = s.matrix.reshape(m, m, m, m).transpose(1, 3, 0, 2)
+    return np.array(shuffled, order="C").reshape(m * m, m * m)
 
 
 def kraus_of_choi(c, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> list[np.ndarray]:
@@ -263,8 +261,8 @@ def kraus_of_choi(c, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> li
     m = int(round(np.sqrt(side)))
     if m * m != side:
         raise FormatError(f"Choi side {side} is not a perfect square")
-    rep = psd_report(c, psd_tol * max(1.0, float(np.linalg.norm(c))))
-    if not rep.is_hermitian:
+    nrm = float(np.linalg.norm(c))
+    if np.linalg.norm(c - c.conj().T) > psd_tol * max(1.0, nrm) * nrm:
         raise PreconditionError("Choi matrix is not Hermitian")
     w, u = np.linalg.eigh((c + c.conj().T) / 2.0)
     top = float(w.max(initial=0.0))
@@ -303,20 +301,19 @@ class CoefficientSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    def stacked(self) -> np.ndarray:
+        """m^2 x dimension matrix with the vec of each basis element as a column."""
+        cols = [vec(b) for b in self.basis]
+        return np.column_stack(cols) if cols else np.zeros((self.m**2, 0), dtype=complex)
+
     def projector(self) -> np.ndarray:
         """m^2 x m^2 orthogonal projector onto vec of the space."""
-        p = np.zeros((self.m**2, self.m**2), dtype=complex)
-        for b in self.basis:
-            v = vec(b)
-            p += np.outer(v, v.conj())
-        return p
+        v = self.stacked()
+        return v @ v.conj().T
 
     def project(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        out = np.zeros_like(x)
-        for b in self.basis:
-            out += complex(np.vdot(b, x)) * b
-        return out
+        v = self.stacked()
+        return unvec(v @ (v.conj().T @ vec(x)), self.m)
 
     def residual(self, x) -> float:
         return float(np.linalg.norm(as_matrix(x) - self.project(x)))

@@ -445,8 +445,8 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
     Stabilization is guaranteed no later than word length m^2; the reported
     ``stabilization_index`` is the word length at which the span last grew.
 
-    Orthonormalization is modified Gram-Schmidt with re-orthogonalization in
-    the Hilbert-Schmidt inner product.
+    Orthonormalization is classical Gram-Schmidt, applied twice, in the
+    Hilbert-Schmidt inner product, against the basis kept as rows of one array.
     """
     mats = [as_matrix(a) for a in mats_list]
     if not mats:
@@ -456,24 +456,29 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
         if a.shape != (m, m):
             raise PreconditionError("all matrices must share one square side")
 
-    basis_vecs: list[np.ndarray] = []
+    rows = np.empty((1, m * m), dtype=complex)  # orthonormal basis, one row each
+    count = 0
     max_norm = max(float(np.linalg.norm(a)) for a in mats) or 1.0
 
     def try_add(candidate: np.ndarray) -> np.ndarray | None:
-        nonlocal max_norm
+        nonlocal rows, count, max_norm
         v = vec(candidate)
         nrm = float(np.linalg.norm(v))
         max_norm = max(max_norm, nrm)
         if nrm <= rank_tol * max_norm:
             return None
-        for _ in range(2):  # re-orthogonalize to keep the basis clean
-            for b in basis_vecs:
-                v = v - np.vdot(b, v) * b
+        for _ in range(2):  # "twice is enough" for classical Gram-Schmidt
+            v = v - (rows[:count] @ v.conj()).conj() @ rows[:count]
         res = float(np.linalg.norm(v))
         if res <= rank_tol * nrm:
             return None
         v = v / res
-        basis_vecs.append(v)
+        if count == rows.shape[0]:  # grow geometrically, keeping memory O(dim * m^2)
+            grown = np.empty((2 * count, m * m), dtype=complex)
+            grown[:count] = rows
+            rows = grown
+        rows[count] = v
+        count += 1
         return unvec(v, m)
 
     if unital:
@@ -499,7 +504,7 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
             stabilization = length
         frontier = new
 
-    space = CoefficientSpace(m, tuple(unvec(v, m) for v in basis_vecs))
+    space = CoefficientSpace(m, tuple(unvec(v, m) for v in rows[:count]))
     return GeneratedAlgebra(space=space, unital=unital, stabilization_index=stabilization)
 
 
@@ -540,14 +545,7 @@ def irreducible_cp(
 
     witness = None
     if not verdict:
-        stacked = np.column_stack([vec(b) for b in gen.basis]) if gen.basis else np.zeros(
-            (m * m, 0), dtype=complex
-        )
-        u, _, _ = np.linalg.svd(stacked, full_matrices=True) if stacked.size else (
-            np.eye(m * m, dtype=complex),
-            None,
-            None,
-        )
+        u = np.linalg.svd(gen.space.stacked(), full_matrices=True)[0]  # eye if dimension 0
         witness = unvec(u[:, gen.dimension], m)
 
     rng = rng if rng is not None else np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from cpspectra import (
     choi_of_superop,
     choi_rank,
     coefficient_space,
+    compress_superop,
     compose,
     dominates,
     is_cp,
@@ -42,6 +45,33 @@ def full_map(*kraus):
 IDENTITY_CHANNEL = full_map(np.eye(2))
 
 
+def choi_by_matrix_units(s):
+    """Reference Choi matrix: sum over E_ij of kron(s(E_ij), E_ij)."""
+    m = s.m
+    out = np.zeros((m * m, m * m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            e = unit(m, i, j)
+            out += kron(s(e), e)
+    return out
+
+
+def transpose_superop(m):
+    """Superoperator of X -> X.T, which permutes vec coordinates (not CP)."""
+    perm = np.zeros((m * m, m * m))
+    for i in range(m):
+        for j in range(m):
+            perm[j + i * m, i + j * m] = 1.0
+    return SuperOperator(m, perm)
+
+
+def seeded_maps():
+    rng = np.random.default_rng(15)
+    maps = [full_map(*(random_matrix(rng, m) for _ in range(3))) for m in (1, 3, 5)]
+    maps += [random_cpmap(rng, blocks) for blocks in ((2, 1), (3, 3), (2, 2, 2))]
+    return maps
+
+
 class TestChoi:
     def test_identity_channel(self):
         expect = sum(kron(unit(2, i, j), unit(2, i, j)) for i in range(2) for j in range(2))
@@ -55,8 +85,8 @@ class TestChoi:
 
     def test_routes_agree(self):
         rng = np.random.default_rng(0)
-        tau = full_map(random_matrix(rng, 3), random_matrix(rng, 3))
-        assert np.abs(choi_of(tau) - choi_of_superop(superop_of(tau))).max() < 1e-12
+        for tau in [full_map(random_matrix(rng, 3), random_matrix(rng, 3))] + seeded_maps():
+            assert np.abs(choi_of(tau) - choi_of_superop(superop_of(tau))).max() < 1e-12
 
     def test_linear_in_the_map(self):
         rng = np.random.default_rng(1)
@@ -69,6 +99,39 @@ class TestChoi:
         for _ in range(5):
             tau = full_map(random_matrix(rng, 2), random_matrix(rng, 2))
             assert psd_report(choi_of(tau)).is_psd
+
+
+class TestChoiReshuffle:
+    def test_equals_matrix_unit_loop(self):
+        for tau in seeded_maps():
+            s = superop_of(tau)
+            assert np.array_equal(choi_of_superop(s), choi_by_matrix_units(s))
+            if not tau.shape.is_full:
+                ext = SuperOperator(tau.m, s.matrix @ compress_superop(tau.shape))
+                assert np.array_equal(choi_of_superop(ext), choi_by_matrix_units(ext))
+
+    def test_equals_matrix_unit_loop_on_transpose_swap(self):
+        for m in (2, 3, 4):
+            s = transpose_superop(m)
+            assert np.array_equal(choi_of_superop(s), choi_by_matrix_units(s))
+
+    def test_returns_a_fresh_array(self):
+        for tau in seeded_maps():
+            s = superop_of(tau)
+            before = s.matrix.copy()
+            c = choi_of_superop(s)
+            assert c.flags.c_contiguous
+            c[...] = 7.0
+            assert np.array_equal(s.matrix, before)
+
+    def test_canonical_extension_budget(self):
+        # the O(m^6) matrix-unit assembly took about 5 s on a 2-vCPU Xeon
+        tau = random_cpmap(np.random.default_rng(16), (6, 6, 6, 6))
+        start = time.perf_counter()
+        ext = canonical_extension(tau)
+        elapsed = time.perf_counter() - start
+        assert ext.shape.is_full and ext.m == 24
+        assert elapsed < 1.0, f"canonical_extension took {elapsed:.2f}s at blocks (6,6,6,6)"
 
 
 class TestKrausOfChoi:
@@ -94,6 +157,17 @@ class TestKrausOfChoi:
     def test_rejects_non_psd(self):
         with pytest.raises(PreconditionError):
             kraus_of_choi(np.diag([1.0, -1.0, 1.0, 1.0]))
+
+    def test_rejects_non_hermitian(self):
+        c = choi_of(IDENTITY_CHANNEL)
+        c[0, 1] += 1e-3
+        with pytest.raises(PreconditionError, match="Hermitian"):
+            kraus_of_choi(c)
+
+    def test_hermitian_rounding_is_tolerated(self):
+        c = choi_of(IDENTITY_CHANNEL)
+        c[0, 1] += 1e-13
+        assert len(kraus_of_choi(c)) == 1
 
     def test_rejects_non_square_side(self):
         with pytest.raises(Exception):
@@ -152,6 +226,21 @@ class TestCoefficientSpace:
         p1 = coefficient_space(tau).projector()
         p2 = coefficient_space(rot).projector()
         assert np.abs(p1 - p2).max() < 1e-10
+
+    def test_project_matches_projector(self):
+        rng = np.random.default_rng(17)
+        space = coefficient_space(full_map(random_matrix(rng, 3), random_matrix(rng, 3)))
+        x = random_matrix(rng, 3)
+        p = space.projector()
+        assert np.abs(vec(space.project(x)) - p @ vec(x)).max() < 1e-12
+        assert np.abs(p @ p - p).max() < 1e-12
+        assert np.abs(p - p.conj().T).max() < 1e-14
+
+    def test_empty_space(self):
+        space = coefficient_space(full_map(np.zeros((2, 2))))
+        assert space.dimension == 0
+        assert np.array_equal(space.projector(), np.zeros((4, 4)))
+        assert np.array_equal(space.project(np.eye(2)), np.zeros((2, 2)))
 
     def test_choi_rank_examples(self):
         assert choi_rank(IDENTITY_CHANNEL) == 1
@@ -226,12 +315,7 @@ class TestIsCp:
         assert is_cp(SuperOperator(2, np.eye(4)))
 
     def test_transpose_map_is_not_cp(self):
-        # superoperator of X -> X.T permutes vec coordinates
-        perm = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                perm[j + i * 2, i + j * 2] = 1.0
-        assert not is_cp(SuperOperator(2, perm))
+        assert not is_cp(transpose_superop(2))
 
     def test_difference_of_kraus_terms(self):
         rng = np.random.default_rng(13)

@@ -265,6 +265,11 @@ class TestIrreducibility:
         for b in algebra_basis(canonical_extension(tau).kraus, unital=False).basis:
             assert abs(np.vdot(b, rep.witness)) < 1e-8
 
+    def test_zero_map_reducible_with_unit_witness(self):
+        rep = irreducible_cp(full_map(np.zeros((2, 2))))
+        assert not rep.irreducible and rep.dimension == 0
+        assert abs(np.linalg.norm(rep.witness) - 1.0) < 1e-12
+
     def test_verdict_matches_extension_verdict(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -300,7 +305,59 @@ class TestIrreducibility:
                 assert psd_report(out).is_strictly_positive
 
 
+def block_diagonal(rng, blocks):
+    m = sum(blocks)
+    a = np.zeros((m, m), dtype=complex)
+    start = 0
+    for n in blocks:
+        a[start : start + n, start : start + n] = random_matrix(rng, n)
+        start += n
+    return a
+
+
+def assert_orthonormal_and_closed(gen, mats):
+    """Orthonormal basis whose span holds every generator and generator product."""
+    q = np.column_stack([vec(b) for b in gen.basis])
+    assert np.abs(q.conj().T @ q - np.eye(gen.dimension)).max() < 1e-12
+    for g in mats:
+        for x in [g] + [g @ b for b in gen.basis]:
+            v = vec(x)
+            assert np.linalg.norm(v - q @ (q.conj().T @ v)) <= 1e-9 * max(1.0, np.linalg.norm(v))
+
+
 class TestAlgebraBasis:
+    def check(self, mats, unital_pin, non_unital_pin):
+        """Each pin is (dimension, stabilization_index)."""
+        for unital, pin in ((True, unital_pin), (False, non_unital_pin)):
+            gen = algebra_basis(mats, unital=unital)
+            assert (gen.dimension, gen.stabilization_index) == pin
+            if gen.dimension:
+                assert_orthonormal_and_closed(gen, mats)
+
+    def test_generic_tuples_generate_everything(self):
+        rng = np.random.default_rng(18)
+        for m, stab in ((5, 4), (8, 6)):
+            mats = [random_matrix(rng, m) for _ in range(2)]
+            self.check(mats, (m * m, stab), (m * m, stab))
+
+    def test_block_diagonal_tuples(self):
+        rng = np.random.default_rng(19)
+        for blocks, stab in (((2, 3), 3), ((3, 3, 1), 4), ((4, 4), 5)):
+            mats = [block_diagonal(rng, blocks) for _ in range(2)]
+            dim = sum(n * n for n in blocks)
+            self.check(mats, (dim, stab), (dim, stab))
+
+    def test_degenerate_generators(self):
+        rng = np.random.default_rng(20)
+        a, b = random_matrix(rng, 3), random_matrix(rng, 3)
+        zero = np.zeros((3, 3))
+        self.check([zero, a, b], (9, 3), (9, 3))
+        self.check([zero], (1, 0), (0, 0))
+        self.check([a], (3, 2), (3, 3))  # polynomials in a
+        self.check([a, a], (3, 2), (3, 3))
+        self.check([2.5 * np.eye(3)], (1, 0), (1, 1))
+        self.check([2.5 * np.eye(3), a], (3, 2), (3, 2))
+
     def test_identity_tuple(self):
         for unital in (True, False):
             gen = algebra_basis([np.eye(2)], unital=unital)
@@ -310,6 +367,7 @@ class TestAlgebraBasis:
         gen = algebra_basis([unit(2, 0, 1), unit(2, 1, 0)], unital=True)
         assert gen.dimension == 4
         assert gen.stabilization_index <= 4
+        self.check([unit(2, 0, 1), unit(2, 1, 0)], (4, 2), (4, 2))
 
     def test_single_nilpotent(self):
         assert algebra_basis([unit(2, 0, 1)], unital=False).dimension == 1
