@@ -1,7 +1,9 @@
 """Block-diagonal matrix algebras M_{n1} + ... + M_{nd} inside M_m.
 
 An algebra element is carried as the full embedded m x m matrix; all
-superoperators downstream act on ``vec`` of the embedded matrix.
+superoperators downstream act on ``vec`` of the embedded matrix.  The algebra
+itself is represented by one boolean mask over ``vec`` indices
+(:meth:`AlgebraShape.vec_mask`): compression zeroes the entries outside it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, PreconditionError
-from .mats import PSD_TOL, as_matrix, kron
+from .mats import PSD_TOL, as_matrix
 
 __all__ = [
     "AlgebraShape",
@@ -53,6 +55,11 @@ class AlgebraShape:
             out.append(slice(start, start + n))
             start += n
         return out
+
+    def vec_mask(self) -> np.ndarray:
+        """Boolean mask over ``vec`` indices: True at ``i + j*m`` when i and j share a block."""
+        label = np.repeat(np.arange(self.d), self.blocks)
+        return (label[:, None] == label[None, :]).ravel(order="F")
 
     def identity(self) -> np.ndarray:
         return np.eye(self.m, dtype=complex)
@@ -113,16 +120,12 @@ def compress(x, shape: AlgebraShape) -> np.ndarray:
     Idempotent and positivity-preserving (it is X |-> sum_k P_k X P_k).
     """
     x = _check_side(x, shape)
-    return embed(split(x, shape), shape)
+    return np.where(shape.vec_mask().reshape(shape.m, shape.m), x, 0)  # the mask is symmetric
 
 
 def compress_superop(shape: AlgebraShape) -> np.ndarray:
-    """Superoperator (m^2 x m^2) of the block-diagonal compression."""
-    mats = shape.projections()
-    out = np.zeros((shape.m**2, shape.m**2), dtype=complex)
-    for p in mats:
-        out += kron(p, p)  # P real diagonal, so P.T = P = P.conj()
-    return out
+    """Superoperator (m^2 x m^2) of the block-diagonal compression: the diagonal 0/1 mask."""
+    return np.diag(shape.vec_mask().astype(complex))
 
 
 def in_algebra(x, shape: AlgebraShape, psd_tol: float = PSD_TOL) -> bool:

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape, compress_superop
+from .algebra import AlgebraShape
 from .errors import FormatError, PreconditionError
 from .mats import (
     PSD_TOL,
     RANK_TOL,
     as_matrix,
-    hs_norm,
     kron,
     numerical_rank,
     psd_report,
@@ -71,9 +70,6 @@ class SuperOperator:
 
     def __call__(self, x) -> np.ndarray:
         return unvec(self.matrix @ vec(x), self.m)
-
-    def identity_like(self) -> "SuperOperator":
-        return SuperOperator(self.m, np.eye(self.m**2, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -145,13 +141,11 @@ class AlgebraMap:
 
     The superoperator is canonical in the sense that it annihilates the
     off-block complement (it represents ``iota o phi o compress``); use
-    :func:`algebra_map` to construct one.  ``positive`` is a claim, not a
-    verified property.
+    :func:`algebra_map` to construct one.
     """
 
     superop: SuperOperator
     shape: AlgebraShape
-    positive: bool = True
 
     @property
     def m(self) -> int:
@@ -161,11 +155,12 @@ class AlgebraMap:
         return self.superop(x)
 
 
-def algebra_map(op, shape: AlgebraShape | None = None, positive: bool = True) -> AlgebraMap:
+def algebra_map(op, shape: AlgebraShape | None = None) -> AlgebraMap:
     """Build an :class:`AlgebraMap` from a CpMap, SuperOperator or raw matrix.
 
-    The superoperator is right-composed with the block compression so the
-    resulting map never sees off-block input components.
+    The superoperator is right-composed with the block compression (its
+    off-block columns are zeroed) so the map never sees off-block input
+    components.
     """
     if isinstance(op, AlgebraMap):
         return op
@@ -185,8 +180,8 @@ def algebra_map(op, shape: AlgebraShape | None = None, positive: bool = True) ->
                 f"superoperator {mat.shape} does not match algebra side {shape.m}"
             )
     if not shape.is_full:
-        mat = mat @ compress_superop(shape)
-    return AlgebraMap(SuperOperator(shape.m, mat), shape, positive)
+        mat = np.where(shape.vec_mask(), mat, 0)
+    return AlgebraMap(SuperOperator(shape.m, mat), shape)
 
 
 def superop_matrix(op) -> np.ndarray:
@@ -250,7 +245,8 @@ def choi_of_superop(s: SuperOperator) -> np.ndarray:
 def kraus_of_choi(c, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> list[np.ndarray]:
     """Kraus operators of a PSD Choi matrix, one per retained eigenpair.
 
-    Eigenpairs with eigenvalue ``<= psd_tol * max eigenvalue`` are discarded
+    ``psd_tol`` bounds the Hermiticity and positivity checks.  Eigenpairs with
+    eigenvalue ``<= rank_tol * max eigenvalue`` are discarded, a rank decision
     (numerical Choi matrices of exact low-rank maps carry round-off tails).
     Each retained pair ``(lam, u)`` yields ``sqrt(lam) * unvec(conj(u))``.
     """
@@ -270,7 +266,7 @@ def kraus_of_choi(c, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> li
         raise PreconditionError(
             f"Choi matrix is not PSD (min eigenvalue {w.min():.3e})"
         )
-    keep = w > psd_tol * max(top, 0.0)
+    keep = w > rank_tol * max(top, 0.0)
     if not np.any(keep):
         # zero map; represent it with a single zero Kraus operator
         return [np.zeros((m, m), dtype=complex)]
@@ -381,27 +377,20 @@ def canonical_extension(tau: CpMap) -> CpMap:
     the map; its Kraus list is recovered from the Choi matrix, so the result
     does not depend on how the input Kraus list acts off the algebra.
     """
-    s = superop_of(tau).matrix
-    if not tau.shape.is_full:
-        s = s @ compress_superop(tau.shape)
-    choi = choi_of_superop(SuperOperator(tau.m, s))
-    kraus = kraus_of_choi(choi)
+    kraus = kraus_of_choi(choi_of_superop(algebra_map(tau).superop))
     return CpMap(tuple(kraus), AlgebraShape.full(tau.m))
 
 
 def preserves_algebra(tau: CpMap, tol: float = 1e-10) -> bool:
-    """Whether the Kraus action maps the block algebra into itself."""
-    from .algebra import compress
+    """Whether the Kraus action maps the block algebra into itself.
 
-    m, shape = tau.m, tau.shape
-    if shape.is_full:
+    Column ``i + j*m`` of the superoperator is ``vec tau(E_ij)``; for every
+    in-algebra ``E_ij`` its off-block part must be at most
+    ``tol * max(1, ||tau(E_ij)||)``.
+    """
+    if tau.shape.is_full:
         return True
-    for sl in shape.slices():
-        for i in range(sl.start, sl.stop):
-            for j in range(sl.start, sl.stop):
-                e = np.zeros((m, m), dtype=complex)
-                e[i, j] = 1.0
-                y = tau(e)
-                if np.linalg.norm(y - compress(y, shape)) > tol * max(1.0, hs_norm(y)):
-                    return False
-    return True
+    mask = tau.shape.vec_mask()
+    cols = superop_of(tau).matrix[:, mask]
+    leak = np.linalg.norm(cols[~mask], axis=0)
+    return bool(np.all(leak <= tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))))

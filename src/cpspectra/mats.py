@@ -104,11 +104,6 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a), 2))
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product trace(a* b)."""
-    return complex(np.vdot(as_matrix(a), as_matrix(b)))
-
-
 def hs_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 

@@ -326,8 +326,13 @@ def maximal_part(
 
 def perron_vector(phi, psd_tol: float = PSD_TOL, check_tol: float = 1e-8, **kwargs) -> np.ndarray:
     """Positive eigenvector ``L = maximal_part(phi)(1)`` at the spectral radius."""
-    mat, m = _phi_matrix(phi)
-    mp = maximal_part(phi, **kwargs)
+    mat, _ = _phi_matrix(phi)
+    return _perron_of(maximal_part(mat, **kwargs), mat, psd_tol, check_tol)
+
+
+def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float, check_tol: float) -> np.ndarray:
+    """``L = mp(1)``, made Hermitian and checked: non-zero, PSD, ``mat`` fixes it up to ``r``."""
+    m = mp.superop.m
     ell = mp.superop(np.eye(m, dtype=complex))
     ell = (ell + ell.conj().T) / 2.0
     norm = float(np.linalg.norm(ell))
@@ -369,17 +374,16 @@ def maximal_factorization(
     numerically rank one; anything else signals reducibility or a tolerance
     failure.
     """
-    report = irreducible_cp(tau, rank_tol=rank_tol, psd_tol=psd_tol)
-    if not report.irreducible:
-        raise PreconditionError(
-            f"map is reducible (generated algebra has dimension {report.dimension} "
-            f"< {tau.m ** 2})"
-        )
+    m = tau.m
     ext = canonical_extension(tau)
+    dimension = algebra_basis(ext.kraus, unital=False, rank_tol=rank_tol).dimension
+    if dimension != m * m:
+        raise PreconditionError(
+            f"map is reducible (generated algebra has dimension {dimension} < {m ** 2})"
+        )
     mat = superop_of(ext).matrix
-    mp = maximal_part(algebra_map(ext), rank_tol=rank_tol, **kwargs)
-    hat = mp.superop.matrix
-    m, r = tau.m, mp.radius
+    mp = maximal_part(mat, rank_tol=rank_tol, **kwargs)
+    hat, r = mp.superop.matrix, mp.radius
 
     svals = np.linalg.svd(hat, compute_uv=False)
     rank_gap = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
@@ -388,7 +392,7 @@ def maximal_factorization(
             f"maximal part is not numerically rank one (sigma2/sigma1 = {rank_gap:.3e})"
         )
 
-    ell = perron_vector(algebra_map(ext), psd_tol=psd_tol, check_tol=check_tol, **kwargs)
+    ell = _perron_of(mp, mat, psd_tol, check_tol)
     if not psd_report(ell, psd_tol).is_strictly_positive:
         raise ConvergenceError("Perron eigenvector of an irreducible map must be strictly positive")
 

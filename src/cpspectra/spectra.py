@@ -279,7 +279,7 @@ def conjugate_map(phi, v, psd_tol: float = PSD_TOL) -> AlgebraMap:
     outer_k = kron(v.T, v.conj().T)
     inner_k = kron(vi.T, vi.conj().T)
     mat = inner_k @ phi.superop.matrix @ outer_k
-    return algebra_map(mat, phi.shape, positive=phi.positive)
+    return algebra_map(mat, phi.shape)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,17 @@ from cpspectra import (
     AlgebraShape,
     CpMap,
     FormatError,
+    SuperOperator,
     algebra_map,
     canonical_extension,
     choi_of,
+    choi_of_superop,
     compress,
     compress_superop,
     embed,
     in_algebra,
+    kraus_of_choi,
+    kron,
     psd_report,
     spectral_radius,
     spectral_radius_of,
@@ -95,6 +99,57 @@ class TestEmbedCompress:
         shape = AlgebraShape((1, 1))
         assert in_algebra(np.eye(2), shape)
         assert not in_algebra(np.ones((2, 2)), shape)
+
+
+SHAPES = [(2, 1), (1, 1, 1), (3, 2, 4), (5,), (1, 4)]
+
+
+class TestVecMask:
+    """The vec mask against the block-projection forms of the algebra it replaced,
+    which are kept here only as test references."""
+
+    def test_marks_index_pairs_in_one_block(self):
+        for blocks in SHAPES:
+            shape = AlgebraShape(blocks)
+            block_of = [k for k, n in enumerate(blocks) for _ in range(n)]
+            mask = shape.vec_mask()
+            assert mask.dtype == bool and mask.shape == (shape.m**2,)
+            for i in range(shape.m):
+                for j in range(shape.m):
+                    assert mask[i + j * shape.m] == (block_of[i] == block_of[j])
+
+    def test_compress_superop_equals_projection_kron_sum(self):
+        for blocks in SHAPES:
+            shape = AlgebraShape(blocks)
+            old = np.zeros((shape.m**2, shape.m**2), dtype=complex)
+            for p in shape.projections():
+                old += kron(p, p)
+            new = compress_superop(shape)
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+
+    def test_compress_equals_embed_of_split(self):
+        rng = np.random.default_rng(21)
+        for blocks in SHAPES:
+            shape = AlgebraShape(blocks)
+            x = random_matrix(rng, shape.m)
+            assert np.array_equal(compress(x, shape), embed(split(x, shape), shape))
+
+    def test_algebra_map_equals_compress_superop_product(self):
+        rng = np.random.default_rng(22)
+        for blocks in SHAPES:
+            tau = random_cpmap(rng, blocks, terms=3)
+            s = superop_of(tau).matrix
+            assert np.array_equal(algebra_map(tau).superop.matrix, s @ compress_superop(tau.shape))
+
+    def test_canonical_extension_equals_compress_superop_product(self):
+        rng = np.random.default_rng(23)
+        for blocks in SHAPES:
+            tau = random_cpmap(rng, blocks, terms=3)
+            s = superop_of(tau).matrix @ compress_superop(tau.shape)
+            old = kraus_of_choi(choi_of_superop(SuperOperator(tau.m, s)))
+            new = canonical_extension(tau).kraus
+            assert len(new) == len(old)
+            assert all(np.array_equal(a, b) for a, b in zip(new, old))
 
 
 class TestCanonicalExtension:

@@ -97,6 +97,16 @@ def test_choi_and_kraus(capsys, files):
     assert report["residuals"]["reassembly"] < 1e-9
 
 
+def test_kraus_tol_rank_drops_small_eigenpairs(capsys, files, tmp_path):
+    choi = tmp_path / "small_tail_choi.json"
+    choi.write_text(json.dumps(matrix_to_json(np.diag([1.0, 0.5, 1e-6, 0.25]))))
+    _, default = run(capsys, ["kraus", "--choi", str(choi)])
+    code, coarse = run(capsys, ["--tol-rank", "1e-3", "kraus", "--choi", str(choi)])
+    assert code == 0
+    assert len(default["values"]["kraus"]) == 4
+    assert len(coarse["values"]["kraus"]) == 3
+
+
 def test_coeff_space(capsys, files):
     code, report = run(capsys, ["coeff-space", "--map", files["corner.json"]])
     assert code == 0

@@ -13,6 +13,7 @@ from cpspectra import (
     choi_of_superop,
     choi_rank,
     coefficient_space,
+    compress,
     compress_superop,
     compose,
     dominates,
@@ -29,7 +30,7 @@ from cpspectra import (
     vec,
 )
 from cpspectra.reference_maps import double_trace_map, path_adjacency_map, trace_corner_map
-from helpers import random_cpmap, random_matrix, random_psd
+from helpers import random_cpmap, random_matrix, random_psd, random_unitary
 
 
 def unit(m, i, j):
@@ -70,6 +71,31 @@ def seeded_maps():
     maps = [full_map(*(random_matrix(rng, m) for _ in range(3))) for m in (1, 3, 5)]
     maps += [random_cpmap(rng, blocks) for blocks in ((2, 1), (3, 3), (2, 2, 2))]
     return maps
+
+
+def leak_ratio(tau):
+    """max over in-algebra E_ij of ||off-block part of tau(E_ij)|| / max(1, ||tau(E_ij)||)."""
+    worst = 0.0
+    for sl in tau.shape.slices():
+        for i in range(sl.start, sl.stop):
+            for j in range(sl.start, sl.stop):
+                y = tau(unit(tau.m, i, j))
+                off = y - compress(y, tau.shape)
+                worst = max(worst, np.linalg.norm(off) / max(1.0, np.linalg.norm(y)))
+    return worst
+
+
+def preserves_by_matrix_units(tau, tol=1e-10):
+    """Reference verdict: tau applied to every in-algebra matrix unit E_ij."""
+    if tau.shape.is_full:
+        return True
+    for sl in tau.shape.slices():
+        for i in range(sl.start, sl.stop):
+            for j in range(sl.start, sl.stop):
+                y = tau(unit(tau.m, i, j))
+                if np.linalg.norm(y - compress(y, tau.shape)) > tol * max(1.0, np.linalg.norm(y)):
+                    return False
+    return True
 
 
 class TestChoi:
@@ -172,6 +198,15 @@ class TestKrausOfChoi:
     def test_rejects_non_square_side(self):
         with pytest.raises(Exception):
             kraus_of_choi(np.eye(3))
+
+    def test_rank_tol_drops_small_eigenpairs(self):
+        rng = np.random.default_rng(17)
+        u = random_unitary(rng, 4)
+        c = u @ np.diag([1.0, 0.5, 1e-6, 0.25]) @ u.conj().T
+        assert len(kraus_of_choi(c)) == 4
+        kept = kraus_of_choi(c, rank_tol=1e-3)
+        assert len(kept) == 3
+        assert np.abs(choi_of(full_map(*kept)) - c).max() < 2e-6
 
 
 class TestSuperop:
@@ -333,3 +368,26 @@ class TestPreservesAlgebra:
     def test_off_block_kraus(self):
         tau = CpMap((np.ones((2, 2), dtype=complex),), AlgebraShape((1, 1)))
         assert not preserves_algebra(tau)
+
+    def test_verdicts_match_matrix_unit_loop(self):
+        rng = np.random.default_rng(18)
+        for blocks in ((2, 1), (1, 1, 1), (3, 2), (2, 2, 2)):
+            kept = random_cpmap(rng, blocks)
+            leaky = CpMap(kept.kraus + (random_matrix(rng, kept.m),), kept.shape)
+            assert preserves_algebra(kept) and preserves_by_matrix_units(kept)
+            assert not preserves_algebra(leaky) and not preserves_by_matrix_units(leaky)
+
+    def test_verdicts_at_scaled_leaks(self):
+        # a leaking Kraus term eps * B leaks eps^2 * B* E_ij B; scale it to 0.5x and 2x tol
+        rng = np.random.default_rng(19)
+        tol = 1e-10
+        for blocks in ((2, 1), (3, 2), (2, 2, 2)):
+            kept = random_cpmap(rng, blocks)
+            b = random_matrix(rng, kept.m)
+            probe = 1e-3
+            ratio = leak_ratio(CpMap(kept.kraus + (probe * b,), kept.shape))
+            for factor in (0.5, 2.0):
+                eps = probe * np.sqrt(factor * tol / ratio)
+                tau = CpMap(kept.kraus + (eps * b,), kept.shape)
+                assert abs(leak_ratio(tau) / tol - factor) < 1e-3 * factor
+                assert preserves_algebra(tau, tol) == preserves_by_matrix_units(tau, tol) == (factor < 1)

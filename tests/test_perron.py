@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpspectra import perron
 from cpspectra import (
     AlgebraShape,
     CpMap,
@@ -218,6 +219,18 @@ class TestPerronVector:
             assert psd_report(ell).is_psd
             assert np.linalg.norm(phi(ell) - r * ell) < 1e-8 * np.linalg.norm(ell)
 
+    def test_coerces_the_map_once(self, monkeypatch):
+        calls = []
+        original = perron.algebra_map
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(perron, "algebra_map", counted)
+        perron_vector(golden_ratio_map())
+        assert len(calls) == 1
+
 
 class TestMaximalFactorization:
     def test_golden(self):
@@ -245,6 +258,35 @@ class TestMaximalFactorization:
     def test_rejects_reducible(self):
         with pytest.raises(PreconditionError):
             maximal_factorization(full_map(np.diag([2.0, 1.0])))
+
+    def test_reducible_message_names_the_dimension(self):
+        message = r"^map is reducible \(generated algebra has dimension 2 < 4\)$"
+        with pytest.raises(PreconditionError, match=message):
+            maximal_factorization(trace_corner_map())
+
+    def test_each_stage_runs_once(self, monkeypatch):
+        calls = {"maximal_part": [], "canonical_extension": [], "irreducible_cp": []}
+        for name in calls:
+            original = getattr(perron, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name].append(kwargs)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(perron, name, counted)
+        maximal_factorization(golden_ratio_map(), rank_tol=1e-7)
+        assert len(calls["canonical_extension"]) == 1
+        assert calls["maximal_part"] == [{"rank_tol": 1e-7}]
+        assert calls["irreducible_cp"] == []
+
+    def test_rank_tol_reaches_the_perron_vector(self):
+        rng = np.random.default_rng(24)
+        maps = [golden_ratio_map(), path_adjacency_map()]
+        maps += [random_cpmap(rng, blocks) for blocks in ((3,), (2, 2))]
+        for tau in maps:
+            fact = maximal_factorization(tau, rank_tol=1e-7)
+            ell = perron_vector(canonical_extension(tau), rank_tol=1e-7)
+            assert np.array_equal(fact.eigenvector, ell)
 
 
 class TestIrreducibility:
