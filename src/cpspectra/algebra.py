@@ -61,9 +61,6 @@ class AlgebraShape:
         label = np.repeat(np.arange(self.d), self.blocks)
         return (label[:, None] == label[None, :]).ravel(order="F")
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.m, dtype=complex)
-
     def projections(self) -> list[np.ndarray]:
         """Orthogonal projections onto the block subspaces, as m x m matrices."""
         out = []

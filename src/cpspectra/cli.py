@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import os
-import sys
 import time
 
 import numpy as np
@@ -25,14 +24,11 @@ from . import reference_maps
 from .algebra import AlgebraShape
 from .cpmap import (
     CpMap,
-    SuperOperator,
     algebra_map,
-    canonical_extension,
     choi_of,
     coefficient_space,
     kraus_of_choi,
     membership,
-    superop_of,
 )
 from .errors import BudgetExceededError, ConvergenceError, FormatError, PreconditionError
 from .mats import Tolerance, matrix_from_json, matrix_to_json, numerical_rank
@@ -123,28 +119,34 @@ def _load_map(path: str, shape_text: str | None):
     return CpMap.from_json(obj, shape), obj
 
 
-def _env_default(name: str, cast, fallback):
+def _env_default(name: str, cast, fallback, warnings: list[str]):
+    """The value of ``CPSPECTRA_<name>``; a malformed one falls back with a warning."""
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
     try:
         return cast(raw)
     except ValueError:
+        warnings.append(f"malformed {ENV_PREFIX}{name}={raw!r} ignored; using {fallback!r}")
         return fallback
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(env_warnings: list[str]) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cpspectra",
         description="Spectral invariants of positive maps on block-diagonal algebras.",
     )
-    ap.add_argument("--tol-rank", type=float, default=_env_default("TOL_RANK", float, 1e-9))
-    ap.add_argument("--tol-psd", type=float, default=_env_default("TOL_PSD", float, 1e-9))
-    ap.add_argument("--tol-conv", type=float, default=_env_default("TOL_CONV", float, 1e-10))
-    ap.add_argument("--budget", type=int, default=_env_default("BUDGET", int, 10**6))
-    ap.add_argument("--seed", type=int, default=_env_default("SEED", int, 0))
+    ap.add_argument("--tol-rank", type=float, default=_env_default("TOL_RANK", float, 1e-9, env_warnings))
+    ap.add_argument("--tol-psd", type=float, default=_env_default("TOL_PSD", float, 1e-9, env_warnings))
+    ap.add_argument("--tol-conv", type=float, default=_env_default("TOL_CONV", float, 1e-10, env_warnings))
+    ap.add_argument("--budget", type=int, default=_env_default("BUDGET", int, 10**6, env_warnings))
+    ap.add_argument("--seed", type=int, default=_env_default("SEED", int, 0, env_warnings))
     ap.add_argument("--timing", action="store_true", help="report measured wall time")
     sub = ap.add_subparsers(dest="command", required=True)
+
+    map_args = argparse.ArgumentParser(add_help=False)
+    map_args.add_argument("--map", required=True, dest="map_file")
+    map_args.add_argument("--shape", default=None)
 
     p = sub.add_parser("outer-radius", help="outer spectral radius of a matrix tuple")
     p.add_argument("--tuple", required=True, dest="tuple_file")
@@ -155,47 +157,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, help="max word length (brute)")
     p.add_argument("--k", type=int, default=1, help="Kronecker power (tensor)")
 
-    p = sub.add_parser("friedland", help="eigenvalue-quotient evaluator r(w^-1 phi(w))")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    p = sub.add_parser("friedland", parents=[map_args], help="eigenvalue-quotient evaluator r(w^-1 phi(w))")
     p.add_argument("--w", required=True, dest="w_file")
 
-    p = sub.add_parser("witness", help="resolvent witness of r(phi) < s")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    p = sub.add_parser("witness", parents=[map_args], help="resolvent witness of r(phi) < s")
     p.add_argument("--s", type=float, required=True)
 
     p = sub.add_parser("balance", help="similarity achieving norm = spectral radius")
     p.add_argument("--matrix", required=True, dest="matrix_file")
     p.add_argument("--epsilon", type=float, default=None)
 
-    p = sub.add_parser("choi", help="Choi matrix of a CP map")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    sub.add_parser("choi", parents=[map_args], help="Choi matrix of a CP map")
 
     p = sub.add_parser("kraus", help="Kraus operators of a PSD Choi matrix")
     p.add_argument("--choi", required=True, dest="choi_file")
 
-    p = sub.add_parser("coeff-space", help="orthonormal basis of the coefficient space")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    sub.add_parser("coeff-space", parents=[map_args], help="orthonormal basis of the coefficient space")
 
-    p = sub.add_parser("member", help="membership of a matrix in a coefficient space")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    p = sub.add_parser("member", parents=[map_args], help="membership of a matrix in a coefficient space")
     p.add_argument("--matrix", required=True, dest="matrix_file")
 
-    p = sub.add_parser("maximal-part", help="maximal part of a positive map")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    sub.add_parser("maximal-part", parents=[map_args], help="maximal part of a positive map")
 
-    p = sub.add_parser("perron", help="Perron eigenvector and spectral radius")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    sub.add_parser("perron", parents=[map_args], help="Perron eigenvector and spectral radius")
 
-    p = sub.add_parser("irreducible", help="irreducibility via the canonical extension")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    sub.add_parser("irreducible", parents=[map_args], help="irreducibility via the canonical extension")
 
     p = sub.add_parser("algebra-dim", help="dimension of the generated algebra")
     p.add_argument("--tuple", required=True, dest="tuple_file")
@@ -203,9 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--unital", action="store_true", default=True)
     group.add_argument("--non-unital", dest="unital", action="store_false")
 
-    p = sub.add_parser("factorize", help="rank-one factorization of the maximal part")
-    p.add_argument("--map", required=True, dest="map_file")
-    p.add_argument("--shape", default=None)
+    sub.add_parser("factorize", parents=[map_args], help="rank-one factorization of the maximal part")
 
     sub.add_parser("check", help="run the bundled reference maps through the invariants")
     return ap
@@ -218,13 +202,16 @@ def _run_command(args, tol: Tolerance):
     inputs: dict = {}
 
     cmd = args.command
+    if hasattr(args, "map_file"):
+        tau, inputs["map"] = _load_map(args.map_file, args.shape)
+
     if cmd == "outer-radius":
         mats, raw = _load_tuple(args.tuple_file)
         inputs["tuple"] = raw
         value = outer_radius(mats)
         values["value"] = value
         residuals["radius_consistency"] = abs(
-            value**2 - spectral_radius_of(superop_of(CpMap(tuple(mats), AlgebraShape.full(mats[0].shape[0]))))
+            value**2 - spectral_radius_of(CpMap(tuple(mats), AlgebraShape.full(mats[0].shape[0])))
         )
 
     elif cmd == "jsr":
@@ -241,9 +228,7 @@ def _run_command(args, tol: Tolerance):
         residuals["bound_gap"] = est.upper - est.lower
 
     elif cmd == "friedland":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        w, raw_w = _load_matrix(args.w_file)
-        inputs["map"], inputs["w"] = raw_map, raw_w
+        w, inputs["w"] = _load_matrix(args.w_file)
         phi = algebra_map(tau)
         value = friedland_value(phi, w, psd_tol=tol.psd_tol)
         values["value"] = value
@@ -251,8 +236,7 @@ def _run_command(args, tol: Tolerance):
         residuals["above_radius"] = value - values["radius"]
 
     elif cmd == "witness":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        inputs["map"], inputs["s"] = raw_map, args.s
+        inputs["s"] = args.s
         phi = algebra_map(tau)
         w = neumann_witness(phi, args.s, conv_tol=tol.conv_tol, psd_tol=tol.psd_tol)
         values["witness"] = matrix_to_json(w)
@@ -271,8 +255,6 @@ def _run_command(args, tol: Tolerance):
         residuals["norm_excess"] = result.norm - result.radius
 
     elif cmd == "choi":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        inputs["map"] = raw_map
         c = choi_of(tau)
         values["choi"] = matrix_to_json(c)
         values["rank"] = numerical_rank(c, tol.rank_tol)
@@ -287,8 +269,6 @@ def _run_command(args, tol: Tolerance):
         residuals["reassembly"] = float(np.linalg.norm(rebuilt - c))
 
     elif cmd == "coeff-space":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        inputs["map"] = raw_map
         space = coefficient_space(tau, rank_tol=tol.rank_tol)
         values["dimension"] = space.dimension
         values["basis"] = [matrix_to_json(b) for b in space.basis]
@@ -300,19 +280,15 @@ def _run_command(args, tol: Tolerance):
         )
 
     elif cmd == "member":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        mat, raw_mat = _load_matrix(args.matrix_file)
-        inputs["map"], inputs["matrix"] = raw_map, raw_mat
-        result = membership(mat, tau)
+        mat, inputs["matrix"] = _load_matrix(args.matrix_file)
+        result = membership(mat, tau, rank_tol=tol.rank_tol)
         values["member"] = result.member
         if result.q is not None:
             values["q"] = result.q
         residuals["projection"] = result.residual
 
     elif cmd == "maximal-part":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        inputs["map"] = raw_map
-        mp = maximal_part(algebra_map(tau), rank_tol=tol.rank_tol)
+        mp = maximal_part(tau, rank_tol=tol.rank_tol)
         values["superop"] = matrix_to_json(mp.superop.matrix)
         values["radius"] = mp.radius
         values["degeneracy"] = mp.degeneracy
@@ -320,8 +296,6 @@ def _run_command(args, tol: Tolerance):
         residuals["route_gap"] = mp.route_gap if mp.route_gap is not None else 0.0
 
     elif cmd == "perron":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        inputs["map"] = raw_map
         phi = algebra_map(tau)
         ell = perron_vector(phi, psd_tol=tol.psd_tol, rank_tol=tol.rank_tol)
         r = spectral_radius_of(phi)
@@ -332,8 +306,6 @@ def _run_command(args, tol: Tolerance):
         )
 
     elif cmd == "irreducible":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        inputs["map"] = raw_map
         rep = irreducible_cp(
             tau,
             rank_tol=tol.rank_tol,
@@ -362,8 +334,6 @@ def _run_command(args, tol: Tolerance):
         )
 
     elif cmd == "factorize":
-        tau, raw_map = _load_map(args.map_file, args.shape)
-        inputs["map"] = raw_map
         fact = maximal_factorization(tau, rank_tol=tol.rank_tol, psd_tol=tol.psd_tol)
         values["radius"] = fact.radius
         values["eigenvector"] = matrix_to_json(fact.eigenvector)
@@ -407,14 +377,14 @@ def _run_check(tol: Tolerance) -> list[dict]:
     case("golden_ratio.norm_achieving", abs(positive_map_norm(sigma) - gold))
 
     tau = reference_maps.path_adjacency_map()
-    mp = maximal_part(algebra_map(tau))
+    mp = maximal_part(tau)
     case("path_adjacency.radius", abs(mp.radius - math.sqrt(2)))
     fact = maximal_factorization(tau)
     case("path_adjacency.state_trace", fact.residuals["state_trace"])
 
     tau = reference_maps.trace_corner_map()
     norms = [
-        float(np.linalg.norm(maximal_part(algebra_map(tau)).superop(np.eye(2)), 2))
+        float(np.linalg.norm(maximal_part(tau).superop(np.eye(2)), 2))
     ]
     case("trace_corner.norm", abs(norms[0] - 2.0))
 
@@ -427,7 +397,8 @@ def _run_check(tol: Tolerance) -> list[dict]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    env_warnings: list[str] = []
+    args = _build_parser(env_warnings).parse_args(argv)
     tol = Tolerance(rank_tol=args.tol_rank, psd_tol=args.tol_psd, conv_tol=args.tol_conv)
     flags = {
         "tol_rank": args.tol_rank,
@@ -458,7 +429,7 @@ def main(argv=None) -> int:
         "inputs_digest": _digest(args.command, inputs, flags),
         "values": values,
         "residuals": residuals,
-        "warnings": warnings,
+        "warnings": env_warnings + warnings,
         "elapsed": elapsed,
     }
     print(_render_json(report))

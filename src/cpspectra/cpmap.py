@@ -9,6 +9,15 @@ by fixed conventions (see :mod:`cpspectra.mats`):
   reshuffle ``Choi[p*m + i, r*m + j] = S[p + r*m, i + j*m]`` of the superoperator S;
 * the conjugated Choi matrix has range ``vec(span{A_i})``, which is what makes
   coefficient spaces computable from any one Kraus list.
+
+A map on ``M_{n1} + ... + M_{nd}`` is read as ``iota o tau o E``: ``E``
+compresses to the block diagonal and ``iota`` embeds back into M_m, so the
+off-block inputs of a Kraus list never count.  :func:`superop_matrix` is the
+one coercion from a map to its matrix under this reading; spectral radii,
+norms, powers and maximal parts all go through it.  Its matrix equals, up to
+round-off, the superoperator of :func:`canonical_extension`.  Only
+:func:`algebra_map`, which applies the mask, and :func:`preserves_algebra`,
+which tests the off-block action, read the raw Kraus superoperator.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .mats import (
     kron,
     numerical_rank,
     psd_report,
+    side_of,
     unvec,
     vec,
 )
@@ -185,14 +195,17 @@ def algebra_map(op, shape: AlgebraShape | None = None) -> AlgebraMap:
 
 
 def superop_matrix(op) -> np.ndarray:
-    """The m^2 x m^2 matrix of a CpMap / SuperOperator / AlgebraMap / ndarray."""
-    if isinstance(op, CpMap):
-        return superop_of(op).matrix
-    if isinstance(op, SuperOperator):
-        return op.matrix
-    if isinstance(op, AlgebraMap):
-        return op.superop.matrix
-    return as_matrix(op)
+    """The matrix of a map: ``iota o tau o E`` for a CpMap / SuperOperator / AlgebraMap.
+
+    Map objects go through :func:`algebra_map`, so a block-shaped map never
+    sees off-block input; any other input is taken as a square matrix.
+    """
+    if isinstance(op, (CpMap, SuperOperator, AlgebraMap)):
+        return algebra_map(op).superop.matrix
+    mat = as_matrix(op)
+    if mat.shape[0] != mat.shape[1]:
+        raise PreconditionError("operator matrix must be square")
+    return mat
 
 
 def superop_of(tau: CpMap) -> SuperOperator:
@@ -209,8 +222,7 @@ def compose(outer_map, inner_map) -> SuperOperator:
     a, b = superop_matrix(outer_map), superop_matrix(inner_map)
     if a.shape != b.shape:
         raise PreconditionError("composed maps act on different sides")
-    m = int(round(np.sqrt(a.shape[0])))
-    return SuperOperator(m, a @ b)
+    return SuperOperator(side_of(a.shape[0]), a @ b)
 
 
 def map_power(op, n: int) -> SuperOperator:
@@ -218,8 +230,7 @@ def map_power(op, n: int) -> SuperOperator:
     mat = superop_matrix(op)
     if n < 0:
         raise PreconditionError("map_power requires n >= 0")
-    m = int(round(np.sqrt(mat.shape[0])))
-    return SuperOperator(m, np.linalg.matrix_power(mat, n))
+    return SuperOperator(side_of(mat.shape[0]), np.linalg.matrix_power(mat, n))
 
 
 def choi_of(tau: CpMap) -> np.ndarray:
@@ -251,12 +262,9 @@ def kraus_of_choi(c, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> li
     Each retained pair ``(lam, u)`` yields ``sqrt(lam) * unvec(conj(u))``.
     """
     c = as_matrix(c)
-    side = c.shape[0]
     if c.shape[0] != c.shape[1]:
         raise FormatError("Choi matrix must be square")
-    m = int(round(np.sqrt(side)))
-    if m * m != side:
-        raise FormatError(f"Choi side {side} is not a perfect square")
+    m = side_of(c.shape[0])
     nrm = float(np.linalg.norm(c))
     if np.linalg.norm(c - c.conj().T) > psd_tol * max(1.0, nrm) * nrm:
         raise PreconditionError("Choi matrix is not Hermitian")
@@ -348,18 +356,19 @@ class MembershipResult:
     q: float | None = None
 
 
-def membership(a, tau: CpMap, tol: float = 1e-8) -> MembershipResult:
+def membership(a, tau: CpMap, tol: float = 1e-8, rank_tol: float = RANK_TOL) -> MembershipResult:
     """Decide whether ``a`` lies in the coefficient space of ``tau``.
 
     Decided by subspace projection.  For members, also return the scalar
     certificate ``q = ||lambda||^2 + 1`` built from least-squares expansion
     coefficients of ``a`` in the given Kraus list; ``q * tau - alpha_a`` is
     then CP, which cross-checks the verdict through :func:`dominates`.
+    ``rank_tol`` decides the dimension of the coefficient space.
     """
     a = as_matrix(a)
     if a.shape != (tau.m, tau.m):
         raise PreconditionError("matrix side does not match the map")
-    space = coefficient_space(tau)
+    space = coefficient_space(tau, rank_tol)
     residual = space.residual(a)
     member = residual <= tol * max(1.0, float(np.linalg.norm(a)))
     if not member:

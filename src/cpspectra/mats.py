@@ -71,12 +71,20 @@ def vec(a) -> np.ndarray:
     return _square(a).ravel(order="F")
 
 
+def side_of(n: int) -> int:
+    """The side ``m`` with ``m * m == n``: of an m^2 vector, superoperator or Choi matrix."""
+    m = int(round(np.sqrt(n)))
+    if m * m != n:
+        raise FormatError(f"size {n} is not a perfect square m*m")
+    return m
+
+
 def unvec(v, m: int | None = None) -> np.ndarray:
     """Inverse of :func:`vec`; ``m`` defaults to ``sqrt(len(v))``."""
     v = np.asarray(v, dtype=complex).ravel()
     if m is None:
-        m = int(round(np.sqrt(v.size)))
-    if m * m != v.size:
+        m = side_of(v.size)
+    elif m * m != v.size:
         raise FormatError(f"vector of length {v.size} is not an m*m stack")
     return v.reshape((m, m), order="F")
 
@@ -102,10 +110,6 @@ def spectral_radius(a) -> float:
 def op_norm(a) -> float:
     """Operator (spectral) 2-norm."""
     return float(np.linalg.norm(as_matrix(a), 2))
-
-
-def hs_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
 
 
 def numerical_rank(a, rank_tol: float = RANK_TOL) -> int:

@@ -25,16 +25,13 @@ import scipy.linalg
 from scipy.special import gammaln
 
 from .cpmap import (
-    AlgebraMap,
     CoefficientSpace,
     CpMap,
     SuperOperator,
-    algebra_map,
     canonical_extension,
     choi_of_superop,
     kraus_of_choi,
     superop_matrix,
-    superop_of,
 )
 from .errors import ConvergenceError, PreconditionError
 from .mats import (
@@ -45,6 +42,7 @@ from .mats import (
     numerical_rank,
     op_norm,
     psd_report,
+    side_of,
     unvec,
     vec,
 )
@@ -86,13 +84,6 @@ class SpectralStructure:
     maximal_spectrum: tuple[complex, ...]
 
 
-def _operator_matrix(op) -> np.ndarray:
-    mat = superop_matrix(op)
-    if mat.shape[0] != mat.shape[1]:
-        raise PreconditionError("operator matrix must be square")
-    return mat
-
-
 def spectral_structure(op, cluster_tol: float = 1e-8, rank_tol: float = RANK_TOL) -> SpectralStructure:
     """Eigenvalue clusters, degeneracy indices, and the maximal spectrum.
 
@@ -100,7 +91,7 @@ def spectral_structure(op, cluster_tol: float = 1e-8, rank_tol: float = RANK_TOL
     ``rank((T - value)^k) == rank((T - value)^(k+1))`` under the tolerant
     rank; clustering merges eigenvalues within ``cluster_tol * max(r, 1)``.
     """
-    mat = _operator_matrix(op)
+    mat = superop_matrix(op)
     n = mat.shape[0]
     eig = eigenvalues(mat)
     radius = float(np.abs(eig).max()) if n else 0.0
@@ -234,14 +225,6 @@ class MaximalPart:
     route_gap: float | None = None
 
 
-def _phi_matrix(phi) -> tuple[np.ndarray, int]:
-    if isinstance(phi, (CpMap, AlgebraMap)):
-        phi = algebra_map(phi)
-        return phi.superop.matrix, phi.m
-    mat = _operator_matrix(phi)
-    return mat, int(round(np.sqrt(mat.shape[0])))
-
-
 def maximal_part(
     phi,
     cluster_tol: float = 1e-8,
@@ -263,7 +246,8 @@ def maximal_part(
     and on maps whose spectral radius is not an eigenvalue or does not carry
     a largest Jordan block (the claimed positivity is then false).
     """
-    mat, m = _phi_matrix(phi)
+    mat = superop_matrix(phi)
+    m = side_of(mat.shape[0])
     struct = spectral_structure(mat, cluster_tol, rank_tol)
     r = struct.radius
     if r <= 1e-300:
@@ -326,7 +310,7 @@ def maximal_part(
 
 def perron_vector(phi, psd_tol: float = PSD_TOL, check_tol: float = 1e-8, **kwargs) -> np.ndarray:
     """Positive eigenvector ``L = maximal_part(phi)(1)`` at the spectral radius."""
-    mat, _ = _phi_matrix(phi)
+    mat = superop_matrix(phi)
     return _perron_of(maximal_part(mat, **kwargs), mat, psd_tol, check_tol)
 
 
@@ -381,7 +365,7 @@ def maximal_factorization(
         raise PreconditionError(
             f"map is reducible (generated algebra has dimension {dimension} < {m ** 2})"
         )
-    mat = superop_of(ext).matrix
+    mat = superop_matrix(ext)
     mp = maximal_part(mat, rank_tol=rank_tol, **kwargs)
     hat, r = mp.superop.matrix, mp.radius
 
@@ -553,7 +537,7 @@ def irreducible_cp(
         witness = unvec(u[:, gen.dimension], m)
 
     rng = rng if rng is not None else np.random.default_rng(0)
-    one_plus = np.eye(m * m, dtype=complex) + superop_of(ext).matrix
+    one_plus = np.eye(m * m, dtype=complex) + superop_matrix(ext)
     powered = np.linalg.matrix_power(one_plus, m - 1)
     strict = 0
     for _ in range(probes):
@@ -580,7 +564,7 @@ def resolvent_gamma(tau: CpMap, b: float | None = None) -> tuple[SuperOperator, 
     the dimensions of the unital / non-unital generated algebras of any Kraus
     list of ``tau``.  Default ``b = 1 / (2 max(1, r))``.
     """
-    s = superop_of(tau).matrix
+    s = superop_matrix(tau)
     r = float(np.abs(eigenvalues(s)).max())
     if b is None:
         b = 1.0 / (2.0 * max(1.0, r))
@@ -596,7 +580,7 @@ def exp_eta(tau: CpMap, d: float = 1.0) -> tuple[SuperOperator, SuperOperator]:
     """Exponential pair ``eta0 = exp(d tau)`` and ``eta1 = eta0 - 1`` (both CP for d > 0)."""
     if d <= 0.0:
         raise PreconditionError("exp_eta requires d > 0")
-    s = superop_of(tau).matrix
+    s = superop_matrix(tau)
     e0 = scipy.linalg.expm(d * s)
     return SuperOperator(tau.m, e0), SuperOperator(tau.m, e0 - np.eye(s.shape[0]))
 
@@ -619,7 +603,7 @@ def maximal_ideal_check(tau: CpMap, tol: float = 1e-8, **kwargs) -> IdealCheck:
     ideal in the generated algebra).  Residuals are HS projection gaps.
     """
     ext = canonical_extension(tau)
-    mp = maximal_part(algebra_map(ext), **kwargs)
+    mp = maximal_part(ext, **kwargs)
     b_list = kraus_of_choi(choi_of_superop(mp.superop))
     a_list = ext.kraus
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import AlgebraShape, in_algebra
-from .cpmap import AlgebraMap, CpMap, SuperOperator, algebra_map, superop_matrix, superop_of
+from .cpmap import AlgebraMap, CpMap, algebra_map, superop_matrix
 from .errors import BudgetExceededError, ConvergenceError, PreconditionError
 from .mats import (
     PSD_TOL,
@@ -26,6 +26,7 @@ from .mats import (
     op_norm,
     psd_report,
     psd_sqrt,
+    side_of,
     spectral_radius,
     unvec,
     vec,
@@ -59,7 +60,7 @@ def spectral_radius_of(op) -> float:
 def positive_map_norm(op) -> float:
     """Norm of a positive map, ``||phi|| = ||phi(1)||``."""
     mat = superop_matrix(op)
-    m = int(round(np.sqrt(mat.shape[0])))
+    m = side_of(mat.shape[0])
     return op_norm(unvec(mat @ vec(np.eye(m, dtype=complex)), m))
 
 
@@ -95,7 +96,7 @@ def outer_radius_gelfand(mats_list, n: int) -> float:
     if n < 1:
         raise PreconditionError("outer_radius_gelfand requires n >= 1")
     m = mats[0].shape[0]
-    s = superop_of(_tuple_map(mats)).matrix
+    s = superop_matrix(_tuple_map(mats))
 
     def _normalize(mat, log):
         scale = float(np.abs(mat).max())
@@ -248,7 +249,7 @@ def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD
         )
     m = phi.m
     ident = np.eye(m * m, dtype=complex)
-    x = np.linalg.solve(ident - phi.superop.matrix / s, vec(np.eye(m, dtype=complex)))
+    x = np.linalg.solve(ident - superop_matrix(phi) / s, vec(np.eye(m, dtype=complex)))
     w = unvec(x, m)
     w = (w + w.conj().T) / 2.0
     residual = float(np.linalg.norm(phi(w) - s * (w - np.eye(m))))
@@ -278,7 +279,7 @@ def conjugate_map(phi, v, psd_tol: float = PSD_TOL) -> AlgebraMap:
     vi = inverse(v)
     outer_k = kron(v.T, v.conj().T)
     inner_k = kron(vi.T, vi.conj().T)
-    mat = inner_k @ phi.superop.matrix @ outer_k
+    mat = inner_k @ superop_matrix(phi) @ outer_k
     return algebra_map(mat, phi.shape)
 
 

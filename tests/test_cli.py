@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cpspectra import matrix_from_json, matrix_to_json
+from cpspectra import AlgebraShape, CpMap, matrix_from_json, matrix_to_json
 from cpspectra.cli import main
 from cpspectra.reference_maps import golden_ratio_map, trace_corner_map
 
@@ -123,6 +123,20 @@ def test_member(capsys, files):
     assert report["values"]["member"] is True and report["values"]["q"] >= 1.0
 
 
+def test_member_tol_rank_reaches_the_coefficient_space(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    tau = CpMap((a, 1e-2 * b), AlgebraShape.full(3))
+    map_file, b_file = tmp_path / "weak_pair.json", tmp_path / "b.json"
+    map_file.write_text(json.dumps(tau.to_json()))
+    b_file.write_text(json.dumps(matrix_to_json(b)))
+    argv = ["member", "--map", str(map_file), "--matrix", str(b_file)]
+    code, default = run(capsys, argv)
+    assert code == 0 and default["values"]["member"] is True
+    code, coarse = run(capsys, ["--tol-rank", "1e-3"] + argv)
+    assert code == 0 and coarse["values"]["member"] is False
+
+
 def test_maximal_part_and_perron(capsys, files):
     code, report = run(capsys, ["maximal-part", "--map", files["golden.json"]])
     assert code == 0
@@ -205,6 +219,17 @@ def test_seed_env_var_is_lower_precedence(capsys, files, monkeypatch):
     assert env_report["inputs_digest"] == flag_report["inputs_digest"]
     _, override = run(capsys, ["--seed", "9", "irreducible", "--map", files["golden.json"]])
     assert override["inputs_digest"] != env_report["inputs_digest"]
+
+
+def test_malformed_env_value_falls_back_with_a_warning(capsys, monkeypatch):
+    _, default = run(capsys, ["check"])
+    monkeypatch.setenv("CPSPECTRA_TOL_RANK", "abc")
+    code, report = run(capsys, ["check"])
+    assert code == 0
+    assert report["values"] == default["values"]
+    assert report["inputs_digest"] == default["inputs_digest"]
+    assert default["warnings"] == []
+    assert report["warnings"] == ["malformed CPSPECTRA_TOL_RANK='abc' ignored; using 1e-09"]
 
 
 def test_exit_code_malformed_json(capsys, files):

@@ -344,6 +344,15 @@ class TestMembership:
                     scaled = full_map(*(np.sqrt(q) * a for a in tau.kraus))
                     assert not dominates(scaled, full_map(probe))
 
+    def test_rank_tol_decides_the_space(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        tau = full_map(a, 1e-2 * b)
+        assert coefficient_space(tau).dimension == 2
+        assert coefficient_space(tau, rank_tol=1e-3).dimension == 1
+        assert membership(b, tau).member
+        assert not membership(b, tau, rank_tol=1e-3).member
+
 
 class TestIsCp:
     def test_identity_superoperator(self):

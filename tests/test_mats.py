@@ -21,6 +21,7 @@ from cpspectra import (
     unvec,
     vec,
 )
+from cpspectra.mats import side_of
 from helpers import random_matrix, random_normal_matrix, random_unitary
 
 GOLD = (1 + np.sqrt(5)) / 2
@@ -72,6 +73,20 @@ class TestVec:
     def test_rejects_non_square(self):
         with pytest.raises(FormatError):
             vec(np.ones((2, 3)))
+
+
+class TestSideOf:
+    def test_perfect_squares(self):
+        assert [side_of(n) for n in (1, 4, 9, 1024)] == [1, 2, 3, 32]
+
+    def test_rejects_other_sizes(self):
+        for n in (2, 3, 8, 1023):
+            with pytest.raises(FormatError, match="perfect square"):
+                side_of(n)
+
+    def test_unvec_without_side(self):
+        with pytest.raises(FormatError):
+            unvec(np.zeros(3))
 
 
 class TestEigenvalues:

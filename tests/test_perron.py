@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cpspectra import perron
+from cpspectra import cpmap, perron
 from cpspectra import (
     AlgebraShape,
     CpMap,
+    FormatError,
     PreconditionError,
     algebra_basis,
     algebra_map,
@@ -18,8 +19,10 @@ from cpspectra import (
     maximal_part,
     numerical_rank,
     perron_vector,
+    preserves_algebra,
     psd_report,
     resolvent_gamma,
+    spectral_radius_of,
     spectral_structure,
     superop_of,
     unvec,
@@ -150,6 +153,13 @@ class TestMaximalPart:
         with pytest.raises(PreconditionError):
             maximal_part(diagonal_algebra_map(rot).superop.matrix)
 
+    def test_rejects_non_square_size_before_eigen_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(perron, "spectral_structure", lambda *a, **k: calls.append(a))
+        with pytest.raises(FormatError, match="perfect square"):
+            maximal_part(np.diag([2.0, 1.0, 0.5]))
+        assert calls == []
+
     def test_commutation_and_branching_on_random_maps(self):
         rng = np.random.default_rng(1)
         for blocks in [(2,), (2, 1), (1, 1, 1)]:
@@ -221,15 +231,59 @@ class TestPerronVector:
 
     def test_coerces_the_map_once(self, monkeypatch):
         calls = []
-        original = perron.algebra_map
+        original = cpmap.algebra_map
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(perron, "algebra_map", counted)
+        monkeypatch.setattr(cpmap, "algebra_map", counted)
         perron_vector(golden_ratio_map())
         assert len(calls) == 1
+
+
+def gaussian_block_map(rng, blocks, terms=4, scale=0.25):
+    """Dense Gaussian Kraus operators on a block shape: their action leaves the algebra."""
+    m = sum(blocks)
+    kraus = tuple(
+        scale * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) for _ in range(terms)
+    )
+    return CpMap(kraus, AlgebraShape(tuple(blocks)))
+
+
+class TestBlockMapMeaning:
+    """A block-shaped map means iota o tau o E at every entry point."""
+
+    def seeded_maps(self):
+        # the first map is the (4, 4) one whose raw Kraus radius is 3.9043, not 3.9809
+        leaking = [gaussian_block_map(np.random.default_rng(0), (4, 4))]
+        rng = np.random.default_rng(5)
+        leaking += [gaussian_block_map(rng, blocks) for blocks in [(2, 1), (2, 2), (3, 2, 1)]]
+        kept = [random_cpmap(rng, blocks) for blocks in [(2, 1), (2, 2), (3, 2, 1)]]
+        return leaking, kept
+
+    def test_seeded_maps_leak_or_keep_the_algebra(self):
+        leaking, kept = self.seeded_maps()
+        assert not any(preserves_algebra(tau) for tau in leaking)
+        assert all(preserves_algebra(tau) for tau in kept)
+
+    def test_entry_points_agree_on_the_radius(self):
+        leaking, kept = self.seeded_maps()
+        for tau in leaking + kept:
+            r = spectral_radius_of(tau)
+            assert abs(maximal_part(tau).radius - r) <= 1e-9 * r
+            assert abs(spectral_radius_of(canonical_extension(tau)) - r) <= 1e-9 * r
+
+    def test_found_map_radius(self):
+        tau = self.seeded_maps()[0][0]
+        assert spectral_radius_of(tau) == pytest.approx(3.9809, abs=1e-4)
+
+    def test_perron_vector_of_a_leaking_map(self):
+        tau = self.seeded_maps()[0][1]
+        ell = perron_vector(tau)
+        phi = algebra_map(tau)
+        r = spectral_radius_of(tau)
+        assert np.linalg.norm(phi(ell) - r * ell) <= 1e-8 * np.linalg.norm(ell)
 
 
 class TestMaximalFactorization:

@@ -6,6 +6,7 @@ from cpspectra import (
     BudgetExceededError,
     ConvergenceError,
     CpMap,
+    FormatError,
     PreconditionError,
     algebra_map,
     balance_similarity,
@@ -52,6 +53,10 @@ class TestSpectralRadius:
 
     def test_positive_map_norm(self):
         assert positive_map_norm(trace_corner_map()) == pytest.approx(2.0)
+
+    def test_positive_map_norm_rejects_a_non_square_size(self):
+        with pytest.raises(FormatError, match="perfect square"):
+            positive_map_norm(np.eye(3))
 
 
 class TestOuterRadius:
