@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, FormatError, PreconditionError
 
@@ -173,19 +172,6 @@ def inverse(a, rank_tol: float = RANK_TOL) -> np.ndarray:
     if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
         raise PreconditionError("matrix is numerically singular")
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
-
-
-def mat_exp(a) -> np.ndarray:
-    """Matrix exponential (scaling and squaring)."""
-    return scipy.linalg.expm(_square(a))
-
-
-def mat_power(a, n: int) -> np.ndarray:
-    """Non-negative integer matrix power by repeated squaring."""
-    m = _square(a)
-    if n < 0:
-        raise PreconditionError("mat_power requires n >= 0")
-    return np.linalg.matrix_power(m, n)
 
 
 def matrix_to_json(a) -> dict:

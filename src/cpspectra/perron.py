@@ -7,9 +7,12 @@ two independent routes and cross-checked:
 * projection route: ``(T - r)^(d-1)`` composed with the spectral projector at
   the eigenvalue ``r``, obtained from a clustered Schur form plus a Sylvester
   solve;
-* Cesaro route: the averaged normalized powers
-  ``(1/N) sum_n T^n / (binom(n, d-1) r^(n-d+1))``, evaluated by exact
-  partial-sum doubling (``d = 1``) or chunked power stacks (``d > 1``).
+* second route, the limit of the averaged normalized powers
+  ``(1/N) sum_n T^n / (binom(n, d-1) r^(n-d+1))``: for ``d = 1`` the Cesaro
+  mean by exact partial-sum doubling with Richardson extrapolation; for
+  ``d > 1`` its closed form, the resolvent integral
+  ``(1/2 pi i) oint (z - r)^(d-1) (z - T)^(-1) dz`` by the trapezoidal rule on
+  a circle about ``r``.
 
 The same machinery yields Perron eigenvectors, the rank-one factorization of
 the maximal part of irreducible CP maps, irreducibility tests through
@@ -21,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
 from .cpmap import (
     CoefficientSpace,
@@ -135,6 +136,8 @@ def spectral_structure(op, cluster_tol: float = 1e-8, rank_tol: float = RANK_TOL
 
 def _spectral_projector(mat: np.ndarray, center: float, delta: float) -> np.ndarray:
     """Riesz projection onto the generalized eigenspace of the cluster at ``center``."""
+    import scipy.linalg  # deferred: scipy is most of the package's import time
+
     n = mat.shape[0]
     t, q, sdim = scipy.linalg.schur(
         mat, output="complex", sort=lambda z: abs(z - center) <= delta
@@ -152,66 +155,45 @@ def _spectral_projector(mat: np.ndarray, center: float, delta: float) -> np.ndar
     return q @ core @ q.conj().T
 
 
-def _cesaro_limit(
-    mat: np.ndarray,
-    radius: float,
-    degeneracy: int,
-    tol: float,
-    max_terms: int = 2**26,
-) -> np.ndarray:
-    """Averaged normalized powers, stopping when consecutive doublings agree."""
-    mnorm = mat / radius
-    if degeneracy == 1:
-        # 1/binom(n, 0) = 1, so partial sums obey an exact doubling recursion.
-        # The doubling count is capped well below the regime where the
-        # 1-ulp uncertainty of the computed spectral radius makes M^N drift.
-        partial = mnorm.copy()
-        power = mnorm.copy()
-        count = 1
-        prev = partial / count
-        for _ in range(48):
-            partial = partial + power @ partial
-            power = power @ power
-            count *= 2
-            cur = partial / count
+def _cesaro_limit(mat: np.ndarray, radius: float, tol: float, max_terms: int) -> np.ndarray:
+    """Cesaro mean of ``(T / r)^n`` for ``d = 1``, by partial-sum doubling.
+
+    The mean of ``N`` terms is ``P + K / N`` up to geometric decay (``K`` the
+    reduced resolvent), so the Richardson value ``2 avg(2N) - avg(N)`` cancels
+    the slow term.  Stops when two consecutive values agree within ``tol``
+    relative to ``max(1, largest entry)``; ``N`` never exceeds ``max_terms``.
+    """
+    power = partial = avg = mat / radius  # partial: the sum of the first ``count`` powers
+    count, prev = 1, None
+    while 2 * count <= max_terms:
+        partial = partial + power @ partial
+        power = power @ power
+        count *= 2
+        avg, last = partial / count, avg
+        cur = 2.0 * avg - last
+        if prev is not None:
             scale = max(1.0, float(np.abs(cur).max()))
             if float(np.abs(cur - prev).max()) <= tol * scale:
                 return cur
-            prev = cur
-        raise ConvergenceError("Cesaro mean did not converge within the doubling budget")
+        prev = cur
+    raise ConvergenceError(f"Cesaro mean did not converge within {max_terms} terms")
 
-    n0 = degeneracy - 1
-    side = mat.shape[0]
-    chunk = max(64, min(2048, (32 << 20) // max(1, 16 * side * side)))
-    stack = np.empty((chunk, side, side), dtype=complex)
-    stack[0] = np.eye(side)
-    for j in range(1, chunk):
-        stack[j] = stack[j - 1] @ mnorm
-    step = stack[-1] @ mnorm
-    macc = np.linalg.matrix_power(mnorm, n0)
-    acc = np.zeros((side, side), dtype=complex)
 
-    def weights(start: int) -> np.ndarray:
-        ns = np.arange(start, start + chunk, dtype=float)
-        k = degeneracy - 1
-        return np.exp(-(gammaln(ns + 1.0) - gammaln(k + 1.0) - gammaln(ns - k + 1.0)))
+_CONTOUR_NODES = 64
 
-    prev = None
-    next_check = 1024
-    n_start = n0
-    while n_start <= max_terms:
-        acc = acc + macc @ np.tensordot(weights(n_start), stack, axes=1)
-        macc = macc @ step
-        n_start += chunk
-        n_done = n_start - 1
-        if n_done >= next_check:
-            cur = (radius ** (degeneracy - 1)) * acc / n_done
-            scale = max(1.0, float(np.abs(cur).max()))
-            if prev is not None and float(np.abs(cur - prev).max()) <= tol * scale:
-                return cur
-            prev = cur
-            next_check *= 2
-    raise ConvergenceError("Cesaro mean did not converge within the term budget")
+
+def _contour_limit(mat: np.ndarray, radius: float, degeneracy: int, rho: float) -> np.ndarray:
+    """``(T - r)^(d-1) P_r = (1/2 pi i) oint (z - r)^(d-1) (z - T)^(-1) dz`` for ``d >= 2``.
+
+    Trapezoidal rule on the circle ``|z - r| = rho``, which must hold no other
+    eigenvalue; with ``rho`` half the distance to the nearest one the error
+    falls like ``2^-nodes``.
+    """
+    eye = np.eye(mat.shape[0])
+    acc = np.zeros(mat.shape, dtype=complex)
+    for w in rho * np.exp(2j * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES):
+        acc += w**degeneracy * np.linalg.inv((radius + w) * eye - mat)
+    return acc / _CONTOUR_NODES
 
 
 @dataclass(frozen=True)
@@ -237,10 +219,19 @@ def maximal_part(
     """Maximal part of a positive map with non-zero spectral radius.
 
     Primary route is the spectral projection ``(T - r)^(d-1) P_r``; when
-    ``cross_check`` is on (default), the Cesaro average of normalized powers
+    ``cross_check`` is on (default), the limit of averaged normalized powers
     is evaluated independently and both must agree within ``route_tol``
     (relative to the result's largest entry once that exceeds 1, since an
     ill-conditioned spectral projector inflates both routes alike).
+
+    For ``d = 1`` the second route is the Cesaro mean of ``(T / r)^n`` over
+    ``N = 2, 4, 8, ...`` terms with Richardson extrapolation; it stops when
+    two consecutive values agree within ``cesaro_tol`` (relative to
+    ``max(1, largest entry)``) and raises :class:`ConvergenceError` if that
+    needs more than ``max_terms`` terms.  For ``d > 1`` it is the trapezoidal
+    rule with 64 nodes for the resolvent integral on the circle about ``r``
+    of half the distance to the nearest other eigenvalue cluster; there
+    ``cesaro_tol`` and ``max_terms`` have no effect.
 
     Raises on maps with zero spectral radius (nilpotent, no maximal part)
     and on maps whose spectral radius is not an eigenvalue or does not carry
@@ -273,23 +264,27 @@ def maximal_part(
     else:
         hat = np.linalg.matrix_power(mat - r * np.eye(mat.shape[0]), d - 1) @ proj
 
+    # relative beyond unit scale: ill-conditioned eigenbases inflate both
+    # routes' entries by the same factor
+    scale = max(1.0, float(np.abs(hat).max()))
     gap = None
     if cross_check:
-        ces = _cesaro_limit(mat, r, d, cesaro_tol, max_terms=max_terms)
-        gap = float(np.abs(hat - ces).max())
-        # relative beyond unit scale: ill-conditioned eigenbases inflate both
-        # routes' entries by the same factor
-        if gap > route_tol * max(1.0, float(np.abs(hat).max())):
+        if d == 1:
+            route, other = "Cesaro", _cesaro_limit(mat, r, cesaro_tol, max_terms)
+        else:
+            # half the distance to the nearest other cluster; with none, any circle will do
+            rho = min((abs(c.value - r) for c in struct.clusters if c is not target), default=r) / 2
+            route, other = "contour", _contour_limit(mat, r, d, rho)
+        gap = float(np.abs(hat - other).max())
+        if gap > route_tol * scale:
             raise ConvergenceError(
-                f"projection and Cesaro routes disagree by {gap:.3e} (> {route_tol})"
+                f"projection and {route} routes disagree by {gap:.3e} (> {route_tol})"
             )
 
     sq = hat @ hat
-    idem_gap = float(np.abs(sq - hat).max())
-    nil_gap = float(np.abs(sq).max())
-    if idem_gap < 1e-8:
+    if float(np.abs(sq - hat).max()) < 1e-8 * scale:
         idempotent = True
-    elif nil_gap < 1e-8:
+    elif float(np.abs(sq).max()) < 1e-8 * scale:
         idempotent = False
     else:
         raise ConvergenceError(
@@ -580,6 +575,8 @@ def exp_eta(tau: CpMap, d: float = 1.0) -> tuple[SuperOperator, SuperOperator]:
     """Exponential pair ``eta0 = exp(d tau)`` and ``eta1 = eta0 - 1`` (both CP for d > 0)."""
     if d <= 0.0:
         raise PreconditionError("exp_eta requires d > 0")
+    import scipy.linalg  # deferred: scipy is most of the package's import time
+
     s = superop_matrix(tau)
     e0 = scipy.linalg.expm(d * s)
     return SuperOperator(tau.m, e0), SuperOperator(tau.m, e0 - np.eye(s.shape[0]))
@@ -594,22 +591,26 @@ class IdealCheck:
     dimension: int
 
 
-def maximal_ideal_check(tau: CpMap, tol: float = 1e-8, **kwargs) -> IdealCheck:
+def maximal_ideal_check(
+    tau: CpMap, tol: float = 1e-8, rank_tol: float = RANK_TOL, **kwargs
+) -> IdealCheck:
     """Closure checks for the Kraus span of the maximal part.
 
     With ``A_i`` a Kraus list of the canonical extension and ``B_j`` a Kraus
     list of its maximal part, span{B_j} must be closed under multiplication
     (a subalgebra) and under left/right multiplication by the ``A_i`` (an
     ideal in the generated algebra).  Residuals are HS projection gaps.
+    ``rank_tol`` reaches ``maximal_part``, ``kraus_of_choi`` and the cut of
+    span{B_j}.
     """
     ext = canonical_extension(tau)
-    mp = maximal_part(ext, **kwargs)
-    b_list = kraus_of_choi(choi_of_superop(mp.superop))
+    mp = maximal_part(ext, rank_tol=rank_tol, **kwargs)
+    b_list = kraus_of_choi(choi_of_superop(mp.superop), rank_tol=rank_tol)
     a_list = ext.kraus
 
     stacked = np.column_stack([vec(b) for b in b_list])
     u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = u[:, svals > RANK_TOL * svals[0]]
+    keep = u[:, svals > rank_tol * svals[0]]
 
     def residual(x) -> float:
         v = vec(x)

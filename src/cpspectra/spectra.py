@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import AlgebraShape, in_algebra
 from .cpmap import AlgebraMap, CpMap, algebra_map, superop_matrix
@@ -342,6 +341,8 @@ def balance_similarity(
     peripheral block, and a geometric diagonal scaling of the interior block.
     No Jordan form is ever computed.
     """
+    import scipy.linalg  # deferred: scipy is most of the package's import time
+
     a = as_matrix(a)
     n = a.shape[0]
     r = spectral_radius(a)

@@ -51,3 +51,23 @@ def random_block_kraus(rng, shape, terms=4, scale=1.0):
 def random_cpmap(rng, blocks, terms=4, scale=1.0):
     shape = AlgebraShape(tuple(blocks))
     return CpMap(tuple(random_block_kraus(rng, shape, terms, scale)), shape)
+
+
+def rect_kraus(rng, blocks, pairs):
+    """One Kraus operator per (k, l) pair, a Gaussian supported on rows of
+    block k and columns of block l (the benchmark's construction)."""
+    shape = AlgebraShape(tuple(blocks))
+    sls = shape.slices()
+    out = []
+    for k, l in pairs:
+        rows, cols = blocks[k], blocks[l]
+        a = np.zeros((shape.m, shape.m), dtype=complex)
+        gauss = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        a[sls[k], sls[l]] = gauss / np.sqrt(2 * max(rows, cols))
+        out.append(a)
+    return out
+
+
+def triangular_pairs(d):
+    """Diagonal and upper rectangles: block upper triangular, so reducible."""
+    return [(k, k) for k in range(d)] + [(k, k + 1) for k in range(d - 1)]

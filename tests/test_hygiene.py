@@ -1,7 +1,10 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +45,17 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\n__all__ = ['tau']\nprint(sys.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is most of the import time; the package imports it where it is used
+    probe = "import sys, cpspectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -8,8 +8,6 @@ from cpspectra import (
     eigenvalues,
     inverse,
     kron,
-    mat_exp,
-    mat_power,
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
@@ -155,9 +153,6 @@ class TestMatrixFunctions:
         with pytest.raises(PreconditionError):
             psd_sqrt(np.diag([1.0, -1.0]))
 
-    def test_exp_zero(self):
-        assert np.allclose(mat_exp(np.zeros((3, 3))), np.eye(3))
-
     def test_resolvent_residual(self):
         t = superop_of(trace_corner_map()).matrix
         a = np.eye(4) - 0.25 * t
@@ -167,10 +162,6 @@ class TestMatrixFunctions:
     def test_inverse_rejects_singular(self):
         with pytest.raises(PreconditionError):
             inverse(np.diag([1.0, 0.0]))
-
-    def test_power(self):
-        a = random_matrix(np.random.default_rng(6), 3)
-        assert np.allclose(mat_power(a, 5), a @ a @ a @ a @ a)
 
 
 class TestMatrixJson:

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from cpspectra import cpmap, perron
 from cpspectra import (
     AlgebraShape,
+    ConvergenceError,
     CpMap,
     FormatError,
     PreconditionError,
@@ -34,7 +37,7 @@ from cpspectra.reference_maps import (
     path_adjacency_map,
     trace_corner_map,
 )
-from helpers import random_cpmap, random_matrix, random_psd
+from helpers import random_cpmap, random_matrix, random_psd, rect_kraus, triangular_pairs
 
 GOLD = (1 + np.sqrt(5)) / 2
 
@@ -132,13 +135,48 @@ class TestMaximalPart:
         assert np.abs(mp.superop.matrix - superop_of(tau).matrix).max() < 1e-8
 
     def test_degeneracy_two_cesaro_agrees(self):
-        # the weighted mean converges like log(N)/N here; stop around 5e-7
+        # explicit Cesaro arguments, which the d = 2 contour route ignores
         phi = diagonal_algebra_map(np.array([[1.0, 1.0], [0.0, 1.0]]))
         mp = maximal_part(phi, cesaro_tol=5e-7, max_terms=2**26)
         assert mp.degeneracy == 2 and not mp.idempotent
         expected = np.zeros((4, 4))
         expected[0, 3] = 1.0  # maps diag(a, b) to diag(b, 0)
         assert np.abs(mp.superop.matrix - expected).max() < 1e-6
+
+    @pytest.mark.parametrize("coupling", [1.0, 0.25])
+    def test_weak_jordan_coupling_at_default_tolerances(self, coupling):
+        # diag(a, b) -> diag(a + c b, b): the maximal part is diag(a, b) -> diag(c b, 0)
+        phi = diagonal_algebra_map(np.array([[1.0, coupling], [0.0, 1.0]]))
+        start = time.perf_counter()
+        mp = maximal_part(phi)
+        assert time.perf_counter() - start < 1.0
+        assert mp.degeneracy == 2 and not mp.idempotent
+        expected = np.zeros((4, 4))
+        expected[0, 3] = coupling
+        assert np.abs(mp.superop.matrix - expected).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "seed, blocks", [(26, (2, 3)), (39, (2, 2, 2)), (40, (2, 2, 2)), (55, (3, 3))]
+    )
+    def test_block_triangular_maps_pass_at_default_tolerances(self, seed, blocks):
+        # maps with a large reduced resolvent K, where the plain mean P + K/N stalls above cesaro_tol
+        kraus = rect_kraus(np.random.default_rng(seed), blocks, triangular_pairs(len(blocks)))
+        tau = CpMap(tuple(kraus), AlgebraShape(blocks))
+        mp = maximal_part(tau)
+        hat = mp.superop.matrix
+        scale = max(1.0, float(np.abs(hat).max()))
+        assert mp.degeneracy == 1 and mp.idempotent
+        assert mp.route_gap <= 1e-6 * scale
+        # the Riesz projector from the right and left eigenvectors at r
+        s = cpmap.superop_matrix(tau)
+        vals, right = np.linalg.eig(s)
+        k = int(np.argmin(np.abs(vals - mp.radius)))
+        left = np.linalg.inv(right)[k]
+        assert np.abs(hat - np.outer(right[:, k], left)).max() < 1e-8 * scale
+
+    def test_max_terms_caps_the_cesaro_mean(self):
+        with pytest.raises(ConvergenceError, match="within 4 terms"):
+            maximal_part(golden_ratio_map(), max_terms=4)
 
     def test_rejects_nilpotent(self):
         with pytest.raises(PreconditionError):
@@ -542,6 +580,24 @@ class TestMaximalIdealCheck:
     def test_identity_channel(self):
         check = maximal_ideal_check(full_map(np.eye(2)))
         assert check.is_subalgebra and check.is_ideal and check.dimension == 1
+
+    def test_rank_tol_reaches_every_rank_decision(self, monkeypatch):
+        seen = {"maximal_part": [], "kraus_of_choi": []}
+
+        def spy(name):
+            real = getattr(perron, name)
+
+            def call(*args, rank_tol, **kwargs):
+                seen[name].append(rank_tol)
+                return real(*args, rank_tol=rank_tol, **kwargs)
+
+            return call
+
+        for name in seen:
+            monkeypatch.setattr(perron, name, spy(name))
+        check = maximal_ideal_check(golden_ratio_map(), rank_tol=1e-7)
+        assert seen == {"maximal_part": [1e-7], "kraus_of_choi": [1e-7]}
+        assert check.is_subalgebra and check.is_ideal
 
 
 class TestKrausOfMaximalPart:
