@@ -293,7 +293,7 @@ def _run_command(args, tol: Tolerance):
         values["radius"] = mp.radius
         values["degeneracy"] = mp.degeneracy
         values["idempotent"] = mp.idempotent
-        residuals["route_gap"] = mp.route_gap if mp.route_gap is not None else 0.0
+        residuals["route_gap"] = mp.route_gap
 
     elif cmd == "perron":
         phi = algebra_map(tau)

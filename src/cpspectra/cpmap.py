@@ -7,8 +7,9 @@ by fixed conventions (see :mod:`cpspectra.mats`):
 * superoperator of ``X -> sum_i A_i* X A_i`` is ``sum_i kron(A_i.T, A_i.conj().T)``;
 * Choi matrix is ``sum_i outer(conj(vec A_i), vec A_i)``, equivalently the
   reshuffle ``Choi[p*m + i, r*m + j] = S[p + r*m, i + j*m]`` of the superoperator S;
-* the conjugated Choi matrix has range ``vec(span{A_i})``, which is what makes
-  coefficient spaces computable from any one Kraus list.
+* the conjugated Choi matrix is ``V V*`` for the stack ``V`` of the ``vec A_i``,
+  so coefficient spaces, Choi ranks and canonical extensions all come from one
+  thin SVD of ``V``, cut where ``sigma^2 <= rank_tol * sigma_max^2``.
 
 A map on ``M_{n1} + ... + M_{nd}`` is read as ``iota o tau o E``: ``E``
 compresses to the block diagonal and ``iota`` embeds back into M_m, so the
@@ -33,7 +34,6 @@ from .mats import (
     RANK_TOL,
     as_matrix,
     kron,
-    numerical_rank,
     psd_report,
     side_of,
     unvec,
@@ -283,9 +283,20 @@ def kraus_of_choi(c, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> li
     ]
 
 
+def _kraus_span(kraus, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Singular pairs ``(u_j, sigma_j)`` of the stack of ``vec A_i`` kept by the Choi
+    rule ``sigma^2 > rank_tol * sigma_max^2``; descending ``sigma``, and each
+    ``u_j``'s largest-modulus entry real and positive, so only the map matters."""
+    u, s, _ = np.linalg.svd(np.column_stack([vec(a) for a in kraus]), full_matrices=False)
+    keep = s**2 > rank_tol * s[0] ** 2
+    u, s = u[:, keep], s[keep]
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return u * (top.conj() / np.abs(top)), s
+
+
 def choi_rank(tau: CpMap, rank_tol: float = RANK_TOL) -> int:
     """Rank of the Choi matrix = dimension of the coefficient space."""
-    return numerical_rank(choi_of(tau), rank_tol)
+    return coefficient_space(tau, rank_tol).dimension
 
 
 def is_cp(s: SuperOperator, psd_tol: float = PSD_TOL) -> bool:
@@ -328,17 +339,13 @@ class CoefficientSpace:
 
 
 def coefficient_space(tau: CpMap, rank_tol: float = RANK_TOL) -> CoefficientSpace:
-    """span{A_i} computed from the range of the conjugated Choi matrix.
+    """span{A_i}, from the left singular vectors of the stack of ``vec A_i``.
 
     Independent of the particular Kraus list: any two lists of the same map
-    span the same space, and the dimension equals the Choi rank.
+    give the same basis, and the dimension equals the Choi rank.
     """
-    c = choi_of(tau).conj()
-    w, u = np.linalg.eigh((c + c.conj().T) / 2.0)
-    top = float(w.max(initial=0.0))
-    keep = np.flatnonzero(w > rank_tol * max(top, 0.0)) if top > 0 else []
-    basis = tuple(unvec(u[:, k], tau.m) for k in keep)
-    return CoefficientSpace(tau.m, basis)
+    u, _ = _kraus_span(tau.kraus, rank_tol)
+    return CoefficientSpace(tau.m, tuple(unvec(col, tau.m) for col in u.T))
 
 
 def dominates(tau: CpMap, eta: CpMap, psd_tol: float = PSD_TOL) -> bool:
@@ -383,11 +390,14 @@ def canonical_extension(tau: CpMap) -> CpMap:
     """Extension of a CP map on the block algebra to the full matrix algebra.
 
     The extension first compresses onto the block diagonal and then applies
-    the map; its Kraus list is recovered from the Choi matrix, so the result
+    the map, ``E(X) = sum_k P_k X P_k``, so its Kraus list is ``{P_k A_i}``.  The
+    result is the orthogonal list ``sigma_j unvec(u_j)`` of that list's span; it
     does not depend on how the input Kraus list acts off the algebra.
     """
-    kraus = kraus_of_choi(choi_of_superop(algebra_map(tau).superop))
-    return CpMap(tuple(kraus), AlgebraShape.full(tau.m))
+    m = tau.m
+    u, s = _kraus_span([p @ a for p in tau.shape.projections() for a in tau.kraus], RANK_TOL)
+    kraus = [unvec(sig * col, m) for sig, col in zip(s, u.T)] or [np.zeros((m, m), dtype=complex)]
+    return CpMap(tuple(kraus), AlgebraShape.full(m))
 
 
 def preserves_algebra(tau: CpMap, tol: float = 1e-10) -> bool:

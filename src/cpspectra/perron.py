@@ -31,6 +31,7 @@ from .cpmap import (
     SuperOperator,
     canonical_extension,
     choi_of_superop,
+    coefficient_space,
     kraus_of_choi,
     superop_matrix,
 )
@@ -104,26 +105,25 @@ def spectral_structure(op, cluster_tol: float = 1e-8, rank_tol: float = RANK_TOL
     for idx in order:
         if taken[idx]:
             continue
-        members = [j for j in range(n) if not taken[j] and abs(eig[j] - eig[idx]) <= delta]
-        for j in members:
-            taken[j] = True
-        value = complex(np.mean(eig[members]))
-        clusters.append((value, len(members)))
+        members = ~taken & (np.abs(eig - eig[idx]) <= delta)
+        taken |= members
+        clusters.append((complex(np.mean(eig[members])), int(members.sum())))
 
-    scale = max(op_norm(mat), 1.0)
+    # the index never exceeds the multiplicity, so a simple cluster needs no rank test
+    scale = max(op_norm(mat), 1.0) if any(mult > 1 for _, mult in clusters) else 1.0
     out = []
     for value, mult in clusters:
-        base = (mat - value * np.eye(n)) / scale
         deg = mult
-        cur = base
-        prev_rank = numerical_rank(cur, rank_tol)
-        for k in range(1, mult + 1):
-            nxt = cur @ base
-            nxt_rank = numerical_rank(nxt, rank_tol)
-            if nxt_rank == prev_rank:
-                deg = k
-                break
-            cur, prev_rank = nxt, nxt_rank
+        if mult > 1:
+            base = (mat - value * np.eye(n)) / scale
+            cur, prev_rank = base, numerical_rank(base, rank_tol)
+            for k in range(1, mult):
+                cur = cur @ base
+                rank = numerical_rank(cur, rank_tol)
+                if rank == prev_rank:
+                    deg = k
+                    break
+                prev_rank = rank
         out.append(EigenCluster(value=value, multiplicity=mult, degeneracy=deg))
 
     peripheral = [c for c in out if abs(c.value) >= radius - delta]
@@ -204,7 +204,7 @@ class MaximalPart:
     radius: float
     degeneracy: int
     idempotent: bool
-    route_gap: float | None = None
+    route_gap: float
 
 
 def maximal_part(
@@ -213,16 +213,15 @@ def maximal_part(
     rank_tol: float = RANK_TOL,
     route_tol: float = 1e-6,
     cesaro_tol: float = 2.5e-7,
-    cross_check: bool = True,
     max_terms: int = 2**26,
 ) -> MaximalPart:
     """Maximal part of a positive map with non-zero spectral radius.
 
-    Primary route is the spectral projection ``(T - r)^(d-1) P_r``; when
-    ``cross_check`` is on (default), the limit of averaged normalized powers
-    is evaluated independently and both must agree within ``route_tol``
-    (relative to the result's largest entry once that exceeds 1, since an
-    ill-conditioned spectral projector inflates both routes alike).
+    Primary route is the spectral projection ``(T - r)^(d-1) P_r``; the limit
+    of averaged normalized powers is evaluated independently and both must
+    agree within ``route_tol`` (relative to the result's largest entry once
+    that exceeds 1, since an ill-conditioned spectral projector inflates both
+    routes alike).
 
     For ``d = 1`` the second route is the Cesaro mean of ``(T / r)^n`` over
     ``N = 2, 4, 8, ...`` terms with Richardson extrapolation; it stops when
@@ -267,19 +266,17 @@ def maximal_part(
     # relative beyond unit scale: ill-conditioned eigenbases inflate both
     # routes' entries by the same factor
     scale = max(1.0, float(np.abs(hat).max()))
-    gap = None
-    if cross_check:
-        if d == 1:
-            route, other = "Cesaro", _cesaro_limit(mat, r, cesaro_tol, max_terms)
-        else:
-            # half the distance to the nearest other cluster; with none, any circle will do
-            rho = min((abs(c.value - r) for c in struct.clusters if c is not target), default=r) / 2
-            route, other = "contour", _contour_limit(mat, r, d, rho)
-        gap = float(np.abs(hat - other).max())
-        if gap > route_tol * scale:
-            raise ConvergenceError(
-                f"projection and {route} routes disagree by {gap:.3e} (> {route_tol})"
-            )
+    if d == 1:
+        route, other = "Cesaro", _cesaro_limit(mat, r, cesaro_tol, max_terms)
+    else:
+        # half the distance to the nearest other cluster; with none, any circle will do
+        rho = min((abs(c.value - r) for c in struct.clusters if c is not target), default=r) / 2
+        route, other = "contour", _contour_limit(mat, r, d, rho)
+    gap = float(np.abs(hat - other).max())
+    if gap > route_tol * scale:
+        raise ConvergenceError(
+            f"projection and {route} routes disagree by {gap:.3e} (> {route_tol})"
+        )
 
     sq = hat @ hat
     if float(np.abs(sq - hat).max()) < 1e-8 * scale:
@@ -607,15 +604,7 @@ def maximal_ideal_check(
     mp = maximal_part(ext, rank_tol=rank_tol, **kwargs)
     b_list = kraus_of_choi(choi_of_superop(mp.superop), rank_tol=rank_tol)
     a_list = ext.kraus
-
-    stacked = np.column_stack([vec(b) for b in b_list])
-    u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = u[:, svals > rank_tol * svals[0]]
-
-    def residual(x) -> float:
-        v = vec(x)
-        return float(np.linalg.norm(v - keep @ (keep.conj().T @ v)))
-
+    residual = coefficient_space(CpMap(tuple(b_list), ext.shape), rank_tol).residual
     sub_res = max(residual(bi @ bj) for bi in b_list for bj in b_list)
     ideal_res = max(
         max(residual(a @ b) for a in a_list for b in b_list),

@@ -389,8 +389,7 @@ def balance_similarity(
     z = scipy.linalg.solve_sylvester(t11, -t22, -t12)
     q_int = n - p_count
     mu = float(np.abs(np.diag(t22)).max()) if q_int else 0.0
-    off = np.abs(np.triu(t22, 1)).max() if q_int > 1 else 0.0
-    eps = epsilon if epsilon is not None else (1.0 - mu) / (2.0 * max(1.0, q_int * max(off, 1.0)))
+    eps = epsilon if epsilon is not None else 1.0
 
     for _ in range(80):
         scale = eps ** np.arange(q_int, 0, -1)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from cpspectra import cpmap
 from cpspectra import (
     AlgebraShape,
     CpMap,
@@ -242,6 +243,63 @@ class TestSuperop:
         for _ in range(25):
             x = random_psd(rng, 3)
             assert op_norm(tau(x)) <= bound * op_norm(x) + 1e-9
+
+
+MIXING_BLOCKS = ((3,), (2, 1), (2, 2), (1, 1, 1), (3, 2))
+
+
+def mixed(tau, rng):
+    """The same map through the Kraus list ``B_j = sum_i u_ji A_i``, u a random unitary."""
+    u = random_unitary(rng, len(tau.kraus))
+    return CpMap(tuple(np.tensordot(u, np.array(tau.kraus), axes=1)), tau.shape)
+
+
+class TestKrausMixing:
+    def test_coefficient_space_basis_is_unchanged(self):
+        rng = np.random.default_rng(19)
+        for blocks in MIXING_BLOCKS:
+            tau = random_cpmap(rng, blocks)
+            a, b = coefficient_space(tau), coefficient_space(mixed(tau, rng))
+            assert a.dimension == b.dimension
+            assert np.abs(a.stacked() - b.stacked()).max() < 1e-10
+
+    def test_projector_choi_rank_and_extension_are_unchanged(self):
+        rng = np.random.default_rng(20)
+        for blocks in MIXING_BLOCKS:
+            tau = random_cpmap(rng, blocks)
+            mix = mixed(tau, rng)
+            assert np.abs(coefficient_space(tau).projector() - coefficient_space(mix).projector()).max() < 1e-10
+            assert choi_rank(mix) == choi_rank(tau)
+            s_tau = superop_of(canonical_extension(tau)).matrix
+            s_mix = superop_of(canonical_extension(mix)).matrix
+            assert np.abs(s_mix - s_tau).max() <= 1e-12 * np.abs(s_tau).max()
+
+
+class TestKrausSpanRoute:
+    def test_no_choi_matrix_and_no_eigh(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Kraus-list span went through a Choi matrix or eigh")
+
+        for name in ("choi_of", "choi_of_superop", "kraus_of_choi"):
+            monkeypatch.setattr(cpmap, name, forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        tau = random_cpmap(np.random.default_rng(17), (2, 1))
+        assert coefficient_space(tau).dimension == choi_rank(tau) >= 1
+        assert membership(tau.kraus[0], tau).member
+        assert canonical_extension(tau).shape.is_full
+
+    def test_budget_at_blocks_16_16(self):
+        # through the m^2 x m^2 Choi matrix each call took about 1 s on a 2-vCPU Xeon
+        tau = random_cpmap(np.random.default_rng(18), (16, 16))
+        for func in (coefficient_space, canonical_extension):
+            start = time.perf_counter()
+            func(tau)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.1, f"{func.__name__} took {elapsed:.3f}s at blocks (16,16)"
+
+    def test_zero_map_extends_to_one_zero_kraus_operator(self):
+        ext = canonical_extension(random_cpmap(np.random.default_rng(21), (2, 1), scale=0.0))
+        assert len(ext.kraus) == 1 and np.array_equal(ext.kraus[0], np.zeros((3, 3)))
 
 
 class TestCoefficientSpace:

@@ -95,6 +95,16 @@ class TestSpectralStructure:
         interior = [c for c in struct.clusters if abs(c.value - 0.3) < 1e-8]
         assert interior[0].degeneracy == 1
 
+    def test_simple_spectrum_runs_no_rank_test(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rank test run for a cluster of multiplicity 1")
+
+        monkeypatch.setattr(perron, "numerical_rank", forbidden)
+        rng = np.random.default_rng(4)
+        tau = CpMap(tuple(random_matrix(rng, 3) for _ in range(3)), AlgebraShape.full(3))
+        struct = spectral_structure(tau)
+        assert all(c.multiplicity == c.degeneracy == 1 for c in struct.clusters)
+
     def test_radius_in_maximal_spectrum_for_positive_maps(self):
         rng = np.random.default_rng(21)
         for blocks in [(2,), (2, 1), (1, 1, 1)]:

@@ -325,9 +325,10 @@ class TestNormAchieving:
 class TestBalanceSimilarity:
     def test_normal_matrix(self):
         rng = np.random.default_rng(13)
-        a = random_normal_matrix(rng, 3, radius=1.7)
-        result = balance_similarity(a)
-        assert result.norm <= 1.7 * (1 + 1e-6)
+        for side in (3, 12, 16, 24):
+            a = random_normal_matrix(rng, side, radius=1.7)
+            result = balance_similarity(a)
+            assert result.norm <= 1.7 * (1 + 1e-6)
 
     def test_interior_jordan_block_scaled(self):
         a = np.array([[1.0, 0, 0], [0, 0.5, 100.0], [0, 0, 0.5]])
