@@ -18,7 +18,9 @@ one coercion from a map to its matrix under this reading; spectral radii,
 norms, powers and maximal parts all go through it.  Its matrix equals, up to
 round-off, the superoperator of :func:`canonical_extension`.  Only
 :func:`algebra_map`, which applies the mask, and :func:`preserves_algebra`,
-which tests the off-block action, read the raw Kraus superoperator.
+which tests the off-block action, read the raw Kraus superoperator.  The
+large-side routes of :mod:`cpspectra.spectra` apply the same
+``iota o tau o E`` through :func:`_kraus_step` and never build the matrix.
 """
 
 from __future__ import annotations
@@ -206,6 +208,25 @@ def superop_matrix(op) -> np.ndarray:
     if mat.shape[0] != mat.shape[1]:
         raise PreconditionError("operator matrix must be square")
     return mat
+
+
+def _kraus_step(tau: CpMap):
+    """``x -> tau(E(x))``: the action of ``iota o tau o E`` through the Kraus list.
+
+    Costs ``O(k m^3)`` per call and builds no superoperator; equals
+    ``superop_matrix(tau)`` applied to ``vec x`` up to round-off.
+    """
+    stack = np.stack(tau.kraus)
+    adjoints = stack.conj().transpose(0, 2, 1)
+    m = tau.m
+    mask = None if tau.shape.is_full else tau.shape.vec_mask().reshape(m, m)
+
+    def step(x: np.ndarray) -> np.ndarray:
+        if mask is not None:
+            x = np.where(mask, x, 0)
+        return (adjoints @ x @ stack).sum(axis=0)
+
+    return step
 
 
 def superop_of(tau: CpMap) -> SuperOperator:

@@ -9,12 +9,13 @@ eigenvalue-quotient evaluators, resolvent witnesses and similarity balancing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, in_algebra
-from .cpmap import AlgebraMap, CpMap, algebra_map, superop_matrix
+from .algebra import AlgebraShape, compress, in_algebra
+from .cpmap import AlgebraMap, CpMap, _kraus_step, algebra_map, superop_matrix
 from .errors import BudgetExceededError, ConvergenceError, PreconditionError
 from .mats import (
     PSD_TOL,
@@ -32,10 +33,13 @@ from .mats import (
 )
 
 __all__ = [
+    "KRAUS_SIDE",
+    "RadiusBounds",
     "JsrEstimate",
     "BalanceResult",
     "NormAchievingResult",
     "spectral_radius_of",
+    "spectral_radius_bounds",
     "positive_map_norm",
     "outer_radius",
     "outer_radius_gelfand",
@@ -51,13 +55,108 @@ __all__ = [
 ]
 
 
+KRAUS_SIDE = 16  # from this side up, a CpMap is applied through its Kraus list
+_KRAUS_STEPS = 400  # step cap of the matrix-free iterations
+_CHECK_EVERY = 5  # power steps between two brackets
+_BRACKET_TOL = 1e-12  # relative width at which a bracket counts as closed
+_POSITIVE_FLOOR = 1e-10  # lambda_min(w) / lambda_max(w) below which w is not strictly positive
+
+
+def _kraus_route(op) -> bool:
+    return isinstance(op, CpMap) and op.m >= KRAUS_SIDE
+
+
+def _action(phi) -> tuple[AlgebraShape, Callable[[np.ndarray], np.ndarray]]:
+    """Shape and action ``x -> phi(x)`` of a map: through the Kraus list on the
+    Kraus route, else through the masked superoperator."""
+    if _kraus_route(phi):
+        return phi.shape, _kraus_step(phi)
+    phi = algebra_map(phi)
+    return phi.shape, phi
+
+
+@dataclass(frozen=True)
+class RadiusBounds:
+    """Certified bracket ``lower <= r(tau) <= upper`` at a strictly positive ``w``.
+
+    ``w`` lies in the block algebra, and ``lower`` and ``upper`` are the
+    extreme eigenvalues of ``w^(-1/2) E(tau(w)) w^(-1/2)``; for a map that
+    keeps its algebra, ``upper`` is ``friedland_value(tau, w)``.  ``steps``
+    counts the applications of the map.
+    """
+
+    lower: float
+    upper: float
+    steps: int
+    w: np.ndarray
+
+
+def spectral_radius_bounds(tau: CpMap) -> RadiusBounds:
+    """Bracket the spectral radius of a CP map without its superoperator.
+
+    A block-shaped map means ``iota o tau o E``; its nonzero spectrum is that
+    of ``psi = E o tau`` on the algebra, since ``TM`` and ``MTM`` share their
+    nonzero eigenvalues.  Power iteration ``x <- psi(x) / ||psi(x)||`` from
+    ``x = 1`` runs through the Kraus list.  Every few steps the iterate ``w``
+    gives the bracket ``lambda_min <= r <= lambda_max`` of
+    ``w^(-1/2) psi(w) w^(-1/2)``, valid at any strictly positive ``w`` (the
+    upper end is the Wielandt-Friedland quotient).  Returns once
+    ``upper - lower <= 1e-12 * upper``.
+
+    Raises :class:`ConvergenceError` when an iterate loses strict
+    positivity (``lambda_min(w) <= 1e-10 * lambda_max(w)``, as on reducible
+    maps), when ``tau(x) = 0``, or when 400 steps do not close the bracket.
+    """
+    if not isinstance(tau, CpMap):
+        raise PreconditionError("spectral_radius_bounds requires a CpMap")
+    step = _kraus_step(tau)
+    x = np.eye(tau.m, dtype=complex)
+    for n in range(_KRAUS_STEPS):
+        y = step(x)
+        if not tau.shape.is_full:
+            y = compress(y, tau.shape)
+        y = (y + y.conj().T) / 2.0
+        size = float(np.linalg.norm(y))
+        if size == 0.0:
+            raise ConvergenceError(f"the map sends its iterate to 0 at step {n + 1}")
+        if n % _CHECK_EVERY == 0:
+            lam, u = np.linalg.eigh(x)
+            if not lam[0] > _POSITIVE_FLOOR * lam[-1]:
+                raise ConvergenceError(
+                    f"power iterate lost strict positivity at step {n}"
+                    f" (eigenvalue ratio {lam[0] / lam[-1]:.3e})"
+                )
+            root_inv = u / np.sqrt(lam)
+            quotient = np.linalg.eigvalsh(root_inv.conj().T @ y @ root_inv)
+            lower, upper = float(quotient[0]), float(quotient[-1])
+            if upper - lower <= _BRACKET_TOL * upper:
+                return RadiusBounds(lower, upper, n + 1, x)
+        x = y / size
+    raise ConvergenceError(
+        f"radius bracket did not close within {_KRAUS_STEPS} steps"
+        f" (last width {upper - lower:.3e} at {upper:.6e})"
+    )
+
+
 def spectral_radius_of(op) -> float:
-    """Spectral radius of a map given as CpMap / AlgebraMap / SuperOperator / matrix."""
+    """Spectral radius of a map given as CpMap / AlgebraMap / SuperOperator / matrix.
+
+    A CpMap of side ``m >= KRAUS_SIDE`` returns the midpoint of its
+    :func:`spectral_radius_bounds`, or the dense value when no bracket closes.
+    """
+    if _kraus_route(op):
+        try:
+            bounds = spectral_radius_bounds(op)
+            return (bounds.lower + bounds.upper) / 2.0
+        except ConvergenceError:
+            pass
     return spectral_radius(superop_matrix(op))
 
 
 def positive_map_norm(op) -> float:
     """Norm of a positive map, ``||phi|| = ||phi(1)||``."""
+    if _kraus_route(op):
+        return op_norm(_kraus_step(op)(np.eye(op.m, dtype=complex)))
     mat = superop_matrix(op)
     m = side_of(mat.shape[0])
     return op_norm(unvec(mat @ vec(np.eye(m, dtype=complex)), m))
@@ -87,21 +186,34 @@ def outer_radius(mats_list) -> float:
 def outer_radius_gelfand(mats_list, n: int) -> float:
     """Gelfand-style estimate ``||tau^n(1)||^(1/2n)`` for the outer radius.
 
-    Evaluated through superoperator powers (never by enumerating the d^n
-    products); each multiply renormalizes and accumulates a log scale so that
-    large ``n`` neither overflows nor underflows.
+    Never enumerates the d^n products.  From side ``KRAUS_SIDE`` up, and when
+    ``n * d <= m^3``, the Kraus action is applied n times to 1; otherwise the
+    superoperator is raised to the n-th power by squaring.  Each product
+    renormalizes and accumulates a log scale so that large ``n`` neither
+    overflows nor underflows.
     """
     mats = _checked_tuple(mats_list)
     if n < 1:
         raise PreconditionError("outer_radius_gelfand requires n >= 1")
     m = mats[0].shape[0]
-    s = superop_matrix(_tuple_map(mats))
 
     def _normalize(mat, log):
         scale = float(np.abs(mat).max())
         if scale == 0.0:
             return mat, log, True
         return mat / scale, log + math.log(scale), False
+
+    tau = _tuple_map(mats)
+    if _kraus_route(tau) and n * len(mats) <= m**3:
+        step = _kraus_step(tau)
+        x, log_x = np.eye(m, dtype=complex), 0.0
+        for _ in range(n):
+            x, log_x, x_zero = _normalize(step(x), log_x)
+            if x_zero:
+                return 0.0
+        return math.exp((log_x + math.log(op_norm(x))) / (2.0 * n))
+
+    s = superop_matrix(tau)
 
     acc = np.eye(m * m, dtype=complex)
     log_acc = 0.0
@@ -223,22 +335,26 @@ def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
     Always at least the spectral radius of the (positive) map; equality holds
     at a Perron eigenvector.
     """
-    phi = algebra_map(phi)
+    shape, act = _action(phi)
     w = as_matrix(w)
-    if not in_algebra(w, phi.shape, psd_tol):
+    if not in_algebra(w, shape, psd_tol):
         raise PreconditionError("w must belong to the block algebra")
     if not psd_report(w, psd_tol).is_strictly_positive:
         raise PreconditionError("w must be strictly positive")
-    return spectral_radius(inverse(w) @ phi(w))
+    return spectral_radius(inverse(w) @ act(w))
 
 
 def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Witness ``w = (id - phi/s)^(-1)(1)`` of ``r(phi) < s``.
 
     Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on ``s <= r`` and
-    on near-singular solves whose residual exceeds ``conv_tol``.
+    on near-singular solves whose residual exceeds ``conv_tol``.  A CpMap of
+    side ``m >= KRAUS_SIDE`` is solved by the fixed point ``w <- 1 + phi(w)/s``
+    through its Kraus list, and by the dense solve when that stalls.
     """
-    phi = algebra_map(phi)
+    kraus = _kraus_route(phi)
+    if not kraus:
+        phi = algebra_map(phi)
     r = spectral_radius_of(phi)
     if s <= r:
         raise PreconditionError(f"neumann_witness requires s > r(phi) = {r}")
@@ -246,12 +362,15 @@ def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD
         raise ConvergenceError(
             f"resolvent at s = {s} is near-singular (spectral radius {r})"
         )
-    m = phi.m
-    ident = np.eye(m * m, dtype=complex)
-    x = np.linalg.solve(ident - superop_matrix(phi) / s, vec(np.eye(m, dtype=complex)))
-    w = unvec(x, m)
+    shape, act = _action(phi)
+    m = shape.m
+    one = np.eye(m, dtype=complex)
+    w = _neumann_iterate(act, s, one, 1e-2 * conv_tol) if kraus else None
+    if w is None:
+        ident = np.eye(m * m, dtype=complex)
+        w = unvec(np.linalg.solve(ident - superop_matrix(phi) / s, vec(one)), m)
     w = (w + w.conj().T) / 2.0
-    residual = float(np.linalg.norm(phi(w) - s * (w - np.eye(m))))
+    residual = float(np.linalg.norm(act(w) - s * (w - one)))
     if residual >= conv_tol:
         raise ConvergenceError(
             f"resolvent solve is near-singular (residual {residual:.3e} >= {conv_tol})"
@@ -262,6 +381,18 @@ def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD
             f"negative witness: min eigenvalue of w - 1 is {gap.min_eigenvalue:.3e}"
         )
     return w
+
+
+def _neumann_iterate(act, s: float, one: np.ndarray, tol: float) -> np.ndarray | None:
+    """Fixed point of ``w <- 1 + phi(w) / s``, converging at rate ``r / s``;
+    None when ``||phi(w) - s (w - 1)|| < tol`` is not reached within the step cap."""
+    w = one
+    for _ in range(_KRAUS_STEPS):
+        image = act(w)
+        if np.linalg.norm(image - s * (w - one)) < tol:
+            return w
+        w = one + image / s
+    return None
 
 
 def conjugate_map(phi, v, psd_tol: float = PSD_TOL) -> AlgebraMap:

@@ -71,3 +71,8 @@ def rect_kraus(rng, blocks, pairs):
 def triangular_pairs(d):
     """Diagonal and upper rectangles: block upper triangular, so reducible."""
     return [(k, k) for k in range(d)] + [(k, k + 1) for k in range(d - 1)]
+
+
+def ring_pairs(d):
+    """Diagonal and cyclic rectangles: irreducible."""
+    return [(k, k) for k in range(d)] + [(k, (k + 1) % d) for k in range(d)]

@@ -6,9 +6,12 @@ when recorded.  A new report must match its record: keys, ints, bools and
 strings (``command`` and ``inputs_digest`` among them) exactly, floats within
 ``1e-10 * max(1, |x|)`` so that a different BLAS build does not fail the test.
 
-The records pin results across commits.  When a change is meant to alter a
-report, rerecord with ``python tests/test_cli_records.py`` from the
-repository root and say why in CHANGES.md.
+The records pin results across commits.  From the repository root,
+``python tests/test_cli_records.py`` lists the records whose report no longer
+matches, and ``python tests/test_cli_records.py SUBSTRING ...`` rerecords only
+the records whose argv, joined by spaces, contains one of the substrings.
+When a change is meant to alter a report, rerecord just that record and say
+why in CHANGES.md.
 """
 
 import contextlib
@@ -58,10 +61,28 @@ def test_report_matches_record(record, monkeypatch):
     assert_matches(json.loads(out), json.loads(record["stdout"]))
 
 
+def differs(record) -> bool:
+    code, out = run_cli(record["argv"])
+    try:
+        assert code == record["exit"]
+        assert_matches(json.loads(out), json.loads(record["stdout"]))
+    except AssertionError:
+        return True
+    return False
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    records = []
-    for record in RECORD_LIST:
-        code, out = run_cli(record["argv"])
-        records.append({"argv": record["argv"], "exit": code, "stdout": out})
-    RECORDS.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    patterns = sys.argv[1:]
+    if not patterns:
+        stale = [" ".join(r["argv"]) for r in RECORD_LIST if differs(r)]
+        for name in stale:
+            print(f"differs: {name}")
+        print(f"{len(stale)} of {len(RECORD_LIST)} records differ")
+    else:
+        for record in RECORD_LIST:
+            name = " ".join(record["argv"])
+            if any(p in name for p in patterns):
+                record["exit"], record["stdout"] = run_cli(record["argv"])
+                print(f"rerecorded: {name}")
+        RECORDS.write_text("[\n" + ",\n".join(json.dumps(r) for r in RECORD_LIST) + "\n]\n")

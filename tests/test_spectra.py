@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from cpspectra import cpmap
 from cpspectra import (
     AlgebraShape,
     BudgetExceededError,
@@ -26,9 +29,13 @@ from cpspectra import (
     psd_sqrt,
     scaled_outer_radius,
     spectral_radius,
+    spectral_radius_bounds,
     spectral_radius_of,
     singular_psd_combination,
+    unvec,
+    vec,
 )
+from cpspectra.cpmap import superop_matrix
 from cpspectra.reference_maps import (
     double_trace_map,
     golden_ratio_map,
@@ -40,6 +47,10 @@ from helpers import (
     random_matrix,
     random_normal_matrix,
     random_strictly_positive,
+    random_unitary,
+    rect_kraus,
+    ring_pairs,
+    triangular_pairs,
 )
 
 GOLD = (1 + np.sqrt(5)) / 2
@@ -391,3 +402,150 @@ class TestSandwichProperty:
                 est = jsr_brute(mats, 10)
                 assert rho_hat / np.sqrt(d) <= est.upper + 1e-6
                 assert est.lower <= rho_hat + 1e-6
+
+
+def kraus_route_map(kind, m, seed):
+    """Seeded CP map of side m whose radius bracket closes: a full tuple, an
+    irreducible ring of 8x8 blocks, a block-triangular map whose first block
+    dominates (so the Perron vector is strictly positive), or a Gaussian
+    Kraus list that leaks out of the blocks (m/2, m/2)."""
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        return CpMap((random_matrix(rng, m), random_matrix(rng, m)), AlgebraShape.full(m))
+    if kind == "leaking":
+        kraus = tuple(random_matrix(rng, m) for _ in range(3))
+        return CpMap(kraus, AlgebraShape((m // 2, m // 2)))
+    blocks = (8,) * (m // 8)
+    if kind == "ring":
+        return CpMap(tuple(rect_kraus(rng, blocks, ring_pairs(len(blocks)))), AlgebraShape(blocks))
+    pairs = [(k, k) for k in range(len(blocks))] + triangular_pairs(len(blocks))
+    kraus = [2.0 * a if k == l == 0 else a for a, (k, l) in zip(rect_kraus(rng, blocks, pairs), pairs)]
+    return CpMap(tuple(kraus), AlgebraShape(blocks))
+
+
+def block_unitary(rng, shape):
+    u = np.zeros((shape.m, shape.m), dtype=complex)
+    for sl in shape.slices():
+        u[sl, sl] = random_unitary(rng, sl.stop - sl.start)
+    return u
+
+
+def rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+ROUTE_CASES = [(kind, m) for kind in ("full", "ring", "triangular", "leaking") for m in (16, 24, 32)]
+
+
+class TestKrausRadiusRoute:
+    @pytest.mark.parametrize("kind,m", ROUTE_CASES)
+    def test_bracket_holds_the_dense_radius(self, kind, m):
+        tau = kraus_route_map(kind, m, 40 + m)
+        bounds = spectral_radius_bounds(tau)
+        dense = spectral_radius(superop_matrix(tau))
+        assert bounds.lower <= dense <= bounds.upper
+        assert bounds.upper - bounds.lower <= 1e-12 * bounds.upper
+        assert rel(spectral_radius_of(tau), dense) <= 1e-12
+        if kind == "leaking":  # w is in the algebra, and the Kraus action leaves it
+            assert friedland_value(tau, bounds.w) >= dense * (1 - 1e-12)
+        else:
+            assert rel(bounds.upper, friedland_value(tau, bounds.w)) <= 1e-12
+
+    @pytest.mark.parametrize("kind,m", ROUTE_CASES)
+    def test_kraus_mixing_and_block_unitary_conjugation(self, kind, m):
+        tau = kraus_route_map(kind, m, 50 + m)
+        rng = np.random.default_rng(60 + m)
+        r = spectral_radius_of(tau)
+        u = random_unitary(rng, len(tau.kraus))
+        mixed = CpMap(tuple(np.einsum("ji,ikl->jkl", u, np.stack(tau.kraus))), tau.shape)
+        assert rel(spectral_radius_of(mixed), r) <= 1e-12
+        v = block_unitary(rng, tau.shape)
+        turned = CpMap(tuple(v.conj().T @ a @ v for a in tau.kraus), tau.shape)
+        assert rel(spectral_radius_of(turned), r) <= 1e-12
+
+    @pytest.mark.parametrize("m", (16, 24, 32))
+    def test_tuple_scaling_and_adjoint(self, m):
+        mats = kraus_route_map("full", m, 70 + m).kraus
+        rho = outer_radius(mats)
+        c = 0.3 - 1.7j
+        assert rel(outer_radius([c * a for a in mats]), abs(c) * rho) <= 1e-12
+        assert rel(outer_radius([a.conj().T for a in mats]), rho) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ("full", "ring", "triangular", "leaking"))
+    def test_norm_witness_and_gelfand_match_the_dense_maps(self, kind):
+        tau = kraus_route_map(kind, 16, 80)
+        mat = superop_matrix(tau)
+        one = np.eye(16, dtype=complex)
+        assert rel(positive_map_norm(tau), op_norm(unvec(mat @ vec(one)))) <= 1e-12
+        s = 1.5 * positive_map_norm(tau)
+        dense = unvec(np.linalg.solve(np.eye(256) - mat / s, vec(one)))
+        w = neumann_witness(tau, s)
+        assert np.linalg.norm(w - dense) <= 1e-9 * np.linalg.norm(dense)
+        assert np.linalg.norm(unvec(mat @ vec(w)) - s * (w - one)) < 1e-10
+        if kind == "full":
+            value = outer_radius_gelfand(tau.kraus, 64)
+            power = np.linalg.matrix_power(mat, 64) @ vec(one)
+            assert rel(value, op_norm(unvec(power)) ** (1 / 128)) <= 1e-12
+
+
+def fallback_maps():
+    rng = np.random.default_rng(90)
+    blocks = (8, 8)
+    triangular = CpMap(tuple(rect_kraus(rng, blocks, triangular_pairs(2))), AlgebraShape(blocks))
+    small = [random_matrix(rng, 4) for _ in range(2)]
+    kron_power = CpMap(tuple(kron(a, a) for a in small), AlgebraShape.full(16))
+    full = AlgebraShape.full(16)
+    zero = CpMap((np.zeros((16, 16)),), full)
+    shift = CpMap((np.eye(16, k=1),), full)
+    slow_gap = CpMap((np.diag(0.999 ** np.arange(16)),), full)
+    return {
+        "block_triangular": triangular,
+        "kron_power": kron_power,
+        "zero": zero,
+        "nilpotent_shift": shift,
+        "slow_gap_diagonal": slow_gap,
+    }
+
+
+class TestKrausRadiusFallback:
+    @pytest.mark.parametrize("name", sorted(fallback_maps()))
+    def test_dense_radius_when_no_bracket_closes(self, name):
+        tau = fallback_maps()[name]
+        with pytest.raises(ConvergenceError):
+            spectral_radius_bounds(tau)
+        assert spectral_radius_of(tau) == spectral_radius(superop_matrix(tau))
+
+    def test_periodic_cyclic_shift(self):
+        shift = np.roll(np.eye(16), 1, axis=1)
+        assert abs(spectral_radius_of(CpMap((shift,), AlgebraShape.full(16))) - 1.0) <= 1e-12
+
+    def test_requires_a_kraus_list(self):
+        with pytest.raises(PreconditionError):
+            spectral_radius_bounds(np.eye(256))
+
+
+class TestKrausRouteGuard:
+    def test_no_superoperator_eigvals_or_solve_at_m_32(self, monkeypatch):
+        rng = np.random.default_rng(93)
+        mats = [random_matrix(rng, 32) for _ in range(2)]
+        tau = CpMap(tuple(mats), AlgebraShape.full(32))
+        s = 1.5 * positive_map_norm(tau)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Kraus route built a superoperator or ran eigvals/solve")
+
+        monkeypatch.setattr(cpmap, "superop_of", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        # through the superoperator each call took about 3 s on a 2-vCPU Xeon
+        calls = {
+            "spectral_radius_of": lambda: spectral_radius_of(tau),
+            "outer_radius": lambda: outer_radius(mats),
+            "neumann_witness": lambda: neumann_witness(tau, s),
+            "outer_radius_gelfand": lambda: outer_radius_gelfand(mats, 64),
+        }
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.25, f"{name} took {elapsed:.3f}s at m = 32"
