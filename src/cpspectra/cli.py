@@ -59,6 +59,14 @@ EXIT_PRECONDITION = 2
 EXIT_FORMAT = 3
 EXIT_BUDGET = 4
 
+# error class -> (report code, exit code)
+_ERROR_EXITS = {
+    FormatError: ("format", EXIT_FORMAT),
+    BudgetExceededError: ("budget", EXIT_BUDGET),
+    PreconditionError: ("precondition", EXIT_PRECONDITION),
+    ConvergenceError: ("precondition", EXIT_PRECONDITION),
+}
+
 
 def _render_json(obj) -> str:
     """Canonical JSON with 17-significant-digit floats and sorted keys."""
@@ -139,7 +147,8 @@ def _build_parser(env_warnings: list[str]) -> argparse.ArgumentParser:
     ap.add_argument("--tol-rank", type=float, default=_env_default("TOL_RANK", float, 1e-9, env_warnings))
     ap.add_argument("--tol-psd", type=float, default=_env_default("TOL_PSD", float, 1e-9, env_warnings))
     ap.add_argument("--tol-conv", type=float, default=_env_default("TOL_CONV", float, 1e-10, env_warnings))
-    ap.add_argument("--budget", type=int, default=_env_default("BUDGET", int, 10**6, env_warnings))
+    budget = _env_default("BUDGET", int, 10**6, env_warnings)
+    ap.add_argument("--budget", type=int, default=budget, help="word budget of jsr --method brute")
     ap.add_argument("--seed", type=int, default=_env_default("SEED", int, 0, env_warnings))
     ap.add_argument("--timing", action="store_true", help="report measured wall time")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -220,7 +229,7 @@ def _run_command(args, tol: Tolerance):
         if args.method == "brute":
             est = jsr_brute(mats, args.n, budget=args.budget)
         else:
-            est = jsr_tensor_approx(mats, args.k, max_side=min(args.budget, 4096))
+            est = jsr_tensor_approx(mats, args.k)
         inputs["method"], inputs["parameter"] = est.method, est.parameter
         values.update(
             {"lower": est.lower, "upper": est.upper, "method": est.method, "parameter": est.parameter}
@@ -368,30 +377,29 @@ def _run_check(tol: Tolerance) -> list[dict]:
     tau = reference_maps.golden_ratio_map()
     phi = algebra_map(tau)
     case("golden_ratio.radius", abs(spectral_radius_of(phi) - gold))
-    ell = perron_vector(phi)
+    ell = perron_vector(phi, psd_tol=tol.psd_tol, rank_tol=tol.rank_tol)
     case(
         "golden_ratio.perron",
         float(np.abs(ell - np.diag([gold**2, gold**2, gold]) / math.sqrt(5)).max()),
     )
-    sigma = conjugate_map(phi, np.asarray(np.diag(np.sqrt(np.diag(ell).real))))
+    root = np.asarray(np.diag(np.sqrt(np.diag(ell).real)))
+    sigma = conjugate_map(phi, root, psd_tol=tol.psd_tol)
     case("golden_ratio.norm_achieving", abs(positive_map_norm(sigma) - gold))
 
     tau = reference_maps.path_adjacency_map()
-    mp = maximal_part(tau)
+    mp = maximal_part(tau, rank_tol=tol.rank_tol)
     case("path_adjacency.radius", abs(mp.radius - math.sqrt(2)))
-    fact = maximal_factorization(tau)
+    fact = maximal_factorization(tau, rank_tol=tol.rank_tol, psd_tol=tol.psd_tol)
     case("path_adjacency.state_trace", fact.residuals["state_trace"])
 
     tau = reference_maps.trace_corner_map()
-    norms = [
-        float(np.linalg.norm(maximal_part(tau).superop(np.eye(2)), 2))
-    ]
-    case("trace_corner.norm", abs(norms[0] - 2.0))
+    corner = maximal_part(tau, rank_tol=tol.rank_tol).superop(np.eye(2))
+    case("trace_corner.norm", abs(float(np.linalg.norm(corner, 2)) - 2.0))
 
     tau = reference_maps.double_trace_map()
     rep = irreducible_cp(tau, rank_tol=tol.rank_tol, psd_tol=tol.psd_tol)
     case("double_trace.irreducible_dimension", abs(rep.dimension - 4))
-    ideal = maximal_ideal_check(tau)
+    ideal = maximal_ideal_check(tau, rank_tol=tol.rank_tol)
     case("double_trace.ideal", max(ideal.subalgebra_residual, ideal.ideal_residual))
     return cases
 
@@ -399,7 +407,6 @@ def _run_check(tol: Tolerance) -> list[dict]:
 def main(argv=None) -> int:
     env_warnings: list[str] = []
     args = _build_parser(env_warnings).parse_args(argv)
-    tol = Tolerance(rank_tol=args.tol_rank, psd_tol=args.tol_psd, conv_tol=args.tol_conv)
     flags = {
         "tol_rank": args.tol_rank,
         "tol_psd": args.tol_psd,
@@ -409,20 +416,14 @@ def main(argv=None) -> int:
     }
     start = time.perf_counter()
     try:
+        tol = Tolerance(rank_tol=args.tol_rank, psd_tol=args.tol_psd, conv_tol=args.tol_conv)
+        if args.seed < 0:
+            raise PreconditionError(f"--seed must be non-negative (got {args.seed})")
         inputs, values, residuals, warnings = _run_command(args, tol)
-    except FormatError as exc:
-        print(_render_json({"command": args.command, "error": {"code": "format", "message": str(exc)}}))
-        return EXIT_FORMAT
-    except BudgetExceededError as exc:
-        print(_render_json({"command": args.command, "error": {"code": "budget", "message": str(exc)}}))
-        return EXIT_BUDGET
-    except (PreconditionError, ConvergenceError) as exc:
-        print(
-            _render_json(
-                {"command": args.command, "error": {"code": "precondition", "message": str(exc)}}
-            )
-        )
-        return EXIT_PRECONDITION
+    except tuple(_ERROR_EXITS) as exc:
+        code, status = next(v for cls, v in _ERROR_EXITS.items() if isinstance(exc, cls))
+        print(_render_json({"command": args.command, "error": {"code": code, "message": str(exc)}}))
+        return status
     elapsed = time.perf_counter() - start if args.timing else 0.0
     report = {
         "command": args.command,

@@ -32,6 +32,7 @@ import numpy as np
 from .algebra import AlgebraShape
 from .errors import FormatError, PreconditionError
 from .mats import (
+    CHECK_TOL,
     PSD_TOL,
     RANK_TOL,
     as_matrix,
@@ -63,6 +64,8 @@ __all__ = [
     "algebra_map",
     "preserves_algebra",
 ]
+
+_LEAK_TOL = 1e-10  # largest relative off-block image that preserves_algebra allows
 
 
 @dataclass(frozen=True)
@@ -354,10 +357,6 @@ class CoefficientSpace:
     def residual(self, x) -> float:
         return float(np.linalg.norm(as_matrix(x) - self.project(x)))
 
-    def contains(self, x, tol: float = 1e-8) -> bool:
-        x = as_matrix(x)
-        return self.residual(x) <= tol * max(1.0, float(np.linalg.norm(x)))
-
 
 def coefficient_space(tau: CpMap, rank_tol: float = RANK_TOL) -> CoefficientSpace:
     """span{A_i}, from the left singular vectors of the stack of ``vec A_i``.
@@ -384,10 +383,11 @@ class MembershipResult:
     q: float | None = None
 
 
-def membership(a, tau: CpMap, tol: float = 1e-8, rank_tol: float = RANK_TOL) -> MembershipResult:
+def membership(a, tau: CpMap, rank_tol: float = RANK_TOL) -> MembershipResult:
     """Decide whether ``a`` lies in the coefficient space of ``tau``.
 
-    Decided by subspace projection.  For members, also return the scalar
+    Decided by subspace projection: ``a`` is a member when its residual is at
+    most ``CHECK_TOL * max(1, ||a||)``.  For members, also return the scalar
     certificate ``q = ||lambda||^2 + 1`` built from least-squares expansion
     coefficients of ``a`` in the given Kraus list; ``q * tau - alpha_a`` is
     then CP, which cross-checks the verdict through :func:`dominates`.
@@ -398,7 +398,7 @@ def membership(a, tau: CpMap, tol: float = 1e-8, rank_tol: float = RANK_TOL) -> 
         raise PreconditionError("matrix side does not match the map")
     space = coefficient_space(tau, rank_tol)
     residual = space.residual(a)
-    member = residual <= tol * max(1.0, float(np.linalg.norm(a)))
+    member = residual <= CHECK_TOL * max(1.0, float(np.linalg.norm(a)))
     if not member:
         return MembershipResult(False, residual)
     stacked = np.column_stack([vec(k) for k in tau.kraus])
@@ -421,16 +421,16 @@ def canonical_extension(tau: CpMap) -> CpMap:
     return CpMap(tuple(kraus), AlgebraShape.full(m))
 
 
-def preserves_algebra(tau: CpMap, tol: float = 1e-10) -> bool:
+def preserves_algebra(tau: CpMap) -> bool:
     """Whether the Kraus action maps the block algebra into itself.
 
     Column ``i + j*m`` of the superoperator is ``vec tau(E_ij)``; for every
     in-algebra ``E_ij`` its off-block part must be at most
-    ``tol * max(1, ||tau(E_ij)||)``.
+    ``_LEAK_TOL * max(1, ||tau(E_ij)||)``, with ``_LEAK_TOL = 1e-10``.
     """
     if tau.shape.is_full:
         return True
     mask = tau.shape.vec_mask()
     cols = superop_of(tau).matrix[:, mask]
     leak = np.linalg.norm(cols[~mask], axis=0)
-    return bool(np.all(leak <= tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))))
+    return bool(np.all(leak <= _LEAK_TOL * np.maximum(1.0, np.linalg.norm(cols, axis=0))))

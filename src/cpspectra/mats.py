@@ -24,6 +24,8 @@ from .errors import ConvergenceError, FormatError, PreconditionError
 RANK_TOL = 1e-9
 PSD_TOL = 1e-9
 CONV_TOL = 1e-10
+CLUSTER_TOL = 1e-8  # eigenvalues within CLUSTER_TOL * max(r, 1) form one cluster
+CHECK_TOL = 1e-8  # bound on the residuals that certify a computed result
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class Tolerance:
     conv_tol: float = CONV_TOL
 
     def __post_init__(self):
-        if min(self.rank_tol, self.psd_tol, self.conv_tol) <= 0.0:
-            raise PreconditionError("tolerances must be strictly positive")
+        if not all(0.0 < t < np.inf for t in (self.rank_tol, self.psd_tol, self.conv_tol)):
+            raise PreconditionError("tolerances must be finite and strictly positive")
 
 
 def as_matrix(a) -> np.ndarray:

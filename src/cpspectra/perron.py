@@ -37,6 +37,8 @@ from .cpmap import (
 )
 from .errors import ConvergenceError, PreconditionError
 from .mats import (
+    CHECK_TOL,
+    CLUSTER_TOL,
     PSD_TOL,
     RANK_TOL,
     as_matrix,
@@ -69,6 +71,13 @@ __all__ = [
 ]
 
 
+_ROUTE_TOL = 1e-6  # largest relative gap between the two maximal-part routes
+_CESARO_TOL = 2.5e-7  # relative change of the Richardson value that stops the Cesaro doubling
+_CESARO_TERMS = 2**26  # largest number of terms in the Cesaro mean
+_CONTOUR_NODES = 64  # trapezoidal nodes of the contour route
+_PROBES = 64  # random rank-one PSD probes of irreducible_cp
+
+
 @dataclass(frozen=True)
 class EigenCluster:
     value: complex
@@ -86,18 +95,18 @@ class SpectralStructure:
     maximal_spectrum: tuple[complex, ...]
 
 
-def spectral_structure(op, cluster_tol: float = 1e-8, rank_tol: float = RANK_TOL) -> SpectralStructure:
+def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     """Eigenvalue clusters, degeneracy indices, and the maximal spectrum.
 
     The degeneracy index of a cluster value is the smallest ``k`` with
     ``rank((T - value)^k) == rank((T - value)^(k+1))`` under the tolerant
-    rank; clustering merges eigenvalues within ``cluster_tol * max(r, 1)``.
+    rank; clustering merges eigenvalues within ``CLUSTER_TOL * max(r, 1)``.
     """
     mat = superop_matrix(op)
     n = mat.shape[0]
     eig = eigenvalues(mat)
     radius = float(np.abs(eig).max()) if n else 0.0
-    delta = cluster_tol * max(radius, 1.0)
+    delta = CLUSTER_TOL * max(radius, 1.0)
 
     order = sorted(range(n), key=lambda i: (-abs(eig[i]), eig[i].real, eig[i].imag))
     taken = np.zeros(n, dtype=bool)
@@ -155,17 +164,18 @@ def _spectral_projector(mat: np.ndarray, center: float, delta: float) -> np.ndar
     return q @ core @ q.conj().T
 
 
-def _cesaro_limit(mat: np.ndarray, radius: float, tol: float, max_terms: int) -> np.ndarray:
+def _cesaro_limit(mat: np.ndarray, radius: float) -> np.ndarray:
     """Cesaro mean of ``(T / r)^n`` for ``d = 1``, by partial-sum doubling.
 
     The mean of ``N`` terms is ``P + K / N`` up to geometric decay (``K`` the
     reduced resolvent), so the Richardson value ``2 avg(2N) - avg(N)`` cancels
-    the slow term.  Stops when two consecutive values agree within ``tol``
-    relative to ``max(1, largest entry)``; ``N`` never exceeds ``max_terms``.
+    the slow term.  Stops when two consecutive values agree within
+    ``_CESARO_TOL`` relative to ``max(1, largest entry)``; ``N`` never exceeds
+    ``_CESARO_TERMS``.
     """
     power = partial = avg = mat / radius  # partial: the sum of the first ``count`` powers
     count, prev = 1, None
-    while 2 * count <= max_terms:
+    while 2 * count <= _CESARO_TERMS:
         partial = partial + power @ partial
         power = power @ power
         count *= 2
@@ -173,13 +183,10 @@ def _cesaro_limit(mat: np.ndarray, radius: float, tol: float, max_terms: int) ->
         cur = 2.0 * avg - last
         if prev is not None:
             scale = max(1.0, float(np.abs(cur).max()))
-            if float(np.abs(cur - prev).max()) <= tol * scale:
+            if float(np.abs(cur - prev).max()) <= _CESARO_TOL * scale:
                 return cur
         prev = cur
-    raise ConvergenceError(f"Cesaro mean did not converge within {max_terms} terms")
-
-
-_CONTOUR_NODES = 64
+    raise ConvergenceError(f"Cesaro mean did not converge within {_CESARO_TERMS} terms")
 
 
 def _contour_limit(mat: np.ndarray, radius: float, degeneracy: int, rho: float) -> np.ndarray:
@@ -207,30 +214,24 @@ class MaximalPart:
     route_gap: float
 
 
-def maximal_part(
-    phi,
-    cluster_tol: float = 1e-8,
-    rank_tol: float = RANK_TOL,
-    route_tol: float = 1e-6,
-    cesaro_tol: float = 2.5e-7,
-    max_terms: int = 2**26,
-) -> MaximalPart:
+def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     """Maximal part of a positive map with non-zero spectral radius.
 
-    Primary route is the spectral projection ``(T - r)^(d-1) P_r``; the limit
-    of averaged normalized powers is evaluated independently and both must
-    agree within ``route_tol`` (relative to the result's largest entry once
-    that exceeds 1, since an ill-conditioned spectral projector inflates both
-    routes alike).
+    Eigenvalues within ``CLUSTER_TOL = 1e-8`` (relative to ``max(r, 1)``)
+    form one cluster.  Primary route is the spectral projection
+    ``(T - r)^(d-1) P_r``; the limit of averaged normalized powers is
+    evaluated independently and both must agree within ``_ROUTE_TOL = 1e-6``
+    (relative to the result's largest entry once that exceeds 1, since an
+    ill-conditioned spectral projector inflates both routes alike).
 
     For ``d = 1`` the second route is the Cesaro mean of ``(T / r)^n`` over
     ``N = 2, 4, 8, ...`` terms with Richardson extrapolation; it stops when
-    two consecutive values agree within ``cesaro_tol`` (relative to
-    ``max(1, largest entry)``) and raises :class:`ConvergenceError` if that
-    needs more than ``max_terms`` terms.  For ``d > 1`` it is the trapezoidal
-    rule with 64 nodes for the resolvent integral on the circle about ``r``
-    of half the distance to the nearest other eigenvalue cluster; there
-    ``cesaro_tol`` and ``max_terms`` have no effect.
+    two consecutive values agree within ``_CESARO_TOL = 2.5e-7`` (relative
+    to ``max(1, largest entry)``) and raises :class:`ConvergenceError` if
+    that needs more than ``_CESARO_TERMS = 2**26`` terms.  For ``d > 1`` it
+    is the trapezoidal rule with ``_CONTOUR_NODES = 64`` nodes for the
+    resolvent integral on the circle about ``r`` of half the distance to the
+    nearest other eigenvalue cluster.
 
     Raises on maps with zero spectral radius (nilpotent, no maximal part)
     and on maps whose spectral radius is not an eigenvalue or does not carry
@@ -238,13 +239,13 @@ def maximal_part(
     """
     mat = superop_matrix(phi)
     m = side_of(mat.shape[0])
-    struct = spectral_structure(mat, cluster_tol, rank_tol)
+    struct = spectral_structure(mat, rank_tol)
     r = struct.radius
     if r <= 1e-300:
         raise PreconditionError(
             "maximal part is undefined when the spectral radius is zero"
         )
-    delta = cluster_tol * max(r, 1.0)
+    delta = CLUSTER_TOL * max(r, 1.0)
     target = next((c for c in struct.clusters if abs(c.value - r) <= delta), None)
     if target is None:
         raise PreconditionError(
@@ -267,15 +268,15 @@ def maximal_part(
     # routes' entries by the same factor
     scale = max(1.0, float(np.abs(hat).max()))
     if d == 1:
-        route, other = "Cesaro", _cesaro_limit(mat, r, cesaro_tol, max_terms)
+        route, other = "Cesaro", _cesaro_limit(mat, r)
     else:
         # half the distance to the nearest other cluster; with none, any circle will do
         rho = min((abs(c.value - r) for c in struct.clusters if c is not target), default=r) / 2
         route, other = "contour", _contour_limit(mat, r, d, rho)
     gap = float(np.abs(hat - other).max())
-    if gap > route_tol * scale:
+    if gap > _ROUTE_TOL * scale:
         raise ConvergenceError(
-            f"projection and {route} routes disagree by {gap:.3e} (> {route_tol})"
+            f"projection and {route} routes disagree by {gap:.3e} (> {_ROUTE_TOL})"
         )
 
     sq = hat @ hat
@@ -300,13 +301,13 @@ def maximal_part(
     )
 
 
-def perron_vector(phi, psd_tol: float = PSD_TOL, check_tol: float = 1e-8, **kwargs) -> np.ndarray:
+def perron_vector(phi, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Positive eigenvector ``L = maximal_part(phi)(1)`` at the spectral radius."""
     mat = superop_matrix(phi)
-    return _perron_of(maximal_part(mat, **kwargs), mat, psd_tol, check_tol)
+    return _perron_of(maximal_part(mat, rank_tol=rank_tol), mat, psd_tol)
 
 
-def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float, check_tol: float) -> np.ndarray:
+def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> np.ndarray:
     """``L = mp(1)``, made Hermitian and checked: non-zero, PSD, ``mat`` fixes it up to ``r``."""
     m = mp.superop.m
     ell = mp.superop(np.eye(m, dtype=complex))
@@ -317,9 +318,9 @@ def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float, check_tol: floa
     if not psd_report(ell, psd_tol * max(1.0, norm)).is_psd:
         raise ConvergenceError("computed Perron vector is not PSD")
     residual = float(np.linalg.norm(unvec(mat @ vec(ell), m) - mp.radius * ell))
-    if residual > check_tol * norm:
+    if residual > CHECK_TOL * norm:
         raise ConvergenceError(
-            f"Perron eigenvector residual {residual:.3e} exceeds {check_tol} * ||L||"
+            f"Perron eigenvector residual {residual:.3e} exceeds {CHECK_TOL} * ||L||"
         )
     return ell
 
@@ -335,11 +336,7 @@ class Factorization:
 
 
 def maximal_factorization(
-    tau: CpMap,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float = PSD_TOL,
-    check_tol: float = 1e-8,
-    **kwargs,
+    tau: CpMap, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL
 ) -> Factorization:
     """Factor the maximal part of an irreducible CP map.
 
@@ -358,7 +355,7 @@ def maximal_factorization(
             f"map is reducible (generated algebra has dimension {dimension} < {m ** 2})"
         )
     mat = superop_matrix(ext)
-    mp = maximal_part(mat, rank_tol=rank_tol, **kwargs)
+    mp = maximal_part(mat, rank_tol=rank_tol)
     hat, r = mp.superop.matrix, mp.radius
 
     svals = np.linalg.svd(hat, compute_uv=False)
@@ -368,14 +365,14 @@ def maximal_factorization(
             f"maximal part is not numerically rank one (sigma2/sigma1 = {rank_gap:.3e})"
         )
 
-    ell = _perron_of(mp, mat, psd_tol, check_tol)
+    ell = _perron_of(mp, mat, psd_tol)
     if not psd_report(ell, psd_tol).is_strictly_positive:
         raise ConvergenceError("Perron eigenvector of an irreducible map must be strictly positive")
 
     vl = vec(ell)
     raw_state = unvec(hat.conj().T @ vl / float(np.vdot(vl, vl).real), m)
     herm_gap = float(np.linalg.norm(raw_state - raw_state.conj().T))
-    if herm_gap > check_tol * max(1.0, float(np.linalg.norm(raw_state))):
+    if herm_gap > CHECK_TOL * max(1.0, float(np.linalg.norm(raw_state))):
         raise ConvergenceError(
             f"recovered state is not Hermitian (gap {herm_gap:.3e}); not silently fixed"
         )
@@ -395,7 +392,7 @@ def maximal_factorization(
         "rank_gap": rank_gap,
     }
     scale = max(1.0, float(np.linalg.norm(ell)))
-    if resid_eig > check_tol * scale or resid_adj > check_tol or resid_trace > check_tol:
+    if resid_eig > CHECK_TOL * scale or resid_adj > CHECK_TOL or resid_trace > CHECK_TOL:
         raise ConvergenceError(f"factorization residuals too large: {residuals}")
     return Factorization(radius=r, eigenvector=ell, state=state, residuals=residuals)
 
@@ -503,7 +500,6 @@ def irreducible_cp(
     rank_tol: float = RANK_TOL,
     psd_tol: float = PSD_TOL,
     rng: np.random.Generator | None = None,
-    probes: int = 64,
 ) -> IrreducibilityReport:
     """Deterministic irreducibility test for a CP map on a block algebra.
 
@@ -513,10 +509,11 @@ def irreducible_cp(
     matrix HS-orthogonal to the generated algebra is returned.
 
     A randomized corroborator additionally applies ``(1 + ext)^(m-1)`` to
-    random rank-one PSD probes; for an irreducible map every probe must come
-    out strictly positive.  The probes can refute but never certify
-    irreducibility, so ``probes_consistent`` only flags the contradictory
-    case.  Pass a seeded ``rng`` for reproducibility (default seed 0).
+    ``_PROBES = 64`` random rank-one PSD probes; for an irreducible map every
+    probe must come out strictly positive.  The probes can refute but never
+    certify irreducibility, so ``probes_consistent`` only flags the
+    contradictory case.  Pass a seeded ``rng`` for reproducibility (default
+    seed 0).
     """
     ext = canonical_extension(tau)
     gen = algebra_basis(ext.kraus, unital=False, rank_tol=rank_tol)
@@ -532,7 +529,7 @@ def irreducible_cp(
     one_plus = np.eye(m * m, dtype=complex) + superop_matrix(ext)
     powered = np.linalg.matrix_power(one_plus, m - 1)
     strict = 0
-    for _ in range(probes):
+    for _ in range(_PROBES):
         h = rng.normal(size=m) + 1j * rng.normal(size=m)
         h /= np.linalg.norm(h)
         y = unvec(powered @ vec(np.outer(h, h.conj())), m)
@@ -544,8 +541,8 @@ def irreducible_cp(
         dimension=gen.dimension,
         witness=witness,
         strict_probes=strict,
-        probes=probes,
-        probes_consistent=not (verdict and strict < probes),
+        probes=_PROBES,
+        probes_consistent=not (verdict and strict < _PROBES),
     )
 
 
@@ -588,20 +585,19 @@ class IdealCheck:
     dimension: int
 
 
-def maximal_ideal_check(
-    tau: CpMap, tol: float = 1e-8, rank_tol: float = RANK_TOL, **kwargs
-) -> IdealCheck:
+def maximal_ideal_check(tau: CpMap, rank_tol: float = RANK_TOL) -> IdealCheck:
     """Closure checks for the Kraus span of the maximal part.
 
     With ``A_i`` a Kraus list of the canonical extension and ``B_j`` a Kraus
     list of its maximal part, span{B_j} must be closed under multiplication
     (a subalgebra) and under left/right multiplication by the ``A_i`` (an
-    ideal in the generated algebra).  Residuals are HS projection gaps.
+    ideal in the generated algebra).  Residuals are HS projection gaps, and
+    each closure holds when its residual is at most ``CHECK_TOL``.
     ``rank_tol`` reaches ``maximal_part``, ``kraus_of_choi`` and the cut of
     span{B_j}.
     """
     ext = canonical_extension(tau)
-    mp = maximal_part(ext, rank_tol=rank_tol, **kwargs)
+    mp = maximal_part(ext, rank_tol=rank_tol)
     b_list = kraus_of_choi(choi_of_superop(mp.superop), rank_tol=rank_tol)
     a_list = ext.kraus
     residual = coefficient_space(CpMap(tuple(b_list), ext.shape), rank_tol).residual
@@ -611,8 +607,8 @@ def maximal_ideal_check(
         max(residual(b @ a) for a in a_list for b in b_list),
     )
     return IdealCheck(
-        is_subalgebra=sub_res <= tol,
-        is_ideal=ideal_res <= tol,
+        is_subalgebra=sub_res <= CHECK_TOL,
+        is_ideal=ideal_res <= CHECK_TOL,
         subalgebra_residual=sub_res,
         ideal_residual=ideal_res,
         dimension=len(b_list),

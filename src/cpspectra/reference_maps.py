@@ -18,7 +18,6 @@ __all__ = [
     "golden_ratio_map",
     "double_trace_map",
     "path_adjacency_map",
-    "bundled_maps",
 ]
 
 
@@ -74,12 +73,3 @@ def path_adjacency_map() -> CpMap:
         _unit(3, 1, 2),  # b -> position (2, 2)
     )
     return CpMap(kraus, AlgebraShape((1, 1, 1)))
-
-
-def bundled_maps() -> dict[str, CpMap]:
-    return {
-        "trace_corner": trace_corner_map(),
-        "golden_ratio": golden_ratio_map(),
-        "double_trace": double_trace_map(),
-        "path_adjacency": path_adjacency_map(),
-    }

@@ -18,6 +18,8 @@ from .algebra import AlgebraShape, compress, in_algebra
 from .cpmap import AlgebraMap, CpMap, _kraus_step, algebra_map, superop_matrix
 from .errors import BudgetExceededError, ConvergenceError, PreconditionError
 from .mats import (
+    CHECK_TOL,
+    CLUSTER_TOL,
     PSD_TOL,
     RANK_TOL,
     as_matrix,
@@ -60,6 +62,11 @@ _KRAUS_STEPS = 400  # step cap of the matrix-free iterations
 _CHECK_EVERY = 5  # power steps between two brackets
 _BRACKET_TOL = 1e-12  # relative width at which a bracket counts as closed
 _POSITIVE_FLOOR = 1e-10  # lambda_min(w) / lambda_max(w) below which w is not strictly positive
+_TENSOR_SIDE = 4096  # largest superoperator side m^(2k) of jsr_tensor_approx
+_BALANCE_HORIZON = 256  # normalized powers screened by balance_similarity
+_POWER_BOUND = 1e3  # largest norm of a normalized power that counts as bounded
+_GROWTH_RATIO = 1.5  # largest late-to-early growth of the normalized powers
+_BALANCE_SLACK = 1e-6  # relative excess of the balanced norm over r
 
 
 def _kraus_route(op) -> bool:
@@ -290,20 +297,21 @@ def _kron_power(a, k: int) -> np.ndarray:
     return out
 
 
-def jsr_tensor_approx(mats_list, k: int, max_side: int = 4096) -> JsrEstimate:
+def jsr_tensor_approx(mats_list, k: int) -> JsrEstimate:
     """Joint spectral radius sandwich from k-fold Kronecker powers.
 
     With ``rho_k`` the outer radius of the tuple of k-th Kronecker powers,
-    ``d^(-1/2k) * rho_k^(1/k) <= rho <= rho_k^(1/k)``.  Fails fast when the
-    required superoperator side ``m^(2k)`` exceeds ``max_side``.
+    ``d^(-1/2k) * rho_k^(1/k) <= rho <= rho_k^(1/k)``.  Raises
+    :class:`BudgetExceededError` when the required superoperator side
+    ``m^(2k)`` exceeds ``_TENSOR_SIDE = 4096``.
     """
     mats = _checked_tuple(mats_list)
     if k < 1:
         raise PreconditionError("jsr_tensor_approx requires k >= 1")
     m, d = mats[0].shape[0], len(mats)
-    if m ** (2 * k) > max_side:
+    if m ** (2 * k) > _TENSOR_SIDE:
         raise BudgetExceededError(
-            f"tensor-power superoperator side {m ** (2 * k)} exceeds {max_side}"
+            f"tensor-power superoperator side {m ** (2 * k)} exceeds {_TENSOR_SIDE}"
         )
     rho_k = outer_radius([_kron_power(a, k) for a in mats])
     upper = rho_k ** (1.0 / k)
@@ -420,11 +428,12 @@ class NormAchievingResult:
     radius: float
 
 
-def norm_achieving_check(phi, w, psd_tol: float = PSD_TOL, check_tol: float = 1e-8) -> NormAchievingResult:
+def norm_achieving_check(phi, w, psd_tol: float = PSD_TOL) -> NormAchievingResult:
     """Constructive check that conjugation by ``w^(1/2)`` achieves norm = radius.
 
     Requires ``phi(w) <= r w``; the violating eigenvalue is reported when the
-    precondition fails.
+    precondition fails.  The conjugated norm must meet ``r`` within
+    ``CHECK_TOL``.
     """
     phi = algebra_map(phi)
     w = as_matrix(w)
@@ -438,7 +447,7 @@ def norm_achieving_check(phi, w, psd_tol: float = PSD_TOL, check_tol: float = 1e
         )
     v = psd_sqrt(w, psd_tol)
     norm = positive_map_norm(conjugate_map(phi, v, psd_tol))
-    if abs(norm - r) > check_tol:
+    if abs(norm - r) > CHECK_TOL:
         raise ConvergenceError(
             f"conjugated norm {norm} misses the spectral radius {r} by {abs(norm - r):.3e}"
         )
@@ -452,25 +461,19 @@ class BalanceResult:
     radius: float
 
 
-def balance_similarity(
-    a,
-    epsilon: float | None = None,
-    *,
-    horizon: int = 256,
-    power_bound: float = 1e3,
-    growth_ratio: float = 1.5,
-    cluster_tol: float = 1e-8,
-    slack: float = 1e-6,
-) -> BalanceResult:
-    """Invertible P with ``||P a P^-1|| <= r(a) * (1 + slack)``.
+def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
+    """Invertible P with ``||P a P^-1|| <= r(a) * (1 + _BALANCE_SLACK)``, slack ``1e-6``.
 
     Exists exactly when the normalized powers ``(a/r)^n`` stay bounded, which
-    is screened empirically up to ``horizon`` (absolute bound plus a growth
-    ratio test between the last and an earlier window).  Construction: Schur
-    form ordered so peripheral eigenvalues come first, Sylvester decoupling of
-    the interior block, eigenvector diagonalization of the (semisimple)
-    peripheral block, and a geometric diagonal scaling of the interior block.
-    No Jordan form is ever computed.
+    is screened empirically up to ``n = _BALANCE_HORIZON = 256``: every norm
+    must stay at most ``_POWER_BOUND = 1e3``, and the last quarter may exceed
+    the second quarter by at most the factor ``_GROWTH_RATIO = 1.5``.
+    Construction: Schur form ordered so peripheral eigenvalues (``|z| >= 1 -
+    10 * CLUSTER_TOL`` after scaling by ``r``) come first, Sylvester
+    decoupling of the interior block, eigenvector diagonalization of the
+    (semisimple) peripheral block, and a geometric diagonal scaling of the
+    interior block, halving ``epsilon`` (default 1) until the norm fits.  No
+    Jordan form is ever computed.
     """
     import scipy.linalg  # deferred: scipy is most of the package's import time
 
@@ -481,20 +484,20 @@ def balance_similarity(
         raise PreconditionError("balance_similarity requires a positive spectral radius")
     b = a / r
 
-    norms = np.empty(horizon)
+    norms = np.empty(_BALANCE_HORIZON)
     cur = np.eye(n, dtype=complex)
-    for i in range(horizon):
+    for i in range(_BALANCE_HORIZON):
         cur = cur @ b
         norms[i] = op_norm(cur)
-    early = float(norms[horizon // 4 : horizon // 2].max())
-    late = float(norms[3 * horizon // 4 :].max())
-    if norms.max() > power_bound or late > growth_ratio * max(early, 1.0):
+    early = float(norms[_BALANCE_HORIZON // 4 : _BALANCE_HORIZON // 2].max())
+    late = float(norms[3 * _BALANCE_HORIZON // 4 :].max())
+    if norms.max() > _POWER_BOUND or late > _GROWTH_RATIO * max(early, 1.0):
         raise PreconditionError(
             "unbounded normalized powers (peripheral Jordan block detected)"
         )
 
     t, q, sdim = scipy.linalg.schur(
-        b, output="complex", sort=lambda z: abs(z) >= 1.0 - 10.0 * cluster_tol
+        b, output="complex", sort=lambda z: abs(z) >= 1.0 - 10.0 * CLUSTER_TOL
     )
     p_count = int(sdim)
     if p_count == 0:
@@ -511,7 +514,7 @@ def balance_similarity(
     if p_count == n:
         p_full = np.linalg.solve(vmat, q.conj().T)
         norm = op_norm(p_full @ a @ np.linalg.inv(p_full))
-        if norm > r * (1.0 + slack):
+        if norm > r * (1.0 + _BALANCE_SLACK):
             raise ConvergenceError(f"balanced norm {norm} exceeds the target {r}")
         return BalanceResult(p=p_full, norm=norm, radius=r)
 
@@ -538,7 +541,7 @@ def balance_similarity(
             f[p_count:, p_count:] = c
             p_full = f @ g_inv @ w_inv @ q.conj().T
             norm = op_norm(p_full @ a @ np.linalg.inv(p_full))
-            if norm <= r * (1.0 + slack):
+            if norm <= r * (1.0 + _BALANCE_SLACK):
                 return BalanceResult(p=p_full, norm=norm, radius=r)
         eps /= 2.0
     raise ConvergenceError("interior scaling failed to reach the target norm")

@@ -1,13 +1,15 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from cpspectra import AlgebraShape, CpMap, matrix_from_json, matrix_to_json
+from cpspectra import AlgebraShape, CpMap, cli, matrix_from_json, matrix_to_json
 from cpspectra.cli import main
 from cpspectra.reference_maps import golden_ratio_map, trace_corner_map
 
 GOLD = (1 + np.sqrt(5)) / 2
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 @pytest.fixture
@@ -251,3 +253,48 @@ def test_exit_code_budget(capsys, files):
         ["--budget", "100", "jsr", "--method", "brute", "--n", "20", "--tuple", files["golden_pair.json"]],
     )
     assert code == 4 and report["error"]["code"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({}, ["--tol-rank", "-1", "check"]),
+        ({"CPSPECTRA_TOL_RANK": "-1"}, ["check"]),
+        ({}, ["--seed", "-1", "irreducible", "--map", str(DATA / "double_trace_map.json")]),
+        ({}, ["--tol-psd", "nan", "check"]),
+    ],
+    ids=["tol-rank-flag", "tol-rank-env", "seed-flag", "tol-psd-nan"],
+)
+def test_bad_global_flag_is_a_precondition_error(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, report = run(capsys, argv)
+    assert code == 2
+    assert set(report) == {"command", "error"}
+    assert report["error"]["code"] == "precondition"
+
+
+def test_check_passes_tol_rank_to_every_call(capsys, monkeypatch):
+    names = ("perron_vector", "maximal_part", "maximal_factorization", "irreducible_cp", "maximal_ideal_check")
+    seen = {name: [] for name in names}
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            seen[name].append(kwargs.get("rank_tol"))
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, spy(name))
+    code, report = run(capsys, ["--tol-rank", "1e-7", "check"])
+    assert code == 0 and report["values"]["failed"] == 0
+    assert seen == {
+        "perron_vector": [1e-7],
+        "maximal_part": [1e-7, 1e-7],
+        "maximal_factorization": [1e-7],
+        "irreducible_cp": [1e-7],
+        "maximal_ideal_check": [1e-7],
+    }

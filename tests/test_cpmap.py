@@ -447,7 +447,7 @@ class TestPreservesAlgebra:
     def test_verdicts_at_scaled_leaks(self):
         # a leaking Kraus term eps * B leaks eps^2 * B* E_ij B; scale it to 0.5x and 2x tol
         rng = np.random.default_rng(19)
-        tol = 1e-10
+        tol = cpmap._LEAK_TOL
         for blocks in ((2, 1), (3, 2), (2, 2, 2)):
             kept = random_cpmap(rng, blocks)
             b = random_matrix(rng, kept.m)
@@ -457,4 +457,4 @@ class TestPreservesAlgebra:
                 eps = probe * np.sqrt(factor * tol / ratio)
                 tau = CpMap(kept.kraus + (eps * b,), kept.shape)
                 assert abs(leak_ratio(tau) / tol - factor) < 1e-3 * factor
-                assert preserves_algebra(tau, tol) == preserves_by_matrix_units(tau, tol) == (factor < 1)
+                assert preserves_algebra(tau) == preserves_by_matrix_units(tau, tol) == (factor < 1)

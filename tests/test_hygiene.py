@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -59,3 +60,27 @@ def test_cli_import_leaves_scipy_out():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+# The tuning thresholds are module constants; each entry point takes only its
+# inputs and the --tol-* tolerances, so a re-added knob changes this table.
+ENTRY_POINTS = {
+    "spectral_structure": ["op", "rank_tol"],
+    "maximal_part": ["phi", "rank_tol"],
+    "perron_vector": ["phi", "psd_tol", "rank_tol"],
+    "maximal_factorization": ["tau", "rank_tol", "psd_tol"],
+    "maximal_ideal_check": ["tau", "rank_tol"],
+    "irreducible_cp": ["tau", "rank_tol", "psd_tol", "rng"],
+    "membership": ["a", "tau", "rank_tol"],
+    "preserves_algebra": ["tau"],
+    "jsr_tensor_approx": ["mats_list", "k"],
+    "norm_achieving_check": ["phi", "w", "psd_tol"],
+    "balance_similarity": ["a", "epsilon"],
+}
+
+
+def test_entry_point_signatures():
+    import cpspectra
+
+    got = {name: list(inspect.signature(getattr(cpspectra, name)).parameters) for name in ENTRY_POINTS}
+    assert got == ENTRY_POINTS

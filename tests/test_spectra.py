@@ -194,7 +194,7 @@ class TestJsrTensor:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            jsr_tensor_approx([np.eye(4)], 4, max_side=4096)
+            jsr_tensor_approx([np.eye(4)], 4)
 
 
 class TestScaledOuterRadius:
