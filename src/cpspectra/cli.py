@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import reference_maps
-from .algebra import AlgebraShape
+from .algebra import AlgebraShape, compress
 from .cpmap import (
     CpMap,
     algebra_map,
@@ -238,20 +238,18 @@ def _run_command(args, tol: Tolerance):
 
     elif cmd == "friedland":
         w, inputs["w"] = _load_matrix(args.w_file)
-        phi = algebra_map(tau)
-        value = friedland_value(phi, w, psd_tol=tol.psd_tol)
+        value = friedland_value(tau, w, psd_tol=tol.psd_tol)
         values["value"] = value
-        values["radius"] = spectral_radius_of(phi)
+        values["radius"] = spectral_radius_of(tau)
         residuals["above_radius"] = value - values["radius"]
 
     elif cmd == "witness":
         inputs["s"] = args.s
-        phi = algebra_map(tau)
-        w = neumann_witness(phi, args.s, conv_tol=tol.conv_tol, psd_tol=tol.psd_tol)
+        w = neumann_witness(tau, args.s, conv_tol=tol.conv_tol, psd_tol=tol.psd_tol)
         values["witness"] = matrix_to_json(w)
         values["s"] = args.s
-        residuals["equation"] = float(
-            np.linalg.norm(phi(w) - args.s * (w - np.eye(phi.m)))
+        residuals["equation"] = float(  # of iota o tau o E, the map's meaning
+            np.linalg.norm(tau(compress(w, tau.shape)) - args.s * (w - np.eye(tau.m)))
         )
 
     elif cmd == "balance":

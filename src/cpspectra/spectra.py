@@ -8,6 +8,7 @@ eigenvalue-quotient evaluators, resolvent witnesses and similarity balancing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ _KRAUS_STEPS = 400  # step cap of the matrix-free iterations
 _CHECK_EVERY = 5  # power steps between two brackets
 _BRACKET_TOL = 1e-12  # relative width at which a bracket counts as closed
 _POSITIVE_FLOOR = 1e-10  # lambda_min(w) / lambda_max(w) below which w is not strictly positive
-_TENSOR_SIDE = 4096  # largest superoperator side m^(2k) of jsr_tensor_approx
+_TENSOR_SIDE = 4096  # largest superoperator side C(m+k-1, k)^2 of jsr_tensor_approx
 _BALANCE_HORIZON = 256  # normalized powers screened by balance_similarity
 _POWER_BOUND = 1e3  # largest norm of a normalized power that counts as bounded
 _GROWTH_RATIO = 1.5  # largest late-to-early growth of the normalized powers
@@ -262,8 +263,10 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     """Brute-force joint spectral radius bounds from words up to length n_max.
 
     upper = min over n of max over length-n words of ``||product||^(1/n)``;
-    lower = max over enumerated words of ``r(product)^(1/|word|)``.  The
-    enumeration size ``d + d^2 + ... + d^n_max`` must fit the budget.
+    lower = max over enumerated words of ``r(product)^(1/|word|)``, where the
+    eigenvalues are taken for one word per necklace, since cyclic rotations
+    of a word share its spectrum.  The enumeration size
+    ``d + d^2 + ... + d^n_max`` must fit the budget.
     """
     mats = _checked_tuple(mats_list)
     if n_max < 1:
@@ -279,41 +282,84 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     lower, upper = 0.0, math.inf
     for n in range(1, n_max + 1):
         if n > 1:
-            level = np.einsum("kij,ajl->kail", level, gens).reshape(
-                -1, gens.shape[1], gens.shape[2]
-            )
+            level = (level[:, None] @ gens[None]).reshape(-1, gens.shape[1], gens.shape[2])
         svals = np.linalg.svd(level, compute_uv=False)
         norms_max = float(svals[:, 0].max())
-        radii_max = float(np.abs(np.linalg.eigvals(level)).max())
+        radii_max = float(np.abs(np.linalg.eigvals(level[_necklaces(d, n)])).max())
         upper = min(upper, norms_max ** (1.0 / n))
         lower = max(lower, radii_max ** (1.0 / n))
     return JsrEstimate(lower, upper, "brute", n_max)
 
 
-def _kron_power(a, k: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(k):
-        out = kron(out, a)
-    return out
+def _necklaces(d: int, n: int) -> np.ndarray:
+    """Indices of the length-n words over d letters that are least among their
+    cyclic rotations; a word's index has its first letter most significant."""
+    words = np.arange(d**n)
+    least, rotated = words, words
+    for _ in range(n - 1):
+        rotated = (rotated % d ** (n - 1)) * d + rotated // d ** (n - 1)
+        least = np.minimum(least, rotated)
+    return words[words == least]
+
+
+def _symmetric_lifts(m: int, k: int) -> list[np.ndarray]:
+    """The real isometries ``W_j`` of ``Sym^j(C^m)`` into ``C^m (x) Sym^(j-1)(C^m)``, j = 2..k.
+
+    The basis of ``Sym^j`` is the sorted index tuples ``t`` in lexicographic
+    order, ``e_t`` the normalised sum of the distinct rearrangements of ``t``.
+    Grouping the rearrangements by their first letter gives
+    ``e_t = sum_i sqrt(mult_t(i) / j) e_i (x) e_(t - i)``, with rows ordered
+    like :func:`numpy.kron`.
+    """
+    lifts = []
+    index = {(i,): i for i in range(m)}
+    for j in range(2, k + 1):
+        tuples = list(itertools.combinations_with_replacement(range(m), j))
+        w = np.zeros((m * len(index), len(tuples)))
+        for col, t in enumerate(tuples):
+            for i in set(t):
+                rest = list(t)
+                rest.remove(i)
+                w[i * len(index) + index[tuple(rest)], col] = math.sqrt(t.count(i) / j)
+        lifts.append(w)
+        index = {t: n for n, t in enumerate(tuples)}
+    return lifts
 
 
 def jsr_tensor_approx(mats_list, k: int) -> JsrEstimate:
-    """Joint spectral radius sandwich from k-fold Kronecker powers.
+    """Joint spectral radius sandwich from k-fold symmetric tensor powers.
 
-    With ``rho_k`` the outer radius of the tuple of k-th Kronecker powers,
-    ``d^(-1/2k) * rho_k^(1/k) <= rho <= rho_k^(1/k)``.  Raises
-    :class:`BudgetExceededError` when the required superoperator side
-    ``m^(2k)`` exceeds ``_TENSOR_SIDE = 4096``.
+    ``A^(x)k`` leaves ``Sym^k(C^m)``, of dimension ``D = C(m+k-1, k)``,
+    invariant, and on it ``||A_w^(x)k|| = ||A_w||^k`` (attained at
+    ``v^(x)k``), so the restricted tuple ``B_i = V* A_i^(x)k V`` has joint
+    spectral radius ``rho^k``.  With ``rho_k`` its outer radius,
+    ``d^(-1/2k) * rho_k^(1/k) <= rho <= rho_k^(1/k)``.  ``B_i`` is built by
+    ``B^(j) = W_j* (A_i (x) B^(j-1)) W_j`` (see :func:`_symmetric_lifts`), so
+    no m^k-side power is formed; k = 1 uses the tuple itself.  Raises
+    :class:`BudgetExceededError` when the superoperator side ``D^2`` exceeds
+    ``_TENSOR_SIDE = 4096``.
+
+    The bounds are exact only for the exact ``rho_k``.  For a non-normal
+    tuple the computed eigenvalue loses accuracy as k grows, so at large k
+    either end can miss the true joint spectral radius.
     """
     mats = _checked_tuple(mats_list)
     if k < 1:
         raise PreconditionError("jsr_tensor_approx requires k >= 1")
     m, d = mats[0].shape[0], len(mats)
-    if m ** (2 * k) > _TENSOR_SIDE:
+    side = math.comb(m + k - 1, k) ** 2
+    if side > _TENSOR_SIDE:
         raise BudgetExceededError(
-            f"tensor-power superoperator side {m ** (2 * k)} exceeds {_TENSOR_SIDE}"
+            f"symmetric-power superoperator side {side} exceeds {_TENSOR_SIDE}"
         )
-    rho_k = outer_radius([_kron_power(a, k) for a in mats])
+    lifts = _symmetric_lifts(m, k)
+    powers = []
+    for a in mats:
+        b = a
+        for w in lifts:
+            b = w.T @ kron(a, b) @ w
+        powers.append(b)
+    rho_k = outer_radius(powers)
     upper = rho_k ** (1.0 / k)
     lower = d ** (-1.0 / (2.0 * k)) * upper
     return JsrEstimate(lower, upper, "tensor_power", k)
@@ -355,16 +401,17 @@ def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
 def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Witness ``w = (id - phi/s)^(-1)(1)`` of ``r(phi) < s``.
 
-    Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on ``s <= r`` and
-    on near-singular solves whose residual exceeds ``conv_tol``.  A CpMap of
-    side ``m >= KRAUS_SIDE`` is solved by the fixed point ``w <- 1 + phi(w)/s``
-    through its Kraus list, and by the dense solve when that stalls.
+    Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on ``s <= r``
+    (and on NaN ``s``) and on near-singular solves whose residual exceeds
+    ``conv_tol``.  A CpMap of side ``m >= KRAUS_SIDE`` is solved by the fixed
+    point ``w <- 1 + phi(w)/s`` through its Kraus list, and by the dense
+    solve when that stalls.
     """
     kraus = _kraus_route(phi)
     if not kraus:
         phi = algebra_map(phi)
     r = spectral_radius_of(phi)
-    if s <= r:
+    if not s > r:
         raise PreconditionError(f"neumann_witness requires s > r(phi) = {r}")
     if s <= r + 10.0 * conv_tol * max(s, 1.0):
         raise ConvergenceError(
@@ -472,11 +519,13 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     10 * CLUSTER_TOL`` after scaling by ``r``) come first, Sylvester
     decoupling of the interior block, eigenvector diagonalization of the
     (semisimple) peripheral block, and a geometric diagonal scaling of the
-    interior block, halving ``epsilon`` (default 1) until the norm fits.  No
-    Jordan form is ever computed.
+    interior block, halving ``epsilon`` (default 1; it must be finite and
+    positive) until the norm fits.  No Jordan form is ever computed.
     """
     import scipy.linalg  # deferred: scipy is most of the package's import time
 
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise PreconditionError(f"epsilon must be finite and positive (got {epsilon})")
     a = as_matrix(a)
     n = a.shape[0]
     r = spectral_radius(a)
@@ -484,11 +533,12 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
         raise PreconditionError("balance_similarity requires a positive spectral radius")
     b = a / r
 
-    norms = np.empty(_BALANCE_HORIZON)
+    powers = np.empty((_BALANCE_HORIZON, n, n), dtype=complex)
     cur = np.eye(n, dtype=complex)
     for i in range(_BALANCE_HORIZON):
         cur = cur @ b
-        norms[i] = op_norm(cur)
+        powers[i] = cur
+    norms = np.linalg.svd(powers, compute_uv=False)[:, 0]
     early = float(norms[_BALANCE_HORIZON // 4 : _BALANCE_HORIZON // 2].max())
     late = float(norms[3 * _BALANCE_HORIZON // 4 :].max())
     if norms.max() > _POWER_BOUND or late > _GROWTH_RATIO * max(early, 1.0):

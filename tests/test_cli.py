@@ -4,9 +4,21 @@ import pathlib
 import numpy as np
 import pytest
 
-from cpspectra import AlgebraShape, CpMap, cli, matrix_from_json, matrix_to_json
+from cpspectra import (
+    AlgebraShape,
+    CpMap,
+    algebra_map,
+    cli,
+    compress,
+    cpmap,
+    friedland_value,
+    matrix_from_json,
+    matrix_to_json,
+    spectral_radius_of,
+)
 from cpspectra.cli import main
 from cpspectra.reference_maps import golden_ratio_map, trace_corner_map
+from helpers import random_matrix, random_strictly_positive
 
 GOLD = (1 + np.sqrt(5)) / 2
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -245,6 +257,65 @@ def test_exit_code_precondition(capsys, files):
     # witness below the spectral radius is a precondition violation
     code, report = run(capsys, ["witness", "--map", files["corner.json"], "--s", "0.5"])
     assert code == 2 and report["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "--map", str(DATA / "trace_corner_map.json"), "--s", "nan"], "requires s > r"),
+        (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=-1"], "epsilon"),
+        (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=0"], "epsilon"),
+        (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=nan"], "epsilon"),
+    ],
+    ids=["witness-s-nan", "balance-epsilon-negative", "balance-epsilon-zero", "balance-epsilon-nan"],
+)
+def test_bad_command_value_is_a_precondition_error(capsys, argv, message):
+    code, report = run(capsys, argv)
+    assert code == 2
+    assert set(report) == {"command", "error"}
+    assert report["error"]["code"] == "precondition"
+    assert message in report["error"]["message"]
+
+
+def test_friedland_and_witness_take_the_kraus_route_from_side_16(capsys, monkeypatch, tmp_path):
+    rng = np.random.default_rng(16)
+    tau = CpMap(tuple(random_matrix(rng, 16) for _ in range(2)), AlgebraShape.full(16))
+    w = random_strictly_positive(rng, 16)
+    s = 1.5 * float(np.linalg.norm(tau(np.eye(16)), 2))
+    dense = algebra_map(tau)
+    radius, value = spectral_radius_of(dense), friedland_value(dense, w)
+    (tmp_path / "map.json").write_text(json.dumps(tau.to_json()))
+    (tmp_path / "w.json").write_text(json.dumps(matrix_to_json(w)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the CLI built the m^2 x m^2 superoperator")
+
+    monkeypatch.setattr(cpmap, "superop_of", forbidden)
+    code, report = run(capsys, ["friedland", "--map", str(tmp_path / "map.json"), "--w", str(tmp_path / "w.json")])
+    assert code == 0
+    assert report["values"]["radius"] == pytest.approx(radius, rel=1e-12)
+    assert report["values"]["value"] == pytest.approx(value, rel=1e-12)
+    code, report = run(capsys, ["witness", "--map", str(tmp_path / "map.json"), "--s", repr(s)])
+    assert code == 0
+    witness = matrix_from_json(report["values"]["witness"])
+    assert np.linalg.norm(tau(witness) - s * (witness - np.eye(16))) < 1e-10
+    assert report["residuals"]["equation"] < 1e-10
+
+
+def test_witness_residual_is_that_of_the_compressed_map(capsys, tmp_path):
+    # off-block Kraus entries make tau(E(w)) differ from tau(w) once w leaks
+    rng = np.random.default_rng(17)
+    tau = CpMap(tuple(random_matrix(rng, 4) for _ in range(2)), AlgebraShape((2, 2)))
+    dense = algebra_map(tau)
+    s = 2.0 * spectral_radius_of(dense)
+    (tmp_path / "map.json").write_text(json.dumps(tau.to_json()))
+    code, report = run(capsys, ["witness", "--map", str(tmp_path / "map.json"), "--s", repr(s)])
+    assert code == 0
+    witness = matrix_from_json(report["values"]["witness"])
+    assert np.linalg.norm(witness - compress(witness, tau.shape)) > 1e-3
+    expected = float(np.linalg.norm(dense(witness) - s * (witness - np.eye(4))))
+    assert report["residuals"]["equation"] == pytest.approx(expected, abs=1e-14)
+    assert report["residuals"]["equation"] < 1e-10
 
 
 def test_exit_code_budget(capsys, files):

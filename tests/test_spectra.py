@@ -1,3 +1,6 @@
+import itertools
+import json
+import pathlib
 import time
 
 import numpy as np
@@ -19,6 +22,7 @@ from cpspectra import (
     jsr_brute,
     jsr_tensor_approx,
     kron,
+    matrix_from_json,
     neumann_witness,
     norm_achieving_check,
     op_norm,
@@ -54,6 +58,11 @@ from helpers import (
 )
 
 GOLD = (1 + np.sqrt(5)) / 2
+DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def _load_tuple(path):
+    return [matrix_from_json(m) for m in json.loads(path.read_text())["matrices"]]
 
 
 class TestSpectralRadius:
@@ -155,6 +164,35 @@ class TestJsrBrute:
         with pytest.raises(BudgetExceededError):
             jsr_brute([np.eye(2)] * 2, 30, budget=10**4)
 
+    def test_matches_the_every_word_loop(self):
+        # reference: each word's product, norm and spectral radius one by one,
+        # with no necklace reduction (rotations give the same radius up to rounding)
+        rng = np.random.default_rng(15)
+        for m, d, n_max in ((2, 2, 8), (3, 3, 5), (5, 2, 6)):
+            mats = [random_matrix(rng, m) for _ in range(d)]
+            lower, upper = 0.0, np.inf
+            for n in range(1, n_max + 1):
+                norms, radii = [], []
+                for word in itertools.product(range(d), repeat=n):
+                    prod = np.eye(m, dtype=complex)
+                    for i in word:
+                        prod = prod @ mats[i]
+                    norms.append(op_norm(prod))
+                    radii.append(spectral_radius(prod))
+                upper = min(upper, max(norms) ** (1 / n))
+                lower = max(lower, max(radii) ** (1 / n))
+            est = jsr_brute(mats, n_max)
+            assert est.upper == pytest.approx(upper, rel=1e-13)
+            assert est.lower == pytest.approx(lower, rel=1e-13)
+
+    def test_necklace_representatives(self):
+        from cpspectra.spectra import _necklaces
+
+        for d, n in ((2, 1), (2, 6), (3, 4), (4, 3)):
+            words = list(itertools.product(range(d), repeat=n))
+            least = [i for i, w in enumerate(words) if all(w <= w[r:] + w[:r] for r in range(n))]
+            assert _necklaces(d, n).tolist() == least
+
 
 class TestJsrTensor:
     def test_k1_reduces_to_plain_sandwich(self):
@@ -172,6 +210,17 @@ class TestJsrTensor:
             est = jsr_tensor_approx([a], k)
             assert est.lower == pytest.approx(est.upper)
             assert est.upper == pytest.approx(spectral_radius(a), rel=1e-8, abs=1e-10)
+
+    def test_singleton_at_k_20(self):
+        # Sym^20(C^2) has side 21, so the 2^20-side Kronecker power is never
+        # formed.  A normal matrix keeps the eigenvalue well conditioned; a
+        # non-normal one loses accuracy as k grows (see the docstring).
+        a = random_normal_matrix(np.random.default_rng(20), 2, radius=0.9)
+        start = time.perf_counter()
+        est = jsr_tensor_approx([a], 20)
+        assert time.perf_counter() - start < 1.0
+        assert est.lower == pytest.approx(est.upper)
+        assert est.upper == pytest.approx(0.9, rel=1e-12)
 
     def test_tensor_power_exactness(self):
         rng = np.random.default_rng(6)
@@ -192,9 +241,76 @@ class TestJsrTensor:
             est = jsr_tensor_approx([a, b], k)
             assert est.lower - 1e-9 <= mid <= est.upper + 1e-9
 
+    @staticmethod
+    def _kron_power_bounds(mats, k):
+        """The bounds from the full m^k-side Kronecker powers, for reference."""
+        powers = []
+        for a in mats:
+            out = np.ones((1, 1), dtype=complex)
+            for _ in range(k):
+                out = kron(out, a)
+            powers.append(out)
+        upper = outer_radius(powers) ** (1.0 / k)
+        return len(mats) ** (-0.5 / k) * upper, upper
+
+    # (m, k, d, real); (4, 3) is left out: its 4096-side reference eig takes ~100 s
+    SUITE = [
+        (m, k, d, real)
+        for m, k in ((2, 2), (2, 3), (3, 2), (4, 2))
+        for d in (2, 3)
+        for real in (True, False)
+    ] + [(3, 3, 2, False), (3, 3, 3, True)]
+
+    @pytest.mark.parametrize("m, k, d, real", SUITE)
+    def test_symmetric_power_equals_kronecker_power(self, m, k, d, real):
+        rng = np.random.default_rng(1000 * m + 100 * k + 10 * d + real)
+        mats = [random_matrix(rng, m) for _ in range(d)]
+        if real:
+            mats = [a.real for a in mats]
+        est = jsr_tensor_approx(mats, k)
+        lower, upper = self._kron_power_bounds(mats, k)
+        assert est.upper == pytest.approx(upper, rel=1e-10)
+        assert est.lower == pytest.approx(lower, rel=1e-10)
+
+    def test_golden_pair_at_k_8_brackets_brute(self):
+        mats = _load_tuple(DEMO_DATA / "golden_pair.json")
+        brute = jsr_brute(mats, 12)
+        est, wide = jsr_tensor_approx(mats, 8), jsr_tensor_approx(mats, 2)
+        assert est.lower <= brute.lower and brute.upper <= est.upper
+        assert est.upper - est.lower < wide.upper - wide.lower
+
+    @pytest.mark.parametrize("m, k", [(2, 20), (3, 5), (4, 3)])
+    def test_lift_never_forms_the_kronecker_power(self, monkeypatch, m, k):
+        from math import comb
+
+        from cpspectra import spectra
+
+        rng = np.random.default_rng(m + k)
+        mats = [random_matrix(rng, m) for _ in range(2)]
+        sides, lifted = [], []
+        real_kron = np.kron
+
+        def spy(a, b):
+            out = real_kron(a, b)
+            sides.append(out.shape[0])
+            return out
+
+        def record(powers):
+            lifted.extend(powers)
+            return 1.0
+
+        monkeypatch.setattr(np, "kron", spy)
+        monkeypatch.setattr(spectra, "outer_radius", record)  # keeps the superoperator out
+        jsr_tensor_approx(mats, k)
+        assert len(sides) == 2 * (k - 1)
+        assert max(sides) <= m * comb(m + k - 2, k - 1) < m**k
+        assert [b.shape for b in lifted] == [(comb(m + k - 1, k),) * 2] * 2
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            jsr_tensor_approx([np.eye(4)], 4)
+            jsr_tensor_approx([np.eye(4)], 8)  # C(11, 8)^2 = 27225
+        est = jsr_tensor_approx([np.eye(4)], 4)  # C(7, 4)^2 = 1225, over m^(2k) = 65536
+        assert (est.lower, est.upper) == pytest.approx((1.0, 1.0), rel=1e-12)
 
 
 class TestScaledOuterRadius:
@@ -282,6 +398,11 @@ class TestNeumannWitness:
         with pytest.raises(PreconditionError):
             neumann_witness(phi, 0.5)
 
+    def test_rejects_nan_s(self):
+        for phi in (algebra_map(trace_corner_map()), trace_corner_map()):
+            with pytest.raises(PreconditionError, match="requires s > r"):
+                neumann_witness(phi, float("nan"))
+
     def test_near_singular_solve_reported(self):
         phi = algebra_map(trace_corner_map())
         with pytest.raises((PreconditionError, ConvergenceError)):
@@ -360,6 +481,26 @@ class TestBalanceSimilarity:
     def test_rejects_nilpotent(self):
         with pytest.raises(PreconditionError):
             balance_similarity(np.array([[0.0, 1.0], [0, 0.0]]))
+
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_bad_epsilon(self, epsilon):
+        a = np.array([[1.0, 0, 0], [0, 0.5, 100.0], [0, 0, 0.5]])
+        with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
+            balance_similarity(a, epsilon=epsilon)
+
+    def test_batched_power_screen_equals_op_norm_loop(self):
+        # the screen takes all 256 norms from one batched SVD; the loop of
+        # op_norm calls it replaced is the reference, bit for bit
+        rng = np.random.default_rng(14)
+        for side in (4, 12, 16, 24, 32):
+            b = random_normal_matrix(rng, side)
+            powers = np.empty((256, side, side), dtype=complex)
+            cur = np.eye(side, dtype=complex)
+            for i in range(256):
+                cur = cur @ b
+                powers[i] = cur
+            batched = np.linalg.svd(powers, compute_uv=False)[:, 0]
+            assert np.array_equal(batched, [op_norm(p) for p in powers])
 
 
 class TestSingularPsdCombination:
