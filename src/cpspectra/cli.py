@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import reference_maps
-from .algebra import AlgebraShape, compress
+from .algebra import AlgebraShape
 from .cpmap import (
     CpMap,
     algebra_map,
@@ -41,6 +41,7 @@ from .perron import (
     perron_vector,
 )
 from .spectra import (
+    _action,
     balance_similarity,
     conjugate_map,
     friedland_value,
@@ -164,7 +165,7 @@ def _build_parser(env_warnings: list[str]) -> argparse.ArgumentParser:
     p.add_argument("--tuple", required=True, dest="tuple_file")
     p.add_argument("--method", choices=["brute", "tensor"], required=True)
     p.add_argument("--n", type=int, default=10, help="max word length (brute)")
-    p.add_argument("--k", type=int, default=1, help="Kronecker power (tensor)")
+    p.add_argument("--k", type=int, default=1, help="symmetric tensor power (tensor)")
 
     p = sub.add_parser("friedland", parents=[map_args], help="eigenvalue-quotient evaluator r(w^-1 phi(w))")
     p.add_argument("--w", required=True, dest="w_file")
@@ -248,9 +249,8 @@ def _run_command(args, tol: Tolerance):
         w = neumann_witness(tau, args.s, conv_tol=tol.conv_tol, psd_tol=tol.psd_tol)
         values["witness"] = matrix_to_json(w)
         values["s"] = args.s
-        residuals["equation"] = float(  # of iota o tau o E, the map's meaning
-            np.linalg.norm(tau(compress(w, tau.shape)) - args.s * (w - np.eye(tau.m)))
-        )
+        act = _action(tau)[1]  # iota o tau o E, the map's meaning
+        residuals["equation"] = float(np.linalg.norm(act(w) - args.s * (w - np.eye(tau.m))))
 
     elif cmd == "balance":
         mat, raw = _load_matrix(args.matrix_file)

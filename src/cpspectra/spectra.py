@@ -65,6 +65,7 @@ _BRACKET_TOL = 1e-12  # relative width at which a bracket counts as closed
 _POSITIVE_FLOOR = 1e-10  # lambda_min(w) / lambda_max(w) below which w is not strictly positive
 _TENSOR_SIDE = 4096  # largest superoperator side C(m+k-1, k)^2 of jsr_tensor_approx
 _BALANCE_HORIZON = 256  # normalized powers screened by balance_similarity
+_POWER_CHUNK = 32  # powers per batched SVD of the screen (divides _BALANCE_HORIZON)
 _POWER_BOUND = 1e3  # largest norm of a normalized power that counts as bounded
 _GROWTH_RATIO = 1.5  # largest late-to-early growth of the normalized powers
 _BALANCE_SLACK = 1e-6  # relative excess of the balanced norm over r
@@ -282,7 +283,9 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     lower, upper = 0.0, math.inf
     for n in range(1, n_max + 1):
         if n > 1:
-            level = (level[:, None] @ gens[None]).reshape(-1, gens.shape[1], gens.shape[2])
+            level = np.einsum("kij,ajl->kail", level, gens).reshape(
+                -1, gens.shape[1], gens.shape[2]
+            )
         svals = np.linalg.svd(level, compute_uv=False)
         norms_max = float(svals[:, 0].max())
         radii_max = float(np.abs(np.linalg.eigvals(level[_necklaces(d, n)])).max())
@@ -326,6 +329,48 @@ def _symmetric_lifts(m: int, k: int) -> list[np.ndarray]:
     return lifts
 
 
+def _lifted_radius(tau: CpMap, k: int) -> float:
+    """Spectral radius of the map of a lifted tuple, checked to be well determined.
+
+    A closed Kraus bracket is certified.  Otherwise the dense ``eig`` of the
+    superoperator ``M`` moves each eigenvalue ``lambda_j`` by about
+    ``eps ||M||_F ||x_j|| ||y_j||`` (first order, ``y_j*`` the rows of the
+    inverse eigenvector matrix), and the spectral radius lies between the
+    largest ``|lambda_j| -`` and ``|lambda_j| +`` that error.  Raises
+    :class:`ConvergenceError` when this bracket, carried to the k-th root
+    bound ``r^(1/2k)``, is wider than ``CHECK_TOL`` relative; a singular
+    eigenvector matrix (a defective eigenvalue) gives no bound and raises too.
+    """
+    if _kraus_route(tau):
+        try:
+            bounds = spectral_radius_bounds(tau)
+            return (bounds.lower + bounds.upper) / 2.0
+        except ConvergenceError:
+            pass
+    mat = superop_matrix(tau)
+    lam, right = np.linalg.eig(mat)
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError:  # a defective eigenvalue: no first-order bound
+        left = np.full_like(right, np.inf)
+    mag = np.abs(lam)
+    radius = float(mag.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = (
+            np.finfo(float).eps
+            * np.linalg.norm(mat)
+            * np.linalg.norm(right, axis=0)
+            * np.linalg.norm(left, axis=1)
+        )
+        width = float(np.max(mag + err) - max(np.max(mag - err), 0.0))
+    if not width <= 2.0 * k * CHECK_TOL * radius:
+        raise ConvergenceError(
+            f"lifted spectral radius {radius:.6e} is ill-conditioned at k = {k}"
+            f" (first-order error bracket of width {width:.3e})"
+        )
+    return radius
+
+
 def jsr_tensor_approx(mats_list, k: int) -> JsrEstimate:
     """Joint spectral radius sandwich from k-fold symmetric tensor powers.
 
@@ -335,13 +380,14 @@ def jsr_tensor_approx(mats_list, k: int) -> JsrEstimate:
     spectral radius ``rho^k``.  With ``rho_k`` its outer radius,
     ``d^(-1/2k) * rho_k^(1/k) <= rho <= rho_k^(1/k)``.  ``B_i`` is built by
     ``B^(j) = W_j* (A_i (x) B^(j-1)) W_j`` (see :func:`_symmetric_lifts`), so
-    no m^k-side power is formed; k = 1 uses the tuple itself.  Raises
-    :class:`BudgetExceededError` when the superoperator side ``D^2`` exceeds
-    ``_TENSOR_SIDE = 4096``.
+    no m^k-side power is formed.  Raises :class:`BudgetExceededError` when
+    the superoperator side ``D^2`` exceeds ``_TENSOR_SIDE = 4096``.
 
-    The bounds are exact only for the exact ``rho_k``.  For a non-normal
-    tuple the computed eigenvalue loses accuracy as k grows, so at large k
-    either end can miss the true joint spectral radius.
+    k = 1 is :func:`outer_radius` of the tuple itself.  From k = 2 the
+    lifted radius must be well determined (:func:`_lifted_radius`): for a
+    non-normal tuple the eigenvalue's condition grows with k, and where its
+    error could move ``rho_k^(1/k)`` by more than ``CHECK_TOL = 1e-8``
+    relative, :class:`ConvergenceError` is raised in place of bounds.
     """
     mats = _checked_tuple(mats_list)
     if k < 1:
@@ -352,14 +398,17 @@ def jsr_tensor_approx(mats_list, k: int) -> JsrEstimate:
         raise BudgetExceededError(
             f"symmetric-power superoperator side {side} exceeds {_TENSOR_SIDE}"
         )
-    lifts = _symmetric_lifts(m, k)
-    powers = []
-    for a in mats:
-        b = a
-        for w in lifts:
-            b = w.T @ kron(a, b) @ w
-        powers.append(b)
-    rho_k = outer_radius(powers)
+    if k == 1:
+        rho_k = outer_radius(mats)
+    else:
+        lifts = _symmetric_lifts(m, k)
+        powers = []
+        for a in mats:
+            b = a
+            for w in lifts:
+                b = w.T @ kron(a, b) @ w
+            powers.append(b)
+        rho_k = math.sqrt(_lifted_radius(_tuple_map(powers), k))
     upper = rho_k ** (1.0 / k)
     lower = d ** (-1.0 / (2.0 * k)) * upper
     return JsrEstimate(lower, upper, "tensor_power", k)
@@ -508,6 +557,21 @@ class BalanceResult:
     radius: float
 
 
+def _power_norms(b: np.ndarray) -> np.ndarray:
+    """Operator norms of ``b, b^2, ..., b^_BALANCE_HORIZON``, one batched SVD
+    per ``_POWER_CHUNK`` powers, so memory stays O(n^2)."""
+    n = b.shape[0]
+    norms = np.empty(_BALANCE_HORIZON)
+    chunk = np.empty((_POWER_CHUNK, n, n), dtype=complex)
+    cur = np.eye(n, dtype=complex)
+    for start in range(0, _BALANCE_HORIZON, _POWER_CHUNK):
+        for i in range(_POWER_CHUNK):
+            cur = cur @ b
+            chunk[i] = cur
+        norms[start : start + _POWER_CHUNK] = np.linalg.svd(chunk, compute_uv=False)[:, 0]
+    return norms
+
+
 def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     """Invertible P with ``||P a P^-1|| <= r(a) * (1 + _BALANCE_SLACK)``, slack ``1e-6``.
 
@@ -533,12 +597,7 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
         raise PreconditionError("balance_similarity requires a positive spectral radius")
     b = a / r
 
-    powers = np.empty((_BALANCE_HORIZON, n, n), dtype=complex)
-    cur = np.eye(n, dtype=complex)
-    for i in range(_BALANCE_HORIZON):
-        cur = cur @ b
-        powers[i] = cur
-    norms = np.linalg.svd(powers, compute_uv=False)[:, 0]
+    norms = _power_norms(b)
     early = float(norms[_BALANCE_HORIZON // 4 : _BALANCE_HORIZON // 2].max())
     late = float(norms[3 * _BALANCE_HORIZON // 4 :].max())
     if norms.max() > _POWER_BOUND or late > _GROWTH_RATIO * max(early, 1.0):

@@ -213,14 +213,35 @@ class TestJsrTensor:
 
     def test_singleton_at_k_20(self):
         # Sym^20(C^2) has side 21, so the 2^20-side Kronecker power is never
-        # formed.  A normal matrix keeps the eigenvalue well conditioned; a
-        # non-normal one loses accuracy as k grows (see the docstring).
+        # formed.  A normal matrix keeps the lifted eigenvalue well conditioned.
         a = random_normal_matrix(np.random.default_rng(20), 2, radius=0.9)
         start = time.perf_counter()
         est = jsr_tensor_approx([a], 20)
         assert time.perf_counter() - start < 1.0
         assert est.lower == pytest.approx(est.upper)
         assert est.upper == pytest.approx(0.9, rel=1e-12)
+
+    def test_ill_conditioned_lift_raises_in_place_of_wrong_bounds(self):
+        # The non-normal singleton of test_singleton_collapses: its lifted
+        # eigenvalue's condition grows with k, and the unchecked dense eig put
+        # upper below r(a) at k = 12 and lower = upper = 1.3 r(a) at k = 20.
+        # Every k returns bounds that bracket r(a) or raises ConvergenceError.
+        a = random_matrix(np.random.default_rng(5), 2)
+        r = spectral_radius(a)
+        for k in range(1, 21):
+            try:
+                est = jsr_tensor_approx([a], k)
+            except ConvergenceError:
+                assert k >= 8
+                continue
+            assert est.lower <= r * (1 + 1e-8) and est.upper >= r * (1 - 1e-8)
+        with pytest.raises(ConvergenceError, match="ill-conditioned at k = 20"):
+            jsr_tensor_approx([a], 20)
+
+    def test_defective_lift_raises(self):
+        # a nilpotent singleton lifts to a nilpotent map: no first-order bound
+        with pytest.raises(ConvergenceError, match="ill-conditioned at k = 2"):
+            jsr_tensor_approx([np.array([[0.0, 1.0], [0.0, 0.0]])], 2)
 
     def test_tensor_power_exactness(self):
         rng = np.random.default_rng(6)
@@ -295,12 +316,12 @@ class TestJsrTensor:
             sides.append(out.shape[0])
             return out
 
-        def record(powers):
-            lifted.extend(powers)
+        def record(tau, k):
+            lifted.extend(tau.kraus)
             return 1.0
 
         monkeypatch.setattr(np, "kron", spy)
-        monkeypatch.setattr(spectra, "outer_radius", record)  # keeps the superoperator out
+        monkeypatch.setattr(spectra, "_lifted_radius", record)  # keeps the superoperator out
         jsr_tensor_approx(mats, k)
         assert len(sides) == 2 * (k - 1)
         assert max(sides) <= m * comb(m + k - 2, k - 1) < m**k
@@ -488,19 +509,18 @@ class TestBalanceSimilarity:
         with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
             balance_similarity(a, epsilon=epsilon)
 
-    def test_batched_power_screen_equals_op_norm_loop(self):
-        # the screen takes all 256 norms from one batched SVD; the loop of
-        # op_norm calls it replaced is the reference, bit for bit
+    def test_power_norms_equal_the_op_norm_loop(self):
+        # the screen's batched SVDs, chunk by chunk, against one op_norm per power
+        from cpspectra.spectra import _BALANCE_HORIZON, _power_norms
+
         rng = np.random.default_rng(14)
         for side in (4, 12, 16, 24, 32):
             b = random_normal_matrix(rng, side)
-            powers = np.empty((256, side, side), dtype=complex)
-            cur = np.eye(side, dtype=complex)
-            for i in range(256):
+            loop, cur = [], np.eye(side, dtype=complex)
+            for _ in range(_BALANCE_HORIZON):
                 cur = cur @ b
-                powers[i] = cur
-            batched = np.linalg.svd(powers, compute_uv=False)[:, 0]
-            assert np.array_equal(batched, [op_norm(p) for p in powers])
+                loop.append(op_norm(cur))
+            assert np.array_equal(_power_norms(b), loop)
 
 
 class TestSingularPsdCombination:
