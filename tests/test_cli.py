@@ -277,6 +277,16 @@ def test_bad_command_value_is_a_precondition_error(capsys, argv, message):
     assert message in report["error"]["message"]
 
 
+def test_ill_conditioned_tensor_bound_is_a_typed_error(capsys, tmp_path):
+    # the non-normal singleton whose unchecked k = 20 bounds missed its JSR
+    a = random_matrix(np.random.default_rng(5), 2)
+    (tmp_path / "tuple.json").write_text(json.dumps({"matrices": [matrix_to_json(a)]}))
+    code, report = run(capsys, ["jsr", "--method", "tensor", "--k", "20", "--tuple", str(tmp_path / "tuple.json")])
+    assert code == 2
+    assert report["error"]["code"] == "precondition"
+    assert "ill-conditioned at k = 20" in report["error"]["message"]
+
+
 def test_friedland_and_witness_take_the_kraus_route_from_side_16(capsys, monkeypatch, tmp_path):
     rng = np.random.default_rng(16)
     tau = CpMap(tuple(random_matrix(rng, 16) for _ in range(2)), AlgebraShape.full(16))
