@@ -18,14 +18,16 @@ one coercion from a map to its matrix under this reading; spectral radii,
 norms, powers and maximal parts all go through it.  Its matrix equals, up to
 round-off, the superoperator of :func:`canonical_extension`.  Only
 :func:`algebra_map`, which applies the mask, and :func:`preserves_algebra`,
-which tests the off-block action, read the raw Kraus superoperator.  The
-large-side routes of :mod:`cpspectra.spectra` apply the same
-``iota o tau o E`` through :func:`_kraus_step` and never build the matrix.
+which tests the off-block action, read the raw Kraus superoperator.  Calling
+a :class:`CpMap` applies the same ``iota o tau o E`` through its Kraus list
+(:meth:`CpMap.step`, which the large-side routes of :mod:`cpspectra.spectra`
+iterate) and never builds the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,10 +91,12 @@ class SuperOperator:
 
 @dataclass(frozen=True)
 class CpMap:
-    """CP map ``X -> sum_i A_i* X A_i`` on the algebra described by ``shape``.
+    """CP map ``X -> sum_i A_i* E(X) A_i`` on the algebra described by ``shape``.
 
     The Kraus list is non-empty and all operators share side ``shape.m``.
-    The induced Choi matrix is automatically PSD for any Kraus list.
+    The induced Choi matrix is automatically PSD for any Kraus list.  Calling
+    the map applies ``iota o tau o E``: ``E`` first zeroes the off-block
+    entries of ``X``, so the raw Kraus action off the algebra never counts.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -114,12 +118,26 @@ class CpMap:
     def m(self) -> int:
         return self.shape.m
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The adjoint and Kraus stacks and the in-algebra mask, built once per map."""
+        stack = np.stack(self.kraus)
+        mask = None if self.shape.is_full else self.shape.vec_mask().reshape(self.m, self.m)
+        return stack.conj().transpose(0, 2, 1), stack, mask
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """``x -> tau(E(x))`` on a complex m x m array, unvalidated, for iterations.
+
+        Costs ``O(k m^3)`` per call and builds no superoperator; equals
+        ``superop_matrix(self)`` applied to ``vec x`` up to round-off.
+        """
+        adjoints, stack, mask = self._stacked
+        if mask is not None:
+            x = np.where(mask, x, 0)
+        return (adjoints @ x @ stack).sum(axis=0)
+
     def __call__(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        out = np.zeros((self.m, self.m), dtype=complex)
-        for a in self.kraus:
-            out += a.conj().T @ x @ a
-        return out
+        return self.step(as_matrix(x))
 
     def to_json(self) -> dict:
         from .mats import matrix_to_json
@@ -211,25 +229,6 @@ def superop_matrix(op) -> np.ndarray:
     if mat.shape[0] != mat.shape[1]:
         raise PreconditionError("operator matrix must be square")
     return mat
-
-
-def _kraus_step(tau: CpMap):
-    """``x -> tau(E(x))``: the action of ``iota o tau o E`` through the Kraus list.
-
-    Costs ``O(k m^3)`` per call and builds no superoperator; equals
-    ``superop_matrix(tau)`` applied to ``vec x`` up to round-off.
-    """
-    stack = np.stack(tau.kraus)
-    adjoints = stack.conj().transpose(0, 2, 1)
-    m = tau.m
-    mask = None if tau.shape.is_full else tau.shape.vec_mask().reshape(m, m)
-
-    def step(x: np.ndarray) -> np.ndarray:
-        if mask is not None:
-            x = np.where(mask, x, 0)
-        return (adjoints @ x @ stack).sum(axis=0)
-
-    return step
 
 
 def superop_of(tau: CpMap) -> SuperOperator:

@@ -50,7 +50,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise FormatError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise FormatError("matrix entries must be finite")
     return m
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraShape, compress, in_algebra
-from .cpmap import AlgebraMap, CpMap, _kraus_step, algebra_map, superop_matrix
+from .cpmap import AlgebraMap, CpMap, algebra_map, superop_matrix
 from .errors import BudgetExceededError, ConvergenceError, PreconditionError
 from .mats import (
     CHECK_TOL,
@@ -75,13 +74,10 @@ def _kraus_route(op) -> bool:
     return isinstance(op, CpMap) and op.m >= KRAUS_SIDE
 
 
-def _action(phi) -> tuple[AlgebraShape, Callable[[np.ndarray], np.ndarray]]:
-    """Shape and action ``x -> phi(x)`` of a map: through the Kraus list on the
-    Kraus route, else through the masked superoperator."""
-    if _kraus_route(phi):
-        return phi.shape, _kraus_step(phi)
-    phi = algebra_map(phi)
-    return phi.shape, phi
+def _action(phi) -> CpMap | AlgebraMap:
+    """The map object that applies ``phi``: the CpMap itself on the Kraus route,
+    applied through its Kraus list, else the masked superoperator."""
+    return phi if _kraus_route(phi) else algebra_map(phi)
 
 
 @dataclass(frozen=True)
@@ -118,10 +114,9 @@ def spectral_radius_bounds(tau: CpMap) -> RadiusBounds:
     """
     if not isinstance(tau, CpMap):
         raise PreconditionError("spectral_radius_bounds requires a CpMap")
-    step = _kraus_step(tau)
     x = np.eye(tau.m, dtype=complex)
     for n in range(_KRAUS_STEPS):
-        y = step(x)
+        y = tau.step(x)
         if not tau.shape.is_full:
             y = compress(y, tau.shape)
         y = (y + y.conj().T) / 2.0
@@ -165,7 +160,7 @@ def spectral_radius_of(op) -> float:
 def positive_map_norm(op) -> float:
     """Norm of a positive map, ``||phi|| = ||phi(1)||``."""
     if _kraus_route(op):
-        return op_norm(_kraus_step(op)(np.eye(op.m, dtype=complex)))
+        return op_norm(op.step(np.eye(op.m, dtype=complex)))
     mat = superop_matrix(op)
     m = side_of(mat.shape[0])
     return op_norm(unvec(mat @ vec(np.eye(m, dtype=complex)), m))
@@ -214,10 +209,9 @@ def outer_radius_gelfand(mats_list, n: int) -> float:
 
     tau = _tuple_map(mats)
     if _kraus_route(tau) and n * len(mats) <= m**3:
-        step = _kraus_step(tau)
         x, log_x = np.eye(m, dtype=complex), 0.0
         for _ in range(n):
-            x, log_x, x_zero = _normalize(step(x), log_x)
+            x, log_x, x_zero = _normalize(tau.step(x), log_x)
             if x_zero:
                 return 0.0
         return math.exp((log_x + math.log(op_norm(x))) / (2.0 * n))
@@ -438,9 +432,9 @@ def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
     Always at least the spectral radius of the (positive) map; equality holds
     at a Perron eigenvector.
     """
-    shape, act = _action(phi)
+    act = _action(phi)
     w = as_matrix(w)
-    if not in_algebra(w, shape, psd_tol):
+    if not in_algebra(w, act.shape, psd_tol):
         raise PreconditionError("w must belong to the block algebra")
     if not psd_report(w, psd_tol).is_strictly_positive:
         raise PreconditionError("w must be strictly positive")
@@ -450,29 +444,28 @@ def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
 def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Witness ``w = (id - phi/s)^(-1)(1)`` of ``r(phi) < s``.
 
-    Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on ``s <= r``
-    (and on NaN ``s``) and on near-singular solves whose residual exceeds
-    ``conv_tol``.  A CpMap of side ``m >= KRAUS_SIDE`` is solved by the fixed
-    point ``w <- 1 + phi(w)/s`` through its Kraus list, and by the dense
-    solve when that stalls.
+    Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on an infinite
+    ``s``, on ``s <= r`` (and on NaN ``s``) and on near-singular solves whose
+    residual exceeds ``conv_tol``.  A CpMap of side ``m >= KRAUS_SIDE`` is
+    solved by the fixed point ``w <- 1 + phi(w)/s`` through its Kraus list,
+    and by the dense solve when that stalls.
     """
-    kraus = _kraus_route(phi)
-    if not kraus:
-        phi = algebra_map(phi)
-    r = spectral_radius_of(phi)
+    if math.isinf(s):
+        raise PreconditionError(f"neumann_witness requires a finite s (got {s})")
+    act = _action(phi)
+    r = spectral_radius_of(act)
     if not s > r:
         raise PreconditionError(f"neumann_witness requires s > r(phi) = {r}")
     if s <= r + 10.0 * conv_tol * max(s, 1.0):
         raise ConvergenceError(
             f"resolvent at s = {s} is near-singular (spectral radius {r})"
         )
-    shape, act = _action(phi)
-    m = shape.m
+    m = act.m
     one = np.eye(m, dtype=complex)
-    w = _neumann_iterate(act, s, one, 1e-2 * conv_tol) if kraus else None
+    w = _neumann_iterate(act.step, s, one, 1e-2 * conv_tol) if isinstance(act, CpMap) else None
     if w is None:
         ident = np.eye(m * m, dtype=complex)
-        w = unvec(np.linalg.solve(ident - superop_matrix(phi) / s, vec(one)), m)
+        w = unvec(np.linalg.solve(ident - superop_matrix(act) / s, vec(one)), m)
     w = (w + w.conj().T) / 2.0
     residual = float(np.linalg.norm(act(w) - s * (w - one)))
     if residual >= conv_tol:
@@ -487,12 +480,13 @@ def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD
     return w
 
 
-def _neumann_iterate(act, s: float, one: np.ndarray, tol: float) -> np.ndarray | None:
-    """Fixed point of ``w <- 1 + phi(w) / s``, converging at rate ``r / s``;
-    None when ``||phi(w) - s (w - 1)|| < tol`` is not reached within the step cap."""
+def _neumann_iterate(step, s: float, one: np.ndarray, tol: float) -> np.ndarray | None:
+    """Fixed point of ``w <- 1 + phi(w) / s`` through ``step = phi``, converging at
+    rate ``r / s``; None when ``||phi(w) - s (w - 1)|| < tol`` is not reached
+    within the step cap."""
     w = one
     for _ in range(_KRAUS_STEPS):
-        image = act(w)
+        image = step(w)
         if np.linalg.norm(image - s * (w - one)) < tol:
             return w
         w = one + image / s

@@ -14,6 +14,7 @@ from cpspectra import (
     friedland_value,
     matrix_from_json,
     matrix_to_json,
+    spectra,
     spectral_radius_of,
 )
 from cpspectra.cli import main
@@ -63,11 +64,22 @@ def run(capsys, argv):
     return code, json.loads(out)
 
 
-def test_outer_radius(capsys, files):
+def test_outer_radius(capsys, files, monkeypatch):
+    calls = []
+
+    def counted(op, _original=spectra.spectral_radius_of):
+        calls.append(op)
+        return _original(op)
+
+    monkeypatch.setattr(spectra, "spectral_radius_of", counted)
+    monkeypatch.setattr(cli, "spectral_radius_of", counted)
     code, report = run(capsys, ["outer-radius", "--tuple", files["single_identity.json"]])
     assert code == 0
     assert report["values"]["value"] == pytest.approx(1.0)
     assert set(report) == {"command", "inputs_digest", "values", "residuals", "warnings", "elapsed"}
+    # the outer radius is computed once; a second radius of the same map checks only rounding
+    assert report["residuals"] == {}
+    assert len(calls) == 1
 
 
 def test_jsr_both_methods(capsys, files):
@@ -263,11 +275,12 @@ def test_exit_code_precondition(capsys, files):
     "argv, message",
     [
         (["witness", "--map", str(DATA / "trace_corner_map.json"), "--s", "nan"], "requires s > r"),
+        (["witness", "--map", str(DATA / "trace_corner_map.json"), "--s", "inf"], "requires a finite s"),
         (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=-1"], "epsilon"),
         (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=0"], "epsilon"),
         (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=nan"], "epsilon"),
     ],
-    ids=["witness-s-nan", "balance-epsilon-negative", "balance-epsilon-zero", "balance-epsilon-nan"],
+    ids=["witness-s-nan", "witness-s-inf", "balance-epsilon-negative", "balance-epsilon-zero", "balance-epsilon-nan"],
 )
 def test_bad_command_value_is_a_precondition_error(capsys, argv, message):
     code, report = run(capsys, argv)

@@ -48,6 +48,33 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names that a module imports from another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "cpspectra"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    found.append(f"{alias.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    # a helper another module needs belongs on the public surface or on the object it serves
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_private_import():
+    source = (
+        "from .cpmap import CpMap, _kraus_step\n"
+        "from cpspectra.spectra import _action\n"
+        "from . import __version__\n"
+        "from numpy.linalg import _umath_linalg\n"
+    )
+    assert private_imports(source) == ["_kraus_step (line 1)", "_action (line 2)"]
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is most of the import time; the package imports it where it is used
     probe = "import sys, cpspectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -334,6 +334,25 @@ class TestBlockMapMeaning:
         r = spectral_radius_of(tau)
         assert np.linalg.norm(phi(ell) - r * ell) <= 1e-8 * np.linalg.norm(ell)
 
+    def test_calling_the_map_applies_its_matrix(self):
+        # tau(x) is iota o tau o E: the off-block entries of x never count
+        leaking, kept = self.seeded_maps()
+        rng = np.random.default_rng(11)
+        full = random_cpmap(rng, (5,))
+        for tau in leaking + kept + [full]:
+            x = random_matrix(rng, tau.m)
+            want = unvec(cpmap.superop_matrix(tau) @ vec(x), tau.m)
+            got = tau(x)
+            assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+    def test_calling_the_map_rejects_non_finite_input(self):
+        tau = self.seeded_maps()[0][1]
+        for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+            x = np.ones((tau.m, tau.m), dtype=complex)
+            x[0, 0] = bad
+            with pytest.raises(FormatError, match="finite"):
+                tau(x)
+
 
 class TestMaximalFactorization:
     def test_golden(self):

@@ -424,6 +424,12 @@ class TestNeumannWitness:
             with pytest.raises(PreconditionError, match="requires s > r"):
                 neumann_witness(phi, float("nan"))
 
+    def test_rejects_infinite_s(self):
+        for phi in (algebra_map(trace_corner_map()), trace_corner_map()):
+            for s in (float("inf"), float("-inf")):
+                with pytest.raises(PreconditionError, match="requires a finite s"):
+                    neumann_witness(phi, s)
+
     def test_near_singular_solve_reported(self):
         phi = algebra_map(trace_corner_map())
         with pytest.raises((PreconditionError, ConvergenceError)):
@@ -710,3 +716,24 @@ class TestKrausRouteGuard:
             call()
             elapsed = time.perf_counter() - start
             assert elapsed < 0.25, f"{name} took {elapsed:.3f}s at m = 32"
+
+    def test_iterations_apply_the_unvalidated_step(self, monkeypatch):
+        # CpMap.__call__ re-validates its input; iterations use step, and only a final residual calls the map
+        rng = np.random.default_rng(94)
+        mats = [random_matrix(rng, 16) for _ in range(2)]
+        tau = CpMap(tuple(mats), AlgebraShape.full(16))
+        s = 1.5 * positive_map_norm(tau)
+        calls = []
+        original = CpMap.__call__
+
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(CpMap, "__call__", counted)
+        spectral_radius_bounds(tau)
+        positive_map_norm(tau)
+        outer_radius_gelfand(mats, 64)
+        assert calls == []
+        neumann_witness(tau, s)
+        assert len(calls) == 1
