@@ -70,6 +70,14 @@ __all__ = [
 _LEAK_TOL = 1e-10  # largest relative off-block image that preserves_algebra allows
 
 
+def _of_side(x, m: int) -> np.ndarray:
+    """``x`` as a finite complex m x m array; another shape is a :class:`FormatError`."""
+    x = as_matrix(x)
+    if x.shape != (m, m):
+        raise FormatError(f"input of shape {x.shape} does not match the map's side {m}")
+    return x
+
+
 @dataclass(frozen=True)
 class SuperOperator:
     """An m^2 x m^2 matrix acting on ``vec`` of m x m matrices."""
@@ -86,7 +94,7 @@ class SuperOperator:
         object.__setattr__(self, "matrix", mat)
 
     def __call__(self, x) -> np.ndarray:
-        return unvec(self.matrix @ vec(x), self.m)
+        return unvec(self.matrix @ _of_side(x, self.m).ravel(order="F"), self.m)
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,7 @@ class CpMap:
         return (adjoints @ x @ stack).sum(axis=0)
 
     def __call__(self, x) -> np.ndarray:
-        return self.step(as_matrix(x))
+        return self.step(_of_side(x, self.m))
 
     def to_json(self) -> dict:
         from .mats import matrix_to_json

@@ -1,12 +1,15 @@
 """Constructive Perron theory for positive maps on block-diagonal algebras.
 
-Degeneracy indices come from tolerant rank plateaus of powers of ``T - lambda``;
-Jordan bases are never formed.  The maximal part of a map is computed along
-two independent routes and cross-checked:
+Each call computes one complex Schur form ``T = q t q*``: the eigenvalues are
+its diagonal, and degeneracy indices come from tolerant rank plateaus of
+powers of ``t11 - lambda`` on a cluster's reordered Schur block; Jordan bases
+are never formed.  The maximal part of a map is computed along two
+independent routes and cross-checked:
 
 * projection route: ``(T - r)^(d-1)`` composed with the spectral projector at
-  the eigenvalue ``r``, obtained from a clustered Schur form plus a Sylvester
-  solve;
+  the eigenvalue ``r``, from the same Schur form with the cluster at ``r``
+  moved to the leading block (LAPACK ``trsen``) and the Sylvester equation
+  between its triangular blocks solved directly (LAPACK ``trsyl``);
 * second route, the limit of the averaged normalized powers
   ``(1/N) sum_n T^n / (binom(n, d-1) r^(n-d+1))``: for ``d = 1`` the Cesaro
   mean by exact partial-sum doubling with Richardson extrapolation; for
@@ -22,6 +25,7 @@ canonical extensions, and bases of the algebra generated by a matrix tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,13 +102,44 @@ class SpectralStructure:
 def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     """Eigenvalue clusters, degeneracy indices, and the maximal spectrum.
 
-    The degeneracy index of a cluster value is the smallest ``k`` with
-    ``rank((T - value)^k) == rank((T - value)^(k+1))`` under the tolerant
-    rank; clustering merges eigenvalues within ``CLUSTER_TOL * max(r, 1)``.
+    The eigenvalues are the diagonal of one complex Schur form ``T = q t q*``;
+    clustering merges eigenvalues within ``CLUSTER_TOL * max(r, 1)``.  The
+    degeneracy index of a cluster of multiplicity ``k > 1`` at ``value`` is
+    read off the cluster's leading ``k x k`` block ``t11`` of the reordered
+    Schur form: with ``N = (t11 - value) / max(||t11||_2, 1)``, it is the
+    smallest ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the tolerant
+    rank, where a power of norm at most ``rank_tol`` has rank 0.  A simple
+    cluster has index 1 without a rank test.
     """
-    mat = superop_matrix(op)
-    n = mat.shape[0]
-    eig = eigenvalues(mat)
+    _, _, radius, clusters = _schur_clusters(superop_matrix(op), rank_tol, peripheral_only=False)
+    out = tuple(EigenCluster(c.value, int(c.members.sum()), c.degeneracy) for c in clusters)
+    delta = CLUSTER_TOL * max(radius, 1.0)
+    peripheral = [c for c in out if abs(c.value) >= radius - delta]
+    d_max = max((c.degeneracy for c in peripheral), default=0)
+    maximal = tuple(c.value for c in peripheral if c.degeneracy == d_max)
+    return SpectralStructure(clusters=out, radius=radius, d_max=d_max, maximal_spectrum=maximal)
+
+
+class _Cluster(NamedTuple):
+    value: complex
+    members: np.ndarray  # mask over diag(t) of the Schur form
+    degeneracy: int | None  # None: off the spectral circle and not asked for
+
+
+def _schur_clusters(mat: np.ndarray, rank_tol: float, peripheral_only: bool):
+    """One complex Schur form ``mat = q t q*`` and the eigenvalue clusters on ``diag(t)``.
+
+    Returns ``(t, q, radius, clusters)``.  With ``peripheral_only`` a cluster
+    off the spectral circle gets no rank test and degeneracy ``None``.
+    """
+    import scipy.linalg  # deferred: scipy is most of the package's import time
+
+    try:
+        t, q = scipy.linalg.schur(mat, output="complex", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
+    eig = np.diag(t)
+    n = eig.size
     radius = float(np.abs(eig).max()) if n else 0.0
     delta = CLUSTER_TOL * max(radius, 1.0)
 
@@ -116,52 +151,70 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
             continue
         members = ~taken & (np.abs(eig - eig[idx]) <= delta)
         taken |= members
-        clusters.append((complex(np.mean(eig[members])), int(members.sum())))
+        value = complex(np.mean(eig[members]))
+        deg = None
+        if not peripheral_only or abs(value) >= radius - delta:
+            deg = _degeneracy(t, members, value, rank_tol)
+        clusters.append(_Cluster(value, members, deg))
+    return t, q, radius, clusters
 
-    # the index never exceeds the multiplicity, so a simple cluster needs no rank test
-    scale = max(op_norm(mat), 1.0) if any(mult > 1 for _, mult in clusters) else 1.0
-    out = []
-    for value, mult in clusters:
-        deg = mult
-        if mult > 1:
-            base = (mat - value * np.eye(n)) / scale
-            cur, prev_rank = base, numerical_rank(base, rank_tol)
-            for k in range(1, mult):
-                cur = cur @ base
-                rank = numerical_rank(cur, rank_tol)
-                if rank == prev_rank:
-                    deg = k
-                    break
-                prev_rank = rank
-        out.append(EigenCluster(value=value, multiplicity=mult, degeneracy=deg))
 
-    peripheral = [c for c in out if abs(c.value) >= radius - delta]
-    d_max = max((c.degeneracy for c in peripheral), default=0)
-    maximal = tuple(c.value for c in peripheral if c.degeneracy == d_max)
-    return SpectralStructure(
-        clusters=tuple(out), radius=radius, d_max=d_max, maximal_spectrum=maximal
+def _degeneracy(t: np.ndarray, members: np.ndarray, value: complex, rank_tol: float) -> int:
+    """Rank-plateau index of ``t11 - value`` on the cluster's reordered Schur block."""
+    mult = int(members.sum())
+    if mult == 1:  # the index never exceeds the multiplicity
+        return 1
+    t11 = _reorder(t, None, members)[0][:mult, :mult]
+    base = (t11 - value * np.eye(mult)) / max(op_norm(t11), 1.0)
+
+    def rank(x):
+        return numerical_rank(x, rank_tol) if op_norm(x) > rank_tol else 0
+
+    cur, prev_rank = base, rank(base)
+    for k in range(1, mult):
+        cur = cur @ base
+        cur_rank = rank(cur)
+        if cur_rank == prev_rank:
+            return k
+        prev_rank = cur_rank
+    return mult
+
+
+def _reorder(t: np.ndarray, q: np.ndarray | None, members: np.ndarray):
+    """Reorder a complex Schur form so the ``members`` of ``diag(t)`` lead (LAPACK ``trsen``).
+
+    Returns ``(t, q)``; ``q`` is updated only when given.
+    """
+    from scipy.linalg import lapack
+
+    ts, qs, _, sdim, _, _, info = lapack.ztrsen(  # q is a required argument even unused
+        members.astype(np.int32), t, t if q is None else q, job="N", wantq=int(q is not None)
     )
+    if info != 0 or sdim != int(members.sum()):
+        raise ConvergenceError(f"Schur reordering failed (trsen info {info})")
+    return ts, None if q is None else qs
 
 
-def _spectral_projector(mat: np.ndarray, center: float, delta: float) -> np.ndarray:
-    """Riesz projection onto the generalized eigenspace of the cluster at ``center``."""
-    import scipy.linalg  # deferred: scipy is most of the package's import time
+def _spectral_projector(t: np.ndarray, q: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Riesz projection of ``q t q*`` onto the generalized eigenspace of the ``members``.
 
-    n = mat.shape[0]
-    t, q, sdim = scipy.linalg.schur(
-        mat, output="complex", sort=lambda z: abs(z - center) <= delta
-    )
-    sdim = int(sdim)
-    if sdim == 0:
-        raise PreconditionError(f"no eigenvalue within {delta:.2e} of {center}")
+    The members are moved to the leading block, and ``t11 y - y t22 = -t12``
+    is solved on the triangular blocks (LAPACK ``trsyl``), so no further
+    Schur form is computed.
+    """
+    from scipy.linalg import lapack
+
+    n, sdim = t.shape[0], int(members.sum())
     if sdim == n:
         return np.eye(n, dtype=complex)
+    t, q = _reorder(t, q, members)
     t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
-    y = scipy.linalg.solve_sylvester(t11, -t22, -t12)
-    core = np.zeros((n, n), dtype=complex)
-    core[:sdim, :sdim] = np.eye(sdim)
-    core[:sdim, sdim:] = -y
-    return q @ core @ q.conj().T
+    y, scale, info = lapack.ztrsyl(t11, t22, -t12, isgn=-1)
+    if info < 0:
+        raise ConvergenceError(f"Sylvester solve failed (trsyl info {info})")
+    # q [[1, -y], [0, 0]] q* = q1 (q1* - y q2*): rank sdim, with no n x n product
+    q1 = q[:, :sdim]
+    return q1 @ (q1.conj().T - (y / scale) @ q[:, sdim:].conj().T)
 
 
 def _cesaro_limit(mat: np.ndarray, radius: float) -> np.ndarray:
@@ -218,7 +271,9 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     """Maximal part of a positive map with non-zero spectral radius.
 
     Eigenvalues within ``CLUSTER_TOL = 1e-8`` (relative to ``max(r, 1)``)
-    form one cluster.  Primary route is the spectral projection
+    form one cluster; they, the degeneracy indices of the clusters on the
+    spectral circle (see :func:`spectral_structure`) and ``P_r`` all come from
+    one complex Schur form.  Primary route is the spectral projection
     ``(T - r)^(d-1) P_r``; the limit of averaged normalized powers is
     evaluated independently and both must agree within ``_ROUTE_TOL = 1e-6``
     (relative to the result's largest entry once that exceeds 1, since an
@@ -239,26 +294,25 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     """
     mat = superop_matrix(phi)
     m = side_of(mat.shape[0])
-    struct = spectral_structure(mat, rank_tol)
-    r = struct.radius
+    t, q, r, clusters = _schur_clusters(mat, rank_tol, peripheral_only=True)
     if r <= 1e-300:
         raise PreconditionError(
             "maximal part is undefined when the spectral radius is zero"
         )
     delta = CLUSTER_TOL * max(r, 1.0)
-    target = next((c for c in struct.clusters if abs(c.value - r) <= delta), None)
+    target = next((c for c in clusters if abs(c.value - r) <= delta), None)
     if target is None:
         raise PreconditionError(
             "spectral radius is not an eigenvalue; the map cannot be positive"
         )
     d = target.degeneracy
-    if d < struct.d_max:
+    if d < max(c.degeneracy for c in clusters if c.degeneracy is not None):
         raise PreconditionError(
             "a peripheral eigenvalue away from the spectral radius has a larger "
             "Jordan block; the map cannot be positive"
         )
 
-    proj = _spectral_projector(mat, r, delta)
+    proj = _spectral_projector(t, q, target.members)
     if d == 1:
         hat = proj
     else:
@@ -271,7 +325,7 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
         route, other = "Cesaro", _cesaro_limit(mat, r)
     else:
         # half the distance to the nearest other cluster; with none, any circle will do
-        rho = min((abs(c.value - r) for c in struct.clusters if c is not target), default=r) / 2
+        rho = min((abs(c.value - r) for c in clusters if c is not target), default=r) / 2
         route, other = "contour", _contour_limit(mat, r, d, rho)
     gap = float(np.abs(hat - other).max())
     if gap > _ROUTE_TOL * scale:
@@ -439,13 +493,12 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
 
     def try_add(candidate: np.ndarray) -> np.ndarray | None:
         nonlocal rows, count, max_norm
-        v = vec(candidate)
+        v = candidate.ravel(order="F")
         nrm = float(np.linalg.norm(v))
         max_norm = max(max_norm, nrm)
         if nrm <= rank_tol * max_norm:
             return None
-        for _ in range(2):  # "twice is enough" for classical Gram-Schmidt
-            v = v - (rows[:count] @ v.conj()).conj() @ rows[:count]
+        v = _orthogonal_part(rows[:count], v)
         res = float(np.linalg.norm(v))
         if res <= rank_tol * nrm:
             return None
@@ -456,7 +509,7 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
             rows = grown
         rows[count] = v
         count += 1
-        return unvec(v, m)
+        return v.reshape((m, m), order="F")
 
     if unital:
         seeds = [np.eye(m, dtype=complex)]
@@ -468,12 +521,12 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
     stabilization = length if frontier else 0
 
     for _ in range(m * m + 1):
-        if not frontier:
+        if not frontier or count == m * m:  # a basis of all of M_m takes no more candidates
             break
         new = []
         for g in mats:
             for b in frontier:
-                added = try_add(g @ b)
+                added = try_add(g @ b) if count < m * m else None
                 if added is not None:
                     new.append(added)
         if new:
@@ -483,6 +536,14 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
 
     space = CoefficientSpace(m, tuple(unvec(v, m) for v in rows[:count]))
     return GeneratedAlgebra(space=space, unital=unital, stabilization_index=stabilization)
+
+
+def _orthogonal_part(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v`` minus its projection on the orthonormal ``rows``, by classical Gram-Schmidt
+    applied twice ("twice is enough")."""
+    for _ in range(2):
+        v = v - (rows @ v.conj()).conj() @ rows
+    return v
 
 
 @dataclass(frozen=True)
@@ -526,16 +587,7 @@ def irreducible_cp(
         witness = unvec(u[:, gen.dimension], m)
 
     rng = rng if rng is not None else np.random.default_rng(0)
-    one_plus = np.eye(m * m, dtype=complex) + superop_matrix(ext)
-    powered = np.linalg.matrix_power(one_plus, m - 1)
-    strict = 0
-    for _ in range(_PROBES):
-        h = rng.normal(size=m) + 1j * rng.normal(size=m)
-        h /= np.linalg.norm(h)
-        y = unvec(powered @ vec(np.outer(h, h.conj())), m)
-        y = (y + y.conj().T) / 2.0
-        if psd_report(y, psd_tol).is_strictly_positive:
-            strict += 1
+    strict = int(np.count_nonzero(_probe_minima(superop_matrix(ext), rng) > psd_tol))
     return IrreducibilityReport(
         irreducible=verdict,
         dimension=gen.dimension,
@@ -544,6 +596,27 @@ def irreducible_cp(
         probes=_PROBES,
         probes_consistent=not (verdict and strict < _PROBES),
     )
+
+
+def _probe_minima(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Smallest eigenvalue of ``(1 + T)^(m-1)`` applied to each of ``_PROBES`` probes.
+
+    Probe ``k`` is ``h h*`` for ``h = (g[k, 0] + i g[k, 1]) / ||.||`` from one
+    Gaussian draw ``g`` of shape ``(_PROBES, 2, m)``; the images are made
+    Hermitian before their eigenvalues are taken.
+    """
+    m = side_of(mat.shape[0])
+    g = rng.normal(size=(_PROBES, 2, m))
+    h = g[:, 0] + 1j * g[:, 1]
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    # column k is vec(h_k h_k*): entry i + j*m is h_k[i] conj(h_k[j])
+    probes = (h.conj()[:, :, None] * h[:, None, :]).reshape(_PROBES, m * m).T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        powered = np.linalg.matrix_power(np.eye(m * m, dtype=complex) + mat, m - 1)
+        y = (powered @ probes).T.reshape(_PROBES, m, m).transpose(0, 2, 1)
+    if not np.isfinite(y).all():
+        raise ConvergenceError("probe images of (1 + T)^(m-1) overflow")
+    return np.linalg.eigvalsh((y + y.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
 
 
 def resolvent_gamma(tau: CpMap, b: float | None = None) -> tuple[SuperOperator, SuperOperator]:

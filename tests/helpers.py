@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from cpspectra import AlgebraShape, CpMap
+from cpspectra import AlgebraShape, CpMap, psd_report, unvec, vec
+from cpspectra.mats import CLUSTER_TOL, side_of
 
 
 def random_matrix(rng, m, scale=1.0):
@@ -76,3 +77,54 @@ def triangular_pairs(d):
 def ring_pairs(d):
     """Diagonal and cyclic rectangles: irreducible."""
     return [(k, k) for k in range(d)] + [(k, (k + 1) % d) for k in range(d)]
+
+
+def perron_dense_map(rng, cls, blocks):
+    """A map of the benchmark's perron_dense kinds: "irreducible" (ring rectangles),
+    "reducible" (triangular rectangles) or "jordan" (blocks (1, 1), diag(a, b) ->
+    r diag(a + 4 b, b) with r uniform in [1, 2])."""
+    shape = AlgebraShape(tuple(blocks))
+    if cls == "jordan":
+        r = rng.uniform(1.0, 2.0)
+        couple = np.zeros((2, 2), dtype=complex)
+        couple[1, 0] = np.sqrt(4.0 * r)
+        return CpMap((np.sqrt(r) * np.eye(2, dtype=complex), couple), shape)
+    pairs = ring_pairs(len(blocks)) if cls == "irreducible" else triangular_pairs(len(blocks))
+    return CpMap(tuple(rect_kraus(rng, blocks, pairs)), shape)
+
+
+def reference_probe_minima(mat, rng, probes=64):
+    """The one-probe-at-a-time loop of irreducible_cp: for each random rank-one
+    probe ``h h*``, the smallest eigenvalue and the norm of the Hermitian part of
+    ``(1 + T)^(m-1)`` applied to it."""
+    m = side_of(mat.shape[0])
+    powered = np.linalg.matrix_power(np.eye(m * m, dtype=complex) + mat, m - 1)
+    minima, norms = [], []
+    for _ in range(probes):
+        h = rng.normal(size=m) + 1j * rng.normal(size=m)
+        h /= np.linalg.norm(h)
+        y = unvec(powered @ vec(np.outer(h, h.conj())), m)
+        y = (y + y.conj().T) / 2.0
+        minima.append(psd_report(y).min_eigenvalue)
+        norms.append(np.linalg.norm(y))
+    return np.array(minima), np.array(norms)
+
+
+def reference_maximal_hat(mat, degeneracy):
+    """``(T - r)^(d-1) P_r`` from three factorisations: ``eigvals`` for ``r``, a
+    Schur form sorted by the cluster at ``r``, and ``scipy.linalg.solve_sylvester``
+    (which computes two more Schur forms) for the projector."""
+    import scipy.linalg
+
+    n = mat.shape[0]
+    r = float(np.abs(np.linalg.eigvals(mat)).max())
+    delta = CLUSTER_TOL * max(r, 1.0)
+    t, q, sdim = scipy.linalg.schur(mat, output="complex", sort=lambda z: abs(z - r) <= delta)
+    proj = np.eye(n, dtype=complex)
+    if sdim < n:
+        t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
+        core = np.zeros((n, n), dtype=complex)
+        core[:sdim, :sdim] = np.eye(sdim)
+        core[:sdim, sdim:] = -scipy.linalg.solve_sylvester(t11, -t22, -t12)
+        proj = q @ core @ q.conj().T
+    return np.linalg.matrix_power(mat - r * np.eye(n), degeneracy - 1) @ proj

@@ -7,8 +7,10 @@ from cpspectra import cpmap
 from cpspectra import (
     AlgebraShape,
     CpMap,
+    FormatError,
     PreconditionError,
     SuperOperator,
+    algebra_map,
     canonical_extension,
     choi_of,
     choi_of_superop,
@@ -252,6 +254,23 @@ def mixed(tau, rng):
     """The same map through the Kraus list ``B_j = sum_i u_ji A_i``, u a random unitary."""
     u = random_unitary(rng, len(tau.kraus))
     return CpMap(tuple(np.tensordot(u, np.array(tau.kraus), axes=1)), tau.shape)
+
+
+class TestWrongSide:
+    """Calling a map on a matrix of another side is a FormatError naming both sides."""
+
+    def test_cp_map(self):
+        tau = CpMap((np.eye(4),), AlgebraShape((2, 2)))
+        with pytest.raises(FormatError, match=r"shape \(3, 3\) does not match the map's side 4"):
+            tau(np.ones((3, 3)))
+
+    def test_algebra_map_and_superoperator(self):
+        phi = algebra_map(CpMap((np.eye(4),), AlgebraShape((2, 2))))
+        for f in (phi, phi.superop):
+            with pytest.raises(FormatError, match=r"shape \(3, 3\) does not match the map's side 4"):
+                f(np.ones((3, 3)))
+            with pytest.raises(FormatError, match=r"shape \(2, 8\) does not match the map's side 4"):
+                f(np.ones((2, 8)))
 
 
 class TestKrausMixing:

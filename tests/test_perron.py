@@ -1,9 +1,12 @@
+import json
+import pathlib
 import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cpspectra import cpmap, perron
+from cpspectra import cpmap, mats, perron
 from cpspectra import (
     AlgebraShape,
     ConvergenceError,
@@ -31,13 +34,24 @@ from cpspectra import (
     unvec,
     vec,
 )
+from cpspectra.cli import main
 from cpspectra.reference_maps import (
     double_trace_map,
     golden_ratio_map,
     path_adjacency_map,
     trace_corner_map,
 )
-from helpers import random_cpmap, random_matrix, random_psd, rect_kraus, triangular_pairs
+from helpers import (
+    perron_dense_map,
+    random_cpmap,
+    random_matrix,
+    random_psd,
+    rect_kraus,
+    reference_maximal_hat,
+    reference_probe_minima,
+    ring_pairs,
+    triangular_pairs,
+)
 
 GOLD = (1 + np.sqrt(5)) / 2
 
@@ -639,3 +653,152 @@ class TestKrausOfMaximalPart:
             b_list = kraus_of_choi(choi_of_superop(mp.superop))
             stacked = np.column_stack([vec(b) for b in b_list])
             assert np.linalg.matrix_rank(stacked, tol=1e-10) == tau.m**2
+
+
+# perron_dense-style maps: (class, blocks); the Jordan map has degeneracy 2
+DENSE_MAPS = [
+    ("irreducible", (6,)),
+    ("irreducible", (12,)),
+    ("irreducible", (4, 4)),
+    ("irreducible", (4, 4, 4)),
+    ("irreducible", (5, 5)),
+    ("reducible", (2, 2, 2)),
+    ("reducible", (3, 3)),
+    ("jordan", (1, 1)),
+]
+
+
+def schur_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+
+
+def dense_maps(seed):
+    rng = np.random.default_rng(seed)
+    return [(cls, perron_dense_map(rng, cls, blocks)) for cls, blocks in DENSE_MAPS]
+
+
+class TestOneSchurForm:
+    """maximal_part and spectral_structure run on one complex Schur form per call."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_maximal_part_matches_the_three_factorisation_route(self, seed):
+        for cls, tau in dense_maps(seed):
+            mp = maximal_part(tau)
+            assert mp.degeneracy == (2 if cls == "jordan" else 1)
+            want = reference_maximal_hat(cpmap.superop_matrix(tau), mp.degeneracy)
+            scale = np.abs(want).max()
+            assert np.abs(mp.superop.matrix - want).max() <= 1e-12 * scale, (cls, tau.shape)
+
+    def test_one_schur_form_per_call(self, monkeypatch):
+        calls = []
+        real_schur = scipy.linalg.schur
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_schur(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("maximal_part ran a second factorisation")
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        monkeypatch.setattr(scipy.linalg, "solve_sylvester", forbidden)
+        monkeypatch.setattr(perron, "eigenvalues", forbidden)
+        monkeypatch.setattr(mats, "eigenvalues", forbidden)
+        for _, tau in dense_maps(11):
+            calls.clear()
+            maximal_part(tau)
+            assert calls == [(tau.m**2, tau.m**2)]
+
+    def test_many_scale_jordan_block(self):
+        # a Jordan block at 1 with coupling 1e9 next to an eigenvalue 0.5: the rank
+        # test must read the block at the scale of t11, where 0.5 is not rounding
+        phi = diagonal_algebra_map(np.array([[1.0, 1e9, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.5]]))
+        top = spectral_structure(phi).clusters[0]
+        assert top.value == pytest.approx(1.0) and top.multiplicity == 2 and top.degeneracy == 2
+        start = time.perf_counter()
+        mp = maximal_part(phi)
+        assert time.perf_counter() - start < 1.0
+        assert mp.degeneracy == 2 and not mp.idempotent
+        # (T - 1) P_1 maps diag(a, b, c) to diag(1e9 b + 2e9 c, 0, 0)
+        expected = np.zeros((9, 9))
+        expected[0, 4], expected[0, 8] = 1e9, 2e9
+        assert np.abs(mp.superop.matrix - expected).max() <= 1e-6 * 2e9
+
+    @pytest.mark.parametrize("coupling", [1e-10, 1e-14])
+    def test_coupling_below_rank_tol_counts_as_semisimple(self, coupling):
+        # t11 - 1 of norm below rank_tol has rank 0; ranks relative to the largest
+        # singular value alone would report a Jordan block that no route resolves
+        for extra in ([], [0.5]):
+            matrix = np.diag([1.0, 1.0] + extra)
+            matrix[0, 1] = coupling
+            phi = diagonal_algebra_map(matrix)
+            assert spectral_structure(phi).clusters[0].degeneracy == 1
+            mp = maximal_part(phi)
+            assert mp.degeneracy == 1 and mp.idempotent
+
+    def test_schur_failure_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "schur", schur_fails)
+        for call in (maximal_part, spectral_structure):
+            with pytest.raises(ConvergenceError, match="Schur decomposition failed"):
+                call(golden_ratio_map())
+
+    def test_lapack_failures_are_convergence_errors(self, monkeypatch):
+        lapack = scipy.linalg.lapack
+        real_trsen, real_trsyl = lapack.ztrsen, lapack.ztrsyl
+        monkeypatch.setattr(lapack, "ztrsen", lambda *a, **k: real_trsen(*a, **k)[:-1] + (1,))
+        with pytest.raises(ConvergenceError, match="trsen info 1"):
+            maximal_part(golden_ratio_map())
+        with pytest.raises(ConvergenceError, match="trsen info 1"):
+            spectral_structure(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        monkeypatch.setattr(lapack, "ztrsen", real_trsen)
+        monkeypatch.setattr(lapack, "ztrsyl", lambda *a, **k: real_trsyl(*a, **k)[:-1] + (-3,))
+        with pytest.raises(ConvergenceError, match="trsyl info -3"):
+            maximal_part(golden_ratio_map())
+
+    def test_schur_failure_exits_2_from_the_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(scipy.linalg, "schur", schur_fails)
+        data = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+        code = main(["maximal-part", "--map", str(data / "golden_ratio_map.json")])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and "Schur decomposition failed" in report["error"]["message"]
+
+
+class TestBatchedProbes:
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_probes_match_the_per_probe_loop(self, seed):
+        for cls, tau in dense_maps(seed):
+            mat = cpmap.superop_matrix(canonical_extension(tau))
+            got = perron._probe_minima(mat, np.random.default_rng(0))
+            want, norms = reference_probe_minima(mat, np.random.default_rng(0))
+            assert np.all(np.abs(got - want) <= 1e-12 * norms), (cls, tau.shape)
+            strict = int(np.count_nonzero(want > mats.PSD_TOL))
+            assert irreducible_cp(tau).strict_probes == strict
+            assert cls != "irreducible" or strict == 64
+
+    def test_overflow_is_a_convergence_error(self):
+        tau = full_map(1e100 * np.eye(3))  # (1 + T)^2 reaches 1e400
+        with pytest.raises(ConvergenceError, match="overflow"):
+            irreducible_cp(tau)
+
+
+class TestAlgebraBasisStops:
+    @pytest.mark.parametrize(
+        "blocks, stabilization", [((16,), 8), ((4, 4, 4), 5), ((6, 6), 6)]
+    )
+    def test_no_candidate_after_the_full_algebra(self, monkeypatch, blocks, stabilization):
+        seen = []
+        real = perron._orthogonal_part
+
+        def spy(rows, v):
+            seen.append(rows.shape[0])
+            return real(rows, v)
+
+        monkeypatch.setattr(perron, "_orthogonal_part", spy)
+        kraus = rect_kraus(np.random.default_rng(11), blocks, ring_pairs(len(blocks)))
+        ext = canonical_extension(CpMap(tuple(kraus), AlgebraShape(blocks)))
+        m = sum(blocks)
+        for unital in (False, True):
+            seen.clear()
+            gen = algebra_basis(ext.kraus, unital=unital)
+            assert (gen.dimension, gen.stabilization_index) == (m * m, stabilization)
+            assert seen and max(seen) == m * m - 1
