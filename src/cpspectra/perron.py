@@ -106,13 +106,16 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     clustering merges eigenvalues within ``CLUSTER_TOL * max(r, 1)``.  The
     degeneracy index of a cluster of multiplicity ``k > 1`` at ``value`` is
     read off the cluster's leading ``k x k`` block ``t11`` of the reordered
-    Schur form: with ``N = (t11 - value) / max(||t11||_2, 1)``, it is the
-    smallest ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the tolerant
-    rank, where a power of norm at most ``rank_tol`` has rank 0.  A simple
-    cluster has index 1 without a rank test.
+    Schur form: with ``N = (t11 - value) / ||T||_2``, it is the smallest
+    ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the tolerant rank, where
+    a power of norm at most ``rank_tol`` has rank 0.  A simple cluster has
+    index 1 without a rank test.
     """
-    _, _, radius, clusters = _schur_clusters(superop_matrix(op), rank_tol, peripheral_only=False)
-    out = tuple(EigenCluster(c.value, int(c.members.sum()), c.degeneracy) for c in clusters)
+    t, _, radius, clusters = _schur_clusters(superop_matrix(op))
+    out = tuple(
+        EigenCluster(c.value, int(c.members.sum()), _cluster_degeneracy(t, c, rank_tol))
+        for c in clusters
+    )
     delta = CLUSTER_TOL * max(radius, 1.0)
     peripheral = [c for c in out if abs(c.value) >= radius - delta]
     d_max = max((c.degeneracy for c in peripheral), default=0)
@@ -123,14 +126,12 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
 class _Cluster(NamedTuple):
     value: complex
     members: np.ndarray  # mask over diag(t) of the Schur form
-    degeneracy: int | None  # None: off the spectral circle and not asked for
 
 
-def _schur_clusters(mat: np.ndarray, rank_tol: float, peripheral_only: bool):
+def _schur_clusters(mat: np.ndarray):
     """One complex Schur form ``mat = q t q*`` and the eigenvalue clusters on ``diag(t)``.
 
-    Returns ``(t, q, radius, clusters)``.  With ``peripheral_only`` a cluster
-    off the spectral circle gets no rank test and degeneracy ``None``.
+    Returns ``(t, q, radius, clusters)``, the clusters by decreasing modulus.
     """
     import scipy.linalg  # deferred: scipy is most of the package's import time
 
@@ -151,21 +152,27 @@ def _schur_clusters(mat: np.ndarray, rank_tol: float, peripheral_only: bool):
             continue
         members = ~taken & (np.abs(eig - eig[idx]) <= delta)
         taken |= members
-        value = complex(np.mean(eig[members]))
-        deg = None
-        if not peripheral_only or abs(value) >= radius - delta:
-            deg = _degeneracy(t, members, value, rank_tol)
-        clusters.append(_Cluster(value, members, deg))
+        clusters.append(_Cluster(complex(np.mean(eig[members])), members))
     return t, q, radius, clusters
 
 
-def _degeneracy(t: np.ndarray, members: np.ndarray, value: complex, rank_tol: float) -> int:
-    """Rank-plateau index of ``t11 - value`` on the cluster's reordered Schur block."""
-    mult = int(members.sum())
+def _cluster_degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
+    """Degeneracy index of a cluster of the Schur form ``t``; see :func:`_degeneracy`."""
+    mult = int(cluster.members.sum())
     if mult == 1:  # the index never exceeds the multiplicity
         return 1
-    t11 = _reorder(t, None, members)[0][:mult, :mult]
-    base = (t11 - value * np.eye(mult)) / max(op_norm(t11), 1.0)
+    return _degeneracy(_reorder(t, None, cluster.members)[0], mult, cluster.value, rank_tol)
+
+
+def _degeneracy(t: np.ndarray, mult: int, value: complex, rank_tol: float) -> int:
+    """Rank-plateau index of ``t11 - value``, ``t11`` the leading ``mult x mult`` block of ``t``.
+
+    The block is divided by ``||t||_2 = ||T||_2``, so the index does not
+    depend on the map's scale.
+    """
+    if mult == 1:
+        return 1
+    base = (t[:mult, :mult] - value * np.eye(mult)) / (op_norm(t) or 1.0)
 
     def rank(x):
         return numerical_rank(x, rank_tol) if op_norm(x) > rank_tol else 0
@@ -195,19 +202,18 @@ def _reorder(t: np.ndarray, q: np.ndarray | None, members: np.ndarray):
     return ts, None if q is None else qs
 
 
-def _spectral_projector(t: np.ndarray, q: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Riesz projection of ``q t q*`` onto the generalized eigenspace of the ``members``.
+def _spectral_projector(t: np.ndarray, q: np.ndarray, sdim: int) -> np.ndarray:
+    """Riesz projection of ``q t q*`` onto the eigenvalues of the leading ``sdim x sdim`` block.
 
-    The members are moved to the leading block, and ``t11 y - y t22 = -t12``
-    is solved on the triangular blocks (LAPACK ``trsyl``), so no further
-    Schur form is computed.
+    ``t`` is a complex Schur form whose cluster already leads (see
+    :func:`_reorder`); ``t11 y - y t22 = -t12`` is solved on the triangular
+    blocks (LAPACK ``trsyl``), so no further Schur form is computed.
     """
     from scipy.linalg import lapack
 
-    n, sdim = t.shape[0], int(members.sum())
+    n = t.shape[0]
     if sdim == n:
         return np.eye(n, dtype=complex)
-    t, q = _reorder(t, q, members)
     t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
     y, scale, info = lapack.ztrsyl(t11, t22, -t12, isgn=-1)
     if info < 0:
@@ -294,7 +300,7 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     """
     mat = superop_matrix(phi)
     m = side_of(mat.shape[0])
-    t, q, r, clusters = _schur_clusters(mat, rank_tol, peripheral_only=True)
+    t, q, r, clusters = _schur_clusters(mat)
     if r <= 1e-300:
         raise PreconditionError(
             "maximal part is undefined when the spectral radius is zero"
@@ -305,14 +311,22 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
         raise PreconditionError(
             "spectral radius is not an eigenvalue; the map cannot be positive"
         )
-    d = target.degeneracy
-    if d < max(c.degeneracy for c in clusters if c.degeneracy is not None):
+    others = [
+        _cluster_degeneracy(t, c, rank_tol)
+        for c in clusters
+        if c is not target and abs(c.value) >= r - delta
+    ]
+    # one reordering with the cluster at r leading gives both d and P_r
+    sdim = int(target.members.sum())
+    t_lead, q_lead = _reorder(t, q, target.members)
+    d = _degeneracy(t_lead, sdim, target.value, rank_tol)
+    if d < max(others, default=d):
         raise PreconditionError(
             "a peripheral eigenvalue away from the spectral radius has a larger "
             "Jordan block; the map cannot be positive"
         )
 
-    proj = _spectral_projector(t, q, target.members)
+    proj = _spectral_projector(t_lead, q_lead, sdim)
     if d == 1:
         hat = proj
     else:
@@ -320,7 +334,8 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
 
     # relative beyond unit scale: ill-conditioned eigenbases inflate both
     # routes' entries by the same factor
-    scale = max(1.0, float(np.abs(hat).max()))
+    size = float(np.abs(hat).max())
+    scale = max(1.0, size)
     if d == 1:
         route, other = "Cesaro", _cesaro_limit(mat, r)
     else:
@@ -333,10 +348,11 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
             f"projection and {route} routes disagree by {gap:.3e} (> {_ROUTE_TOL})"
         )
 
+    # relative at every scale: a nilpotent part with entries below 1e-8 is no projector
     sq = hat @ hat
-    if float(np.abs(sq - hat).max()) < 1e-8 * scale:
+    if float(np.abs(sq - hat).max()) < 1e-8 * size:
         idempotent = True
-    elif float(np.abs(sq).max()) < 1e-8 * scale:
+    elif float(np.abs(sq).max()) < 1e-8 * size:
         idempotent = False
     else:
         raise ConvergenceError(
@@ -521,11 +537,12 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
     stabilization = length if frontier else 0
 
     for _ in range(m * m + 1):
-        if not frontier or count == m * m:  # a basis of all of M_m takes no more candidates
+        if not frontier:
             break
         new = []
         for g in mats:
             for b in frontier:
+                # a basis of all of M_m takes no more candidates
                 added = try_add(g @ b) if count < m * m else None
                 if added is not None:
                     new.append(added)

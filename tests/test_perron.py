@@ -724,6 +724,38 @@ class TestOneSchurForm:
         expected[0, 4], expected[0, 8] = 1e9, 2e9
         assert np.abs(mp.superop.matrix - expected).max() <= 1e-6 * 2e9
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e-6, 1.0, 1e8])
+    def test_jordan_degeneracy_does_not_depend_on_scale(self, scale):
+        # t11 - r is read relative to ||T||: a Jordan block whose coupling
+        # equals its eigenvalue stays a Jordan block at any scale
+        mat = scale * np.kron(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert spectral_structure(mat).clusters[0].degeneracy == 2
+        mp = maximal_part(mat)
+        assert mp.degeneracy == 2 and not mp.idempotent
+        assert mp.radius == pytest.approx(scale)
+        if scale < 1e-8:  # r clusters with the zero eigenvalues of the maps below
+            return
+        tau = perron_dense_map(np.random.default_rng(11), "jordan", (1, 1))
+        tau = CpMap(tuple(np.sqrt(scale) * k for k in tau.kraus), tau.shape)
+        phi = diagonal_algebra_map(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        for op in (tau, phi):
+            structure = spectral_structure(op)
+            assert structure.d_max == 2
+            # the zero cluster of the off-diagonal entries stays semisimple
+            assert [c.degeneracy for c in structure.clusters if c.value == 0] == [1]
+            mp = maximal_part(op)
+            assert mp.degeneracy == 2 and mp.radius == pytest.approx(structure.radius)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_degeneracies_of_large_maps_match_the_unit_scale(self, seed):
+        # rounding in a zero cluster grows with ||T|| and must not read as a Jordan block
+        for cls, tau in dense_maps(seed):
+            want = [(c.multiplicity, c.degeneracy) for c in spectral_structure(tau).clusters]
+            big = CpMap(tuple(1e4 * k for k in tau.kraus), tau.shape)  # ||T|| grows by 1e8
+            got = [(c.multiplicity, c.degeneracy) for c in spectral_structure(big).clusters]
+            assert got == want, (cls, tau.shape)
+            assert maximal_part(big).degeneracy == maximal_part(tau).degeneracy
+
     @pytest.mark.parametrize("coupling", [1e-10, 1e-14])
     def test_coupling_below_rank_tol_counts_as_semisimple(self, coupling):
         # t11 - 1 of norm below rank_tol has rank 0; ranks relative to the largest
