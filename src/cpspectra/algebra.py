@@ -17,10 +17,7 @@ from .mats import PSD_TOL, as_matrix
 
 __all__ = [
     "AlgebraShape",
-    "embed",
-    "split",
     "compress",
-    "compress_superop",
     "in_algebra",
 ]
 
@@ -92,25 +89,6 @@ class AlgebraShape:
         return cls(tuple(obj["blocks"]))
 
 
-def embed(blocks, shape: AlgebraShape) -> np.ndarray:
-    """Assemble block matrices into the block-diagonal m x m element."""
-    mats = [as_matrix(b) for b in blocks]
-    if len(mats) != shape.d:
-        raise FormatError(f"expected {shape.d} blocks, got {len(mats)}")
-    out = np.zeros((shape.m, shape.m), dtype=complex)
-    for mat, n, sl in zip(mats, shape.blocks, shape.slices()):
-        if mat.shape != (n, n):
-            raise FormatError(f"block of shape {mat.shape} does not match size {n}")
-        out[sl, sl] = mat
-    return out
-
-
-def split(x, shape: AlgebraShape) -> list[np.ndarray]:
-    """Extract the diagonal blocks of an m x m matrix."""
-    x = _check_side(x, shape)
-    return [x[sl, sl].copy() for sl in shape.slices()]
-
-
 def compress(x, shape: AlgebraShape) -> np.ndarray:
     """Block-diagonal part of ``x``: off-diagonal blocks zeroed.
 
@@ -118,11 +96,6 @@ def compress(x, shape: AlgebraShape) -> np.ndarray:
     """
     x = _check_side(x, shape)
     return np.where(shape.vec_mask().reshape(shape.m, shape.m), x, 0)  # the mask is symmetric
-
-
-def compress_superop(shape: AlgebraShape) -> np.ndarray:
-    """Superoperator (m^2 x m^2) of the block-diagonal compression: the diagonal 0/1 mask."""
-    return np.diag(shape.vec_mask().astype(complex))
 
 
 def in_algebra(x, shape: AlgebraShape, psd_tol: float = PSD_TOL) -> bool:

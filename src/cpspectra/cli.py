@@ -24,7 +24,6 @@ from . import reference_maps
 from .algebra import AlgebraShape
 from .cpmap import (
     CpMap,
-    algebra_map,
     choi_of,
     coefficient_space,
     kraus_of_choi,
@@ -297,13 +296,12 @@ def _run_command(args, tol: Tolerance):
         residuals["route_gap"] = mp.route_gap
 
     elif cmd == "perron":
-        phi = algebra_map(tau)
-        ell = perron_vector(phi, psd_tol=tol.psd_tol, rank_tol=tol.rank_tol)
-        r = spectral_radius_of(phi)
+        ell = perron_vector(tau, psd_tol=tol.psd_tol, rank_tol=tol.rank_tol)
+        r = spectral_radius_of(tau)
         values["radius"] = r
         values["eigenvector"] = matrix_to_json(ell)
         residuals["eigen_equation"] = float(
-            np.linalg.norm(phi(ell) - r * ell) / np.linalg.norm(ell)
+            np.linalg.norm(tau(ell) - r * ell) / np.linalg.norm(ell)
         )
 
     elif cmd == "irreducible":
@@ -367,15 +365,14 @@ def _run_check(tol: Tolerance) -> list[dict]:
 
     gold = (1 + math.sqrt(5)) / 2
     tau = reference_maps.golden_ratio_map()
-    phi = algebra_map(tau)
-    case("golden_ratio.radius", abs(spectral_radius_of(phi) - gold))
-    ell = perron_vector(phi, psd_tol=tol.psd_tol, rank_tol=tol.rank_tol)
+    case("golden_ratio.radius", abs(spectral_radius_of(tau) - gold))
+    ell = perron_vector(tau, psd_tol=tol.psd_tol, rank_tol=tol.rank_tol)
     case(
         "golden_ratio.perron",
         float(np.abs(ell - np.diag([gold**2, gold**2, gold]) / math.sqrt(5)).max()),
     )
     root = np.asarray(np.diag(np.sqrt(np.diag(ell).real)))
-    sigma = conjugate_map(phi, root, psd_tol=tol.psd_tol)
+    sigma = conjugate_map(tau, root, psd_tol=tol.psd_tol)
     case("golden_ratio.norm_achieving", abs(positive_map_norm(sigma) - gold))
 
     tau = reference_maps.path_adjacency_map()

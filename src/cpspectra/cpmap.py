@@ -9,7 +9,8 @@ by fixed conventions (see :mod:`cpspectra.mats`):
   reshuffle ``Choi[p*m + i, r*m + j] = S[p + r*m, i + j*m]`` of the superoperator S;
 * the conjugated Choi matrix is ``V V*`` for the stack ``V`` of the ``vec A_i``,
   so coefficient spaces, Choi ranks and canonical extensions all come from one
-  thin SVD of ``V``, cut where ``sigma^2 <= rank_tol * sigma_max^2``.
+  thin SVD of ``V``, cut where ``sigma <= sqrt(rank_tol) * sigma_max`` (the
+  Choi eigenvalues are the ``sigma^2``).
 
 A map on ``M_{n1} + ... + M_{nd}`` is read as ``iota o tau o E``: ``E``
 compresses to the block diagonal and ``iota`` embeds back into M_m, so the
@@ -20,8 +21,8 @@ round-off, the superoperator of :func:`canonical_extension`.  Only
 :func:`algebra_map`, which applies the mask, and :func:`preserves_algebra`,
 which tests the off-block action, read the raw Kraus superoperator.  Calling
 a :class:`CpMap` applies the same ``iota o tau o E`` through its Kraus list
-(:meth:`CpMap.step`, which the large-side routes of :mod:`cpspectra.spectra`
-iterate) and never builds the matrix.
+(:meth:`CpMap.step`, which the radius, norm, witness and Gelfand routes of
+:mod:`cpspectra.spectra` iterate for every CpMap) and never builds the matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraShape
-from .errors import FormatError, PreconditionError
+from .errors import ConvergenceError, FormatError, PreconditionError
 from .mats import (
     CHECK_TOL,
     PSD_TOL,
@@ -240,11 +241,17 @@ def superop_matrix(op) -> np.ndarray:
 
 
 def superop_of(tau: CpMap) -> SuperOperator:
-    """Superoperator of a CP map under the package's vec convention."""
+    """Superoperator of a CP map under the package's vec convention.
+
+    Raises :class:`ConvergenceError` when its entries overflow.
+    """
     m = tau.m
     out = np.zeros((m * m, m * m), dtype=complex)
-    for a in tau.kraus:
-        out += kron(a.T, a.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for a in tau.kraus:
+            out += kron(a.T, a.conj().T)
+    if not np.isfinite(out).all():
+        raise ConvergenceError("superoperator entries overflow")
     return SuperOperator(m, out)
 
 
@@ -316,10 +323,11 @@ def kraus_of_choi(c, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> li
 
 def _kraus_span(kraus, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Singular pairs ``(u_j, sigma_j)`` of the stack of ``vec A_i`` kept by the Choi
-    rule ``sigma^2 > rank_tol * sigma_max^2``; descending ``sigma``, and each
-    ``u_j``'s largest-modulus entry real and positive, so only the map matters."""
+    rule ``sigma > sqrt(rank_tol) * sigma_max`` (unsquared, so that no norm up to
+    the largest float overflows); descending ``sigma``, and each ``u_j``'s
+    largest-modulus entry real and positive, so only the map matters."""
     u, s, _ = np.linalg.svd(np.column_stack([vec(a) for a in kraus]), full_matrices=False)
-    keep = s**2 > rank_tol * s[0] ** 2
+    keep = s > np.sqrt(rank_tol) * s[0]
     u, s = u[:, keep], s[keep]
     top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     return u * (top.conj() / np.abs(top)), s

@@ -35,7 +35,6 @@ from .mats import (
 )
 
 __all__ = [
-    "KRAUS_SIDE",
     "RadiusBounds",
     "JsrEstimate",
     "BalanceResult",
@@ -57,7 +56,6 @@ __all__ = [
 ]
 
 
-KRAUS_SIDE = 16  # from this side up, a CpMap is applied through its Kraus list
 _KRAUS_STEPS = 400  # step cap of the matrix-free iterations
 _CHECK_EVERY = 5  # power steps between two brackets
 _BRACKET_TOL = 1e-12  # relative width at which a bracket counts as closed
@@ -70,14 +68,10 @@ _GROWTH_RATIO = 1.5  # largest late-to-early growth of the normalized powers
 _BALANCE_SLACK = 1e-6  # relative excess of the balanced norm over r
 
 
-def _kraus_route(op) -> bool:
-    return isinstance(op, CpMap) and op.m >= KRAUS_SIDE
-
-
 def _action(phi) -> CpMap | AlgebraMap:
-    """The map object that applies ``phi``: the CpMap itself on the Kraus route,
-    applied through its Kraus list, else the masked superoperator."""
-    return phi if _kraus_route(phi) else algebra_map(phi)
+    """The map object that applies ``phi``: a CpMap itself, applied through its
+    Kraus list, else the masked superoperator."""
+    return phi if isinstance(phi, CpMap) else algebra_map(phi)
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,8 @@ def spectral_radius_bounds(tau: CpMap) -> RadiusBounds:
 
     Raises :class:`ConvergenceError` when an iterate loses strict
     positivity (``lambda_min(w) <= 1e-10 * lambda_max(w)``, as on reducible
-    maps), when ``tau(x) = 0``, or when 400 steps do not close the bracket.
+    maps), when ``tau(x)`` is 0 or overflows, or when 400 steps do not close
+    the bracket.
     """
     if not isinstance(tau, CpMap):
         raise PreconditionError("spectral_radius_bounds requires a CpMap")
@@ -121,8 +116,8 @@ def spectral_radius_bounds(tau: CpMap) -> RadiusBounds:
             y = compress(y, tau.shape)
         y = (y + y.conj().T) / 2.0
         size = float(np.linalg.norm(y))
-        if size == 0.0:
-            raise ConvergenceError(f"the map sends its iterate to 0 at step {n + 1}")
+        if not 0.0 < size < math.inf:
+            raise ConvergenceError(f"the map sends its iterate to {size} at step {n + 1}")
         if n % _CHECK_EVERY == 0:
             lam, u = np.linalg.eigh(x)
             if not lam[0] > _POSITIVE_FLOOR * lam[-1]:
@@ -142,24 +137,32 @@ def spectral_radius_bounds(tau: CpMap) -> RadiusBounds:
     )
 
 
+def _bracket_midpoint(op) -> float | None:
+    """Midpoint of the closed :func:`spectral_radius_bounds` of a CpMap; None for
+    any other map, and where the bracket raises :class:`ConvergenceError`."""
+    if not isinstance(op, CpMap):
+        return None
+    try:
+        bounds = spectral_radius_bounds(op)
+    except ConvergenceError:
+        return None
+    return (bounds.lower + bounds.upper) / 2.0
+
+
 def spectral_radius_of(op) -> float:
     """Spectral radius of a map given as CpMap / AlgebraMap / SuperOperator / matrix.
 
-    A CpMap of side ``m >= KRAUS_SIDE`` returns the midpoint of its
-    :func:`spectral_radius_bounds`, or the dense value when no bracket closes.
+    A CpMap returns the midpoint of its :func:`spectral_radius_bounds`, at any
+    side; the dense ``eig`` of the superoperator answers where no bracket
+    closes (periodic, reducible or zero maps) and for every other input.
     """
-    if _kraus_route(op):
-        try:
-            bounds = spectral_radius_bounds(op)
-            return (bounds.lower + bounds.upper) / 2.0
-        except ConvergenceError:
-            pass
-    return spectral_radius(superop_matrix(op))
+    r = _bracket_midpoint(op)
+    return spectral_radius(superop_matrix(op)) if r is None else r
 
 
 def positive_map_norm(op) -> float:
-    """Norm of a positive map, ``||phi|| = ||phi(1)||``."""
-    if _kraus_route(op):
+    """Norm of a positive map, ``||phi|| = ||phi(1)||``; a CpMap applies its Kraus list."""
+    if isinstance(op, CpMap):
         return op_norm(op.step(np.eye(op.m, dtype=complex)))
     mat = superop_matrix(op)
     m = side_of(mat.shape[0])
@@ -190,52 +193,23 @@ def outer_radius(mats_list) -> float:
 def outer_radius_gelfand(mats_list, n: int) -> float:
     """Gelfand-style estimate ``||tau^n(1)||^(1/2n)`` for the outer radius.
 
-    Never enumerates the d^n products.  From side ``KRAUS_SIDE`` up, and when
-    ``n * d <= m^3``, the Kraus action is applied n times to 1; otherwise the
-    superoperator is raised to the n-th power by squaring.  Each product
-    renormalizes and accumulates a log scale so that large ``n`` neither
-    overflows nor underflows.
+    Never enumerates the d^n products: the Kraus action is applied n times
+    to 1, at ``O(d m^3)`` a step.  Each image is renormalized and its scale
+    accumulated in a log, so that large ``n`` neither overflows nor
+    underflows.
     """
     mats = _checked_tuple(mats_list)
     if n < 1:
         raise PreconditionError("outer_radius_gelfand requires n >= 1")
-    m = mats[0].shape[0]
-
-    def _normalize(mat, log):
-        scale = float(np.abs(mat).max())
-        if scale == 0.0:
-            return mat, log, True
-        return mat / scale, log + math.log(scale), False
-
     tau = _tuple_map(mats)
-    if _kraus_route(tau) and n * len(mats) <= m**3:
-        x, log_x = np.eye(m, dtype=complex), 0.0
-        for _ in range(n):
-            x, log_x, x_zero = _normalize(tau.step(x), log_x)
-            if x_zero:
-                return 0.0
-        return math.exp((log_x + math.log(op_norm(x))) / (2.0 * n))
-
-    s = superop_matrix(tau)
-
-    acc = np.eye(m * m, dtype=complex)
-    log_acc = 0.0
-    base, log_base, base_zero = _normalize(s, 0.0)
-    nn = n
-    while nn:
-        if nn & 1:
-            if base_zero:
-                return 0.0
-            acc, log_acc, acc_zero = _normalize(acc @ base, log_acc + log_base)
-            if acc_zero:
-                return 0.0
-        nn >>= 1
-        if nn and not base_zero:
-            base, log_base, base_zero = _normalize(base @ base, 2.0 * log_base)
-    value = op_norm(unvec(acc @ vec(np.eye(m, dtype=complex)), m))
-    if value == 0.0:
-        return 0.0
-    return math.exp((log_acc + math.log(value)) / (2.0 * n))
+    x, log_x = np.eye(tau.m, dtype=complex), 0.0
+    for _ in range(n):
+        x = tau.step(x)
+        scale = float(np.abs(x).max())
+        if scale == 0.0:
+            return 0.0
+        x, log_x = x / scale, log_x + math.log(scale)
+    return math.exp((log_x + math.log(op_norm(x))) / (2.0 * n))
 
 
 @dataclass(frozen=True)
@@ -335,12 +309,9 @@ def _lifted_radius(tau: CpMap, k: int) -> float:
     bound ``r^(1/2k)``, is wider than ``CHECK_TOL`` relative; a singular
     eigenvector matrix (a defective eigenvalue) gives no bound and raises too.
     """
-    if _kraus_route(tau):
-        try:
-            bounds = spectral_radius_bounds(tau)
-            return (bounds.lower + bounds.upper) / 2.0
-        except ConvergenceError:
-            pass
+    r = _bracket_midpoint(tau)
+    if r is not None:
+        return r
     mat = superop_matrix(tau)
     lam, right = np.linalg.eig(mat)
     try:
@@ -446,9 +417,9 @@ def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD
 
     Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on an infinite
     ``s``, on ``s <= r`` (and on NaN ``s``) and on near-singular solves whose
-    residual exceeds ``conv_tol``.  A CpMap of side ``m >= KRAUS_SIDE`` is
-    solved by the fixed point ``w <- 1 + phi(w)/s`` through its Kraus list,
-    and by the dense solve when that stalls.
+    residual exceeds ``conv_tol``.  A CpMap is solved by the fixed point
+    ``w <- 1 + phi(w)/s`` through its Kraus list, at any side, and by the
+    dense solve when that stalls; other maps take the dense solve.
     """
     if math.isinf(s):
         raise PreconditionError(f"neumann_witness requires a finite s (got {s})")

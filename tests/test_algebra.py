@@ -11,18 +11,13 @@ from cpspectra import (
     choi_of,
     choi_of_superop,
     compress,
-    compress_superop,
-    embed,
     in_algebra,
     kraus_of_choi,
     kron,
     psd_report,
     spectral_radius,
     spectral_radius_of,
-    split,
     superop_of,
-    unvec,
-    vec,
 )
 from cpspectra.reference_maps import double_trace_map, golden_ratio_map
 from helpers import random_cpmap, random_matrix, random_psd
@@ -42,24 +37,18 @@ class TestShape:
         assert AlgebraShape.from_json(shape.to_json()) == shape
 
 
+def block_diagonal(x, shape):
+    """The diagonal blocks of ``x`` copied into a zero matrix, one slice at a time."""
+    out = np.zeros((shape.m, shape.m), dtype=complex)
+    for sl in shape.slices():
+        out[sl, sl] = x[sl, sl]
+    return out
+
+
 class TestEmbedCompress:
-    def test_embed_two_blocks(self):
-        blocks = [np.array([[1, 2], [3, 4.0]]), np.array([[5.0]])]
-        out = embed(blocks, AlgebraShape((2, 1)))
-        expect = np.array([[1, 2, 0], [3, 4, 0], [0, 0, 5.0]])
-        assert np.array_equal(out, expect)
-
-    def test_embed_identity_blocks(self):
-        shape = AlgebraShape((2, 3))
-        assert np.array_equal(embed([np.eye(2), np.eye(3)], shape), np.eye(5))
-
-    def test_single_block_is_identity_embedding(self):
-        a = random_matrix(np.random.default_rng(0), 3)
-        assert np.array_equal(embed([a], AlgebraShape.full(3)), a)
-
     def test_compress_fixed_point(self):
         shape = AlgebraShape((2, 1))
-        x = embed([np.ones((2, 2)), np.ones((1, 1))], shape)
+        x = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1.0]])
         assert np.array_equal(compress(x, shape), x)
 
     def test_compress_all_ones(self):
@@ -84,16 +73,12 @@ class TestEmbedCompress:
         rng = np.random.default_rng(3)
         shape = AlgebraShape((1, 2))
         blocks = [random_matrix(rng, 1), random_matrix(rng, 2)]
-        back = split(compress(embed(blocks, shape), shape), shape)
-        for a, b in zip(blocks, back):
-            assert np.array_equal(a, b)
-
-    def test_compress_superop_action(self):
-        rng = np.random.default_rng(4)
-        shape = AlgebraShape((2, 1))
-        c = compress_superop(shape)
-        x = random_matrix(rng, 3)
-        assert np.abs(unvec(c @ vec(x)) - compress(x, shape)).max() < 1e-14
+        x = np.zeros((3, 3), dtype=complex)
+        for a, sl in zip(blocks, shape.slices()):
+            x[sl, sl] = a
+        back = compress(x, shape)
+        for a, sl in zip(blocks, shape.slices()):
+            assert np.array_equal(a, back[sl, sl])
 
     def test_in_algebra(self):
         shape = AlgebraShape((1, 1))
@@ -119,34 +104,35 @@ class TestVecMask:
                     assert mask[i + j * shape.m] == (block_of[i] == block_of[j])
 
     def test_compress_superop_equals_projection_kron_sum(self):
+        # the superoperator of compress is the diagonal of the mask
         for blocks in SHAPES:
             shape = AlgebraShape(blocks)
             old = np.zeros((shape.m**2, shape.m**2), dtype=complex)
             for p in shape.projections():
                 old += kron(p, p)
-            new = compress_superop(shape)
-            assert new.dtype == old.dtype and np.array_equal(new, old)
+            assert np.array_equal(np.diag(shape.vec_mask()), old)
 
     def test_compress_equals_embed_of_split(self):
         rng = np.random.default_rng(21)
         for blocks in SHAPES:
             shape = AlgebraShape(blocks)
             x = random_matrix(rng, shape.m)
-            assert np.array_equal(compress(x, shape), embed(split(x, shape), shape))
+            assert np.array_equal(compress(x, shape), block_diagonal(x, shape))
 
     def test_algebra_map_equals_compress_superop_product(self):
         rng = np.random.default_rng(22)
         for blocks in SHAPES:
             tau = random_cpmap(rng, blocks, terms=3)
             s = superop_of(tau).matrix
-            assert np.array_equal(algebra_map(tau).superop.matrix, s @ compress_superop(tau.shape))
+            compressed = s @ np.diag(tau.shape.vec_mask().astype(complex))
+            assert np.array_equal(algebra_map(tau).superop.matrix, compressed)
 
     def test_canonical_extension_equals_compress_superop_product(self):
-        # reference: the Kraus list of the Choi matrix of superop @ compress_superop
+        # reference: the Kraus list of the Choi matrix of the superop times the compression's diagonal mask
         rng = np.random.default_rng(23)
         for blocks in SHAPES:
             tau = random_cpmap(rng, blocks, terms=3)
-            s = superop_of(tau).matrix @ compress_superop(tau.shape)
+            s = superop_of(tau).matrix @ np.diag(tau.shape.vec_mask().astype(complex))
             old = kraus_of_choi(choi_of_superop(SuperOperator(tau.m, s)))
             new = canonical_extension(tau).kraus
             assert len(new) == len(old)
@@ -170,7 +156,7 @@ class TestCanonicalExtension:
         shape = AlgebraShape((2, 1))
         ident = CpMap(tuple(np.asarray(p) for p in shape.projections()), shape)
         ext = canonical_extension(ident)
-        assert np.abs(superop_of(ext).matrix - compress_superop(shape)).max() < 1e-9
+        assert np.abs(superop_of(ext).matrix - np.diag(shape.vec_mask())).max() < 1e-9
 
     def test_golden_radius_preserved(self):
         tau = golden_ratio_map()
@@ -184,7 +170,7 @@ class TestCanonicalExtension:
         for blocks in [(2, 1), (1, 1, 1)]:
             tau = random_cpmap(rng, blocks, terms=3)
             s_given = superop_of(tau).matrix
-            c = compress_superop(tau.shape)
+            c = np.diag(tau.shape.vec_mask().astype(complex))
             s_ext = s_given @ c
             for n in (2, 3):
                 lhs = np.linalg.matrix_power(s_ext, n)

@@ -325,6 +325,17 @@ def test_friedland_and_witness_take_the_kraus_route_from_side_16(capsys, monkeyp
     assert report["residuals"]["equation"] < 1e-10
 
 
+def test_irreducible_overflow_exits_2(capsys, tmp_path):
+    # Kraus norms of 1e160 overflow the superoperator: a convergence failure, not malformed input
+    rng = np.random.default_rng(0)
+    tau = CpMap(tuple(1e160 * random_matrix(rng, 3) for _ in range(2)), AlgebraShape.full(3))
+    (tmp_path / "map.json").write_text(json.dumps(tau.to_json()))
+    code, report = run(capsys, ["irreducible", "--map", str(tmp_path / "map.json")])
+    assert code == 2
+    assert report["error"]["code"] == "precondition"
+    assert "overflow" in report["error"]["message"]
+
+
 def test_witness_residual_is_that_of_the_compressed_map(capsys, tmp_path):
     # off-block Kraus entries make tau(E(w)) differ from tau(w) once w leaks
     rng = np.random.default_rng(17)

@@ -6,6 +6,7 @@ import pytest
 from cpspectra import cpmap
 from cpspectra import (
     AlgebraShape,
+    ConvergenceError,
     CpMap,
     FormatError,
     PreconditionError,
@@ -17,9 +18,9 @@ from cpspectra import (
     choi_rank,
     coefficient_space,
     compress,
-    compress_superop,
     compose,
     dominates,
+    irreducible_cp,
     is_cp,
     kraus_of_choi,
     kron,
@@ -28,6 +29,7 @@ from cpspectra import (
     op_norm,
     preserves_algebra,
     psd_report,
+    spectral_radius_of,
     superop_of,
     unvec,
     vec,
@@ -136,7 +138,7 @@ class TestChoiReshuffle:
             s = superop_of(tau)
             assert np.array_equal(choi_of_superop(s), choi_by_matrix_units(s))
             if not tau.shape.is_full:
-                ext = SuperOperator(tau.m, s.matrix @ compress_superop(tau.shape))
+                ext = SuperOperator(tau.m, s.matrix @ np.diag(tau.shape.vec_mask().astype(complex)))
                 assert np.array_equal(choi_of_superop(ext), choi_by_matrix_units(ext))
 
     def test_equals_matrix_unit_loop_on_transpose_swap(self):
@@ -319,6 +321,28 @@ class TestKrausSpanRoute:
     def test_zero_map_extends_to_one_zero_kraus_operator(self):
         ext = canonical_extension(random_cpmap(np.random.default_rng(21), (2, 1), scale=0.0))
         assert len(ext.kraus) == 1 and np.array_equal(ext.kraus[0], np.zeros((3, 3)))
+
+
+class TestHugeKrausNorms:
+    """Kraus operators of norm 1e160: their Choi eigenvalues, the squared singular
+    values, overflow, but the span rule does not square them."""
+
+    def scaled_pair(self, scale):
+        rng = np.random.default_rng(0)
+        return full_map(*(scale * random_matrix(rng, 3) for _ in range(2)))
+
+    def test_span_keeps_the_unscaled_count_and_dimension(self):
+        small, huge = self.scaled_pair(1.0), self.scaled_pair(1e160)
+        assert len(canonical_extension(huge).kraus) == len(canonical_extension(small).kraus) == 2
+        assert coefficient_space(huge).dimension == coefficient_space(small).dimension == 2
+
+    def test_superoperator_overflow_is_a_convergence_error(self):
+        huge = self.scaled_pair(1e160)
+        # spectral_radius_of first overflows in its radius bracket, which must fall through
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (superop_of, irreducible_cp, spectral_radius_of):
+                with pytest.raises(ConvergenceError, match="overflow"):
+                    call(huge)
 
 
 class TestCoefficientSpace:

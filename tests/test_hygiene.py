@@ -25,13 +25,18 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(name, node.lineno)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    exported = set()
+    exported = declared_all(tree)
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read | exported]
+
+
+def declared_all(tree: ast.Module) -> set[str]:
+    """The names listed in a module's ``__all__``; empty when it has none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
-    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read | exported]
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
 
 
 def test_modules_are_found():
@@ -46,6 +51,24 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\n__all__ = ['tau']\nprint(sys.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+def package_exports() -> set[str]:
+    """The names that ``cpspectra/__init__.py`` imports from its modules."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_exports_reach_the_package(path):
+    # a name a module declares public is importable from cpspectra, or it is not public
+    declared = declared_all(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(declared - package_exports()) == []
 
 
 def private_imports(source: str) -> list[str]:

@@ -17,6 +17,7 @@ from cpspectra import (
     algebra_map,
     balance_similarity,
     canonical_extension,
+    compress,
     conjugate_map,
     friedland_value,
     jsr_brute,
@@ -737,3 +738,94 @@ class TestKrausRouteGuard:
         assert calls == []
         neumann_witness(tau, s)
         assert len(calls) == 1
+
+
+SMALL_SIDES = (2, 3, 5, 8, 12, 15)
+
+
+def small_route_maps():
+    """Seeded CP maps of every side below 16: full pairs, maps that keep the
+    blocks (2, 1) and (3, 2), Gaussian maps that leak out of two blocks,
+    block-triangular maps whose downstream block dominates (so the Perron vector
+    is singular and the bracket falls back), and the periodic trace-corner map."""
+    out = {"trace_corner": trace_corner_map()}
+    for blocks in ((2, 1), (3, 2)):
+        rng = np.random.default_rng(110 + sum(blocks))
+        out[f"kept-{blocks}"] = CpMap(tuple(rect_kraus(rng, blocks, ring_pairs(2))), AlgebraShape(blocks))
+    for m in SMALL_SIDES:
+        rng = np.random.default_rng(100 + m)
+        blocks = (m // 2, m - m // 2)
+        out[f"full-{m}"] = CpMap((random_matrix(rng, m), random_matrix(rng, m)), AlgebraShape.full(m))
+        leaking = tuple(random_matrix(rng, m) for _ in range(3))
+        out[f"leaking-{m}"] = CpMap(leaking, AlgebraShape(blocks))
+        pairs = triangular_pairs(2)  # (0, 0), (1, 1), (0, 1): block 0 feeds block 1
+        kraus = [2.0 * a if k == l == 1 else a for a, (k, l) in zip(rect_kraus(rng, blocks, pairs), pairs)]
+        out[f"triangular-{m}"] = CpMap(tuple(kraus), AlgebraShape(blocks))
+    return out
+
+
+def gelfand_reference(mats, n):
+    mat = superop_matrix(CpMap(tuple(mats), AlgebraShape.full(mats[0].shape[0])))
+    power = np.linalg.matrix_power(mat, n) @ vec(np.eye(mats[0].shape[0]))
+    return op_norm(unvec(power)) ** (1 / (2 * n))
+
+
+class TestOneRouteBelowSide16:
+    """Every CpMap entry point takes its Kraus route at every side and answers
+    what the dense superoperator answers."""
+
+    @pytest.mark.parametrize("name", sorted(small_route_maps()))
+    def test_entry_points_match_the_dense_maps(self, name):
+        tau = small_route_maps()[name]
+        m = tau.m
+        mat = superop_matrix(tau)
+        one = np.eye(m, dtype=complex)
+        r = spectral_radius(mat)
+        assert rel(spectral_radius_of(tau), r) <= 1e-12
+        assert rel(positive_map_norm(tau), op_norm(unvec(mat @ vec(one)))) <= 1e-12
+        rng = np.random.default_rng(120 + m)
+        w = compress(random_strictly_positive(rng, m), tau.shape)
+        assert rel(friedland_value(tau, w), spectral_radius(np.linalg.solve(w, unvec(mat @ vec(w))))) <= 1e-12
+        for n in (1, 7, 64):
+            assert rel(outer_radius_gelfand(tau.kraus, n), gelfand_reference(tau.kraus, n)) <= 1e-12
+        s = 1.5 * r
+        w = neumann_witness(tau, s)
+        assert np.linalg.norm(unvec(mat @ vec(w)) - s * (w - one)) < 1e-10
+        assert np.linalg.eigvalsh(w - one).min() >= -1e-9
+
+    @pytest.mark.parametrize("name", sorted(small_route_maps()))
+    def test_radius_invariance_under_mixing_and_block_unitaries(self, name):
+        tau = small_route_maps()[name]
+        rng = np.random.default_rng(130 + tau.m)
+        r = spectral_radius_of(tau)
+        u = random_unitary(rng, len(tau.kraus))
+        mixed = CpMap(tuple(np.einsum("ji,ikl->jkl", u, np.stack(tau.kraus))), tau.shape)
+        assert rel(spectral_radius_of(mixed), r) <= 1e-12
+        v = block_unitary(rng, tau.shape)
+        turned = CpMap(tuple(v.conj().T @ a @ v for a in tau.kraus), tau.shape)
+        assert rel(spectral_radius_of(turned), r) <= 1e-12
+
+    @pytest.mark.parametrize("m", SMALL_SIDES)
+    def test_block_triangular_maps_fall_back_to_the_dense_radius(self, m):
+        tau = small_route_maps()[f"triangular-{m}"]
+        with pytest.raises(ConvergenceError, match="strict positivity"):
+            spectral_radius_bounds(tau)
+        assert spectral_radius_of(tau) == spectral_radius(superop_matrix(tau))
+
+    def test_no_superoperator_at_m_8(self, monkeypatch):
+        rng = np.random.default_rng(140)
+        mats = [random_matrix(rng, 8) for _ in range(2)]
+        tau = CpMap(tuple(mats), AlgebraShape.full(8))
+        w = random_strictly_positive(rng, 8)
+        s = 1.5 * positive_map_norm(tau)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a CpMap entry point built its superoperator")
+
+        monkeypatch.setattr(cpmap, "superop_of", forbidden)
+        spectral_radius_of(tau)
+        outer_radius(mats)
+        positive_map_norm(tau)
+        friedland_value(tau, w)
+        neumann_witness(tau, s)
+        outer_radius_gelfand(mats, 64)
