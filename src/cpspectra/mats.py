@@ -24,7 +24,7 @@ from .errors import ConvergenceError, FormatError, PreconditionError
 RANK_TOL = 1e-9
 PSD_TOL = 1e-9
 CONV_TOL = 1e-10
-CLUSTER_TOL = 1e-8  # eigenvalues within CLUSTER_TOL * max(r, 1) form one cluster
+CLUSTER_TOL = 1e-8  # eigenvalues within CLUSTER_TOL * r form one cluster, r the spectral radius
 CHECK_TOL = 1e-8  # bound on the residuals that certify a computed result
 
 

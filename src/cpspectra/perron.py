@@ -1,25 +1,30 @@
 """Constructive Perron theory for positive maps on block-diagonal algebras.
 
-Each call computes one complex Schur form ``T = q t q*``: the eigenvalues are
-its diagonal, and degeneracy indices come from tolerant rank plateaus of
-powers of ``t11 - lambda`` on a cluster's reordered Schur block; Jordan bases
-are never formed.  The maximal part of a map is computed along two
-independent routes and cross-checked:
+The maximal part runs on the map's matrix ``H`` in the orthonormal Hermitian
+basis of its block algebra, of side ``n1^2 + ... + nd^2``: real for every
+positive map, so its one Schur form ``H = q t q*`` is real quasi-triangular
+and every later product is real (see :meth:`AlgebraShape.hermitian_coords`).
+The eigenvalues are read off the diagonal blocks of ``t``, and degeneracy
+indices come from tolerant rank plateaus of powers of ``t11 - lambda`` on a
+cluster's reordered Schur block; Jordan bases are never formed.  The maximal
+part is computed along two independent routes and cross-checked:
 
-* projection route: ``(T - r)^(d-1)`` composed with the spectral projector at
+* projection route: ``(H - r)^(d-1)`` composed with the spectral projector at
   the eigenvalue ``r``, from the same Schur form with the cluster at ``r``
   moved to the leading block (LAPACK ``trsen``) and the Sylvester equation
-  between its triangular blocks solved directly (LAPACK ``trsyl``);
+  between its (quasi-)triangular blocks solved directly (LAPACK ``trsyl``);
 * second route, the limit of the averaged normalized powers
-  ``(1/N) sum_n T^n / (binom(n, d-1) r^(n-d+1))``: for ``d = 1`` the Cesaro
+  ``(1/N) sum_n H^n / (binom(n, d-1) r^(n-d+1))``: for ``d = 1`` the Cesaro
   mean by exact partial-sum doubling with Richardson extrapolation; for
   ``d > 1`` its closed form, the resolvent integral
-  ``(1/2 pi i) oint (z - r)^(d-1) (z - T)^(-1) dz`` by the trapezoidal rule on
+  ``(1/2 pi i) oint (z - r)^(d-1) (z - H)^(-1) dz`` by the trapezoidal rule on
   a circle about ``r``.
 
-The same machinery yields Perron eigenvectors, the rank-one factorization of
-the maximal part of irreducible CP maps, irreducibility tests through
-canonical extensions, and bases of the algebra generated by a matrix tuple.
+The result is embedded back at side m^2.  :func:`spectral_structure` runs the
+same Schur helper on the complex m^2 x m^2 matrix.  The same machinery yields
+Perron eigenvectors, the rank-one factorization of the maximal part of
+irreducible CP maps, irreducibility tests through canonical extensions, and
+bases of the algebra generated by a matrix tuple.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import AlgebraShape
 from .cpmap import (
+    AlgebraMap,
     CoefficientSpace,
     CpMap,
     SuperOperator,
@@ -75,6 +82,7 @@ __all__ = [
 ]
 
 
+_REAL_TOL = 1e-12  # largest relative imaginary part of coordinates that count as real
 _ROUTE_TOL = 1e-6  # largest relative gap between the two maximal-part routes
 _CESARO_TOL = 2.5e-7  # relative change of the Richardson value that stops the Cesaro doubling
 _CESARO_TERMS = 2**26  # largest number of terms in the Cesaro mean
@@ -102,21 +110,21 @@ class SpectralStructure:
 def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     """Eigenvalue clusters, degeneracy indices, and the maximal spectrum.
 
-    The eigenvalues are the diagonal of one complex Schur form ``T = q t q*``;
-    clustering merges eigenvalues within ``CLUSTER_TOL * max(r, 1)``.  The
-    degeneracy index of a cluster of multiplicity ``k > 1`` at ``value`` is
-    read off the cluster's leading ``k x k`` block ``t11`` of the reordered
-    Schur form: with ``N = (t11 - value) / ||T||_2``, it is the smallest
-    ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the tolerant rank, where
-    a power of norm at most ``rank_tol`` has rank 0.  A simple cluster has
-    index 1 without a rank test.
+    The eigenvalues are the diagonal of one complex Schur form ``T = q t q*``
+    of the m^2 x m^2 matrix; clustering merges eigenvalues within
+    ``CLUSTER_TOL * r``.  The degeneracy index of a cluster of multiplicity
+    ``k > 1`` at ``value`` is read off the cluster's leading ``k x k`` block
+    ``t11`` of the reordered Schur form: with ``N = (t11 - value) / ||T||_2``,
+    it is the smallest ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the
+    tolerant rank, where a power of norm at most ``rank_tol`` has rank 0.  A
+    simple cluster has index 1 without a rank test.
     """
     t, _, radius, clusters = _schur_clusters(superop_matrix(op))
     out = tuple(
         EigenCluster(c.value, int(c.members.sum()), _cluster_degeneracy(t, c, rank_tol))
         for c in clusters
     )
-    delta = CLUSTER_TOL * max(radius, 1.0)
+    delta = CLUSTER_TOL * radius
     peripheral = [c for c in out if abs(c.value) >= radius - delta]
     d_max = max((c.degeneracy for c in peripheral), default=0)
     maximal = tuple(c.value for c in peripheral if c.degeneracy == d_max)
@@ -125,35 +133,67 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
 
 class _Cluster(NamedTuple):
     value: complex
-    members: np.ndarray  # mask over diag(t) of the Schur form
+    members: np.ndarray  # mask over the eigenvalues on the diagonal of the Schur form
+
+
+def _lapack(name: str, a: np.ndarray):
+    """The LAPACK routine ``name`` for the dtype of ``a``: ``d...`` if real, ``z...`` if complex."""
+    from scipy.linalg import lapack
+
+    return getattr(lapack, ("z" if np.iscomplexobj(a) else "d") + name)
+
+
+def _pairs(t: np.ndarray) -> np.ndarray:
+    """Leading indices of the 2 x 2 blocks of a real Schur form (none in a complex one)."""
+    return np.flatnonzero(np.diag(t, -1)) if not np.iscomplexobj(t) else np.empty(0, dtype=int)
 
 
 def _schur_clusters(mat: np.ndarray):
-    """One complex Schur form ``mat = q t q*`` and the eigenvalue clusters on ``diag(t)``.
+    """One Schur form ``mat = q t q*`` and the eigenvalue clusters on its diagonal.
 
-    Returns ``(t, q, radius, clusters)``, the clusters by decreasing modulus.
+    A real ``mat`` gets a real quasi-triangular form, whose 2 x 2 blocks
+    ``[[a, b], [c, a]]`` hold ``a +- i sqrt(|b c|)``; a complex one a
+    triangular form.  Returns ``(t, q, radius, clusters)``; see :func:`_clusters`.
     """
     import scipy.linalg  # deferred: scipy is most of the package's import time
 
+    output = "complex" if np.iscomplexobj(mat) else "real"
     try:
-        t, q = scipy.linalg.schur(mat, output="complex", check_finite=False)
+        t, q = scipy.linalg.schur(mat, output=output, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-    eig = np.diag(t)
+    eig = np.diag(t).astype(complex)
+    k = _pairs(t)
+    im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+    eig[k] += 1j * im
+    eig[k + 1] -= 1j * im
+    return (t, q, *_clusters(eig))
+
+
+def _clusters(eig: np.ndarray) -> tuple[float, list[_Cluster]]:
+    """The spectral radius and the clusters of ``eig``, by decreasing modulus.
+
+    Eigenvalues within ``CLUSTER_TOL * r`` of each other form one cluster, walked
+    greedily in the order of decreasing modulus, then real and imaginary part;
+    its value is the members' mean.  An eigenvalue with no neighbour is its own
+    cluster, with no mean taken.
+    """
     n = eig.size
     radius = float(np.abs(eig).max()) if n else 0.0
-    delta = CLUSTER_TOL * max(radius, 1.0)
-
-    order = sorted(range(n), key=lambda i: (-abs(eig[i]), eig[i].real, eig[i].imag))
+    # hypot is the scalar abs() of the loop this replaced, bit for bit; np.abs is not
+    order = np.lexsort((eig.imag, eig.real, -np.hypot(eig.real, eig.imag)))  # stable
+    near = np.abs(eig[:, None] - eig) <= CLUSTER_TOL * radius
+    single = np.count_nonzero(near, axis=1) == 1
     taken = np.zeros(n, dtype=bool)
     clusters = []
     for idx in order:
-        if taken[idx]:
-            continue
-        members = ~taken & (np.abs(eig - eig[idx]) <= delta)
-        taken |= members
-        clusters.append(_Cluster(complex(np.mean(eig[members])), members))
-    return t, q, radius, clusters
+        if single[idx]:
+            clusters.append(_Cluster(complex(eig[idx]), near[idx]))
+        elif not taken[idx]:
+            members = near[idx] & ~taken
+            taken |= members
+            clusters.append(_Cluster(complex(np.mean(eig[members])), members))
+    return radius, clusters
 
 
 def _cluster_degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
@@ -161,18 +201,22 @@ def _cluster_degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> in
     mult = int(cluster.members.sum())
     if mult == 1:  # the index never exceeds the multiplicity
         return 1
-    return _degeneracy(_reorder(t, None, cluster.members)[0], mult, cluster.value, rank_tol)
+    t_lead, _, sdim = _reorder(t, None, cluster.members)
+    return _degeneracy(t_lead, sdim, mult, cluster.value, rank_tol)
 
 
-def _degeneracy(t: np.ndarray, mult: int, value: complex, rank_tol: float) -> int:
-    """Rank-plateau index of ``t11 - value``, ``t11`` the leading ``mult x mult`` block of ``t``.
+def _degeneracy(t: np.ndarray, sdim: int, mult: int, value: complex, rank_tol: float) -> int:
+    """Rank-plateau index of ``t11 - value``, ``t11`` the leading ``sdim x sdim`` block of ``t``.
 
-    The block is divided by ``||t||_2 = ||T||_2``, so the index does not
-    depend on the map's scale.
+    ``t11`` holds the ``mult`` eigenvalues of the cluster, and in a real form
+    also their conjugates when ``value`` is not real; ``t11 - value`` is
+    invertible on those, so they do not move the plateau.  The block is
+    divided by ``||t||_2 = ||T||_2``, so the index does not depend on the
+    map's scale.
     """
     if mult == 1:
         return 1
-    base = (t[:mult, :mult] - value * np.eye(mult)) / (op_norm(t) or 1.0)
+    base = (t[:sdim, :sdim] - value * np.eye(sdim)) / (op_norm(t) or 1.0)
 
     def rank(x):
         return numerical_rank(x, rank_tol) if op_norm(x) > rank_tol else 0
@@ -188,34 +232,36 @@ def _degeneracy(t: np.ndarray, mult: int, value: complex, rank_tol: float) -> in
 
 
 def _reorder(t: np.ndarray, q: np.ndarray | None, members: np.ndarray):
-    """Reorder a complex Schur form so the ``members`` of ``diag(t)`` lead (LAPACK ``trsen``).
+    """Reorder a Schur form so the ``members`` of its diagonal lead (LAPACK ``trsen``).
 
-    Returns ``(t, q)``; ``q`` is updated only when given.
+    A 2 x 2 block of a real form moves whole, so a non-real eigenvalue
+    brings its conjugate.  Returns ``(t, q, sdim)``, ``sdim`` the size of the
+    leading block; ``q`` is updated only when given.
     """
-    from scipy.linalg import lapack
-
-    ts, qs, _, sdim, _, _, info = lapack.ztrsen(  # q is a required argument even unused
-        members.astype(np.int32), t, t if q is None else q, job="N", wantq=int(q is not None)
+    select = members.copy()
+    k = _pairs(t)
+    select[k] = select[k + 1] = select[k] | select[k + 1]
+    out = _lapack("trsen", t)(  # q is a required argument even unused
+        select.astype(np.int32), t, t if q is None else q, job="N", wantq=int(q is not None)
     )
-    if info != 0 or sdim != int(members.sum()):
+    ts, qs, sdim, info = out[0], out[1], out[-4], out[-1]
+    if info != 0 or sdim != int(select.sum()):
         raise ConvergenceError(f"Schur reordering failed (trsen info {info})")
-    return ts, None if q is None else qs
+    return ts, None if q is None else qs, sdim
 
 
 def _spectral_projector(t: np.ndarray, q: np.ndarray, sdim: int) -> np.ndarray:
     """Riesz projection of ``q t q*`` onto the eigenvalues of the leading ``sdim x sdim`` block.
 
-    ``t`` is a complex Schur form whose cluster already leads (see
-    :func:`_reorder`); ``t11 y - y t22 = -t12`` is solved on the triangular
-    blocks (LAPACK ``trsyl``), so no further Schur form is computed.
+    ``t`` is a Schur form whose cluster already leads (see :func:`_reorder`);
+    ``t11 y - y t22 = -t12`` is solved on the (quasi-)triangular blocks
+    (LAPACK ``trsyl``), so no further Schur form is computed.
     """
-    from scipy.linalg import lapack
-
     n = t.shape[0]
     if sdim == n:
-        return np.eye(n, dtype=complex)
+        return np.eye(n, dtype=t.dtype)
     t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
-    y, scale, info = lapack.ztrsyl(t11, t22, -t12, isgn=-1)
+    y, scale, info = _lapack("trsyl", t)(t11, t22, -t12, isgn=-1)
     if info < 0:
         raise ConvergenceError(f"Sylvester solve failed (trsyl info {info})")
     # q [[1, -y], [0, 0]] q* = q1 (q1* - y q2*): rank sdim, with no n x n product
@@ -276,16 +322,24 @@ class MaximalPart:
 def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     """Maximal part of a positive map with non-zero spectral radius.
 
-    Eigenvalues within ``CLUSTER_TOL = 1e-8`` (relative to ``max(r, 1)``)
-    form one cluster; they, the degeneracy indices of the clusters on the
-    spectral circle (see :func:`spectral_structure`) and ``P_r`` all come from
-    one complex Schur form.  Primary route is the spectral projection
-    ``(T - r)^(d-1) P_r``; the limit of averaged normalized powers is
+    Runs on the map's matrix ``H`` in the orthonormal Hermitian basis of its
+    block algebra (:meth:`AlgebraShape.hermitian_coords`), of side
+    ``n1^2 + ... + nd^2``; a SuperOperator or a raw matrix is a map on the
+    full algebra.  ``H`` is real for a map that sends Hermitian matrices to
+    Hermitian ones (every CpMap and positive map): when its imaginary part is
+    at most ``_REAL_TOL = 1e-12`` relative to its largest entry, everything
+    below runs in real arithmetic, and otherwise in complex arithmetic.
+
+    Eigenvalues within ``CLUSTER_TOL * r`` (``CLUSTER_TOL = 1e-8``) form one
+    cluster; they, the degeneracy indices of the clusters on the spectral
+    circle (see :func:`spectral_structure`) and ``P_r`` all come from one
+    Schur form of ``H``.  Primary route is the spectral projection
+    ``(H - r)^(d-1) P_r``; the limit of averaged normalized powers is
     evaluated independently and both must agree within ``_ROUTE_TOL = 1e-6``
     (relative to the result's largest entry once that exceeds 1, since an
     ill-conditioned spectral projector inflates both routes alike).
 
-    For ``d = 1`` the second route is the Cesaro mean of ``(T / r)^n`` over
+    For ``d = 1`` the second route is the Cesaro mean of ``(H / r)^n`` over
     ``N = 2, 4, 8, ...`` terms with Richardson extrapolation; it stops when
     two consecutive values agree within ``_CESARO_TOL = 2.5e-7`` (relative
     to ``max(1, largest entry)``) and raises :class:`ConvergenceError` if
@@ -294,18 +348,37 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     resolvent integral on the circle about ``r`` of half the distance to the
     nearest other eigenvalue cluster.
 
+    The result is embedded back at side m^2
+    (:meth:`AlgebraShape.embed_hermitian`); on a map that leaks out of its
+    algebra, its off-algebra rows are ``B hat / r``, with ``B`` the map's
+    off-algebra rows on the algebra columns.
+
     Raises on maps with zero spectral radius (nilpotent, no maximal part)
     and on maps whose spectral radius is not an eigenvalue or does not carry
     a largest Jordan block (the claimed positivity is then false).
     """
     mat = superop_matrix(phi)
-    m = side_of(mat.shape[0])
-    t, q, r, clusters = _schur_clusters(mat)
+    return _maximal_part(mat, _shape_of(phi, mat), rank_tol)
+
+
+def _shape_of(phi, mat: np.ndarray) -> AlgebraShape:
+    """The block shape of a CpMap or AlgebraMap; the full algebra for any other map."""
+    if isinstance(phi, (CpMap, AlgebraMap)):
+        return phi.shape
+    return AlgebraShape.full(side_of(mat.shape[0]))
+
+
+def _maximal_part(mat: np.ndarray, shape: AlgebraShape, rank_tol: float) -> MaximalPart:
+    """:func:`maximal_part` of the m^2 x m^2 ``mat`` of a map on the algebra ``shape``."""
+    h = shape.hermitian_coords(mat)
+    if float(np.abs(h.imag).max()) <= _REAL_TOL * float(np.abs(h).max()):
+        h = np.ascontiguousarray(h.real)
+    t, q, r, clusters = _schur_clusters(h)
     if r <= 1e-300:
         raise PreconditionError(
             "maximal part is undefined when the spectral radius is zero"
         )
-    delta = CLUSTER_TOL * max(r, 1.0)
+    delta = CLUSTER_TOL * r
     target = next((c for c in clusters if abs(c.value - r) <= delta), None)
     if target is None:
         raise PreconditionError(
@@ -317,9 +390,8 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
         if c is not target and abs(c.value) >= r - delta
     ]
     # one reordering with the cluster at r leading gives both d and P_r
-    sdim = int(target.members.sum())
-    t_lead, q_lead = _reorder(t, q, target.members)
-    d = _degeneracy(t_lead, sdim, target.value, rank_tol)
+    t_lead, q_lead, sdim = _reorder(t, q, target.members)
+    d = _degeneracy(t_lead, sdim, int(target.members.sum()), target.value, rank_tol)
     if d < max(others, default=d):
         raise PreconditionError(
             "a peripheral eigenvalue away from the spectral radius has a larger "
@@ -330,29 +402,30 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     if d == 1:
         hat = proj
     else:
-        hat = np.linalg.matrix_power(mat - r * np.eye(mat.shape[0]), d - 1) @ proj
+        hat = np.linalg.matrix_power(h - r * np.eye(h.shape[0]), d - 1) @ proj
 
     # relative beyond unit scale: ill-conditioned eigenbases inflate both
     # routes' entries by the same factor
     size = float(np.abs(hat).max())
     scale = max(1.0, size)
     if d == 1:
-        route, other = "Cesaro", _cesaro_limit(mat, r)
+        route, other = "Cesaro", _cesaro_limit(h, r)
     else:
         # half the distance to the nearest other cluster; with none, any circle will do
         rho = min((abs(c.value - r) for c in clusters if c is not target), default=r) / 2
-        route, other = "contour", _contour_limit(mat, r, d, rho)
+        route, other = "contour", _contour_limit(h, r, d, rho)
     gap = float(np.abs(hat - other).max())
     if gap > _ROUTE_TOL * scale:
         raise ConvergenceError(
             f"projection and {route} routes disagree by {gap:.3e} (> {_ROUTE_TOL})"
         )
 
-    # relative at every scale: a nilpotent part with entries below 1e-8 is no projector
+    # relative at every scale: a nilpotent part with entries below 1e-8 is no projector,
+    # and the rounding of hat @ hat grows like size^2
     sq = hat @ hat
     if float(np.abs(sq - hat).max()) < 1e-8 * size:
         idempotent = True
-    elif float(np.abs(sq).max()) < 1e-8 * size:
+    elif float(np.abs(sq).max()) < 1e-8 * size * size:
         idempotent = False
     else:
         raise ConvergenceError(
@@ -363,7 +436,7 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
             f"idempotency branch contradicts degeneracy index {d}"
         )
     return MaximalPart(
-        superop=SuperOperator(m, hat),
+        superop=SuperOperator(shape.m, shape.embed_hermitian(hat, mat, r)),
         radius=r,
         degeneracy=d,
         idempotent=idempotent,
@@ -374,7 +447,7 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
 def perron_vector(phi, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Positive eigenvector ``L = maximal_part(phi)(1)`` at the spectral radius."""
     mat = superop_matrix(phi)
-    return _perron_of(maximal_part(mat, rank_tol=rank_tol), mat, psd_tol)
+    return _perron_of(_maximal_part(mat, _shape_of(phi, mat), rank_tol), mat, psd_tol)
 
 
 def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> np.ndarray:
@@ -424,11 +497,17 @@ def maximal_factorization(
         raise PreconditionError(
             f"map is reducible (generated algebra has dimension {dimension} < {m ** 2})"
         )
+    mp = maximal_part(tau, rank_tol=rank_tol)  # the extension's matrix, in tau's coordinates
     mat = superop_matrix(ext)
-    mp = maximal_part(mat, rank_tol=rank_tol)
     hat, r = mp.superop.matrix, mp.radius
 
-    svals = np.linalg.svd(hat, compute_uv=False)
+    # the off-algebra columns are zero; on a map that keeps its algebra the rows
+    # are too, and the rest is unitarily the coordinate result
+    mask = tau.shape.vec_mask()
+    core = hat[:, mask]
+    if not core[~mask].any():
+        core = core[mask]
+    svals = np.linalg.svd(core, compute_uv=False)
     rank_gap = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
     if svals[0] == 0.0 or rank_gap > rank_tol:
         raise ConvergenceError(

@@ -68,6 +68,13 @@ _GROWTH_RATIO = 1.5  # largest late-to-early growth of the normalized powers
 _BALANCE_SLACK = 1e-6  # relative excess of the balanced norm over r
 
 
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` itself; :class:`ConvergenceError` when an entry overflowed."""
+    if not np.isfinite(x).all():
+        raise ConvergenceError(f"{what} overflows")
+    return x
+
+
 def _action(phi) -> CpMap | AlgebraMap:
     """The map object that applies ``phi``: a CpMap itself, applied through its
     Kraus list, else the masked superoperator."""
@@ -163,7 +170,9 @@ def spectral_radius_of(op) -> float:
 def positive_map_norm(op) -> float:
     """Norm of a positive map, ``||phi|| = ||phi(1)||``; a CpMap applies its Kraus list."""
     if isinstance(op, CpMap):
-        return op_norm(op.step(np.eye(op.m, dtype=complex)))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            image = op.step(np.eye(op.m, dtype=complex))
+        return op_norm(_finite(image, "the image of 1"))
     mat = superop_matrix(op)
     m = side_of(mat.shape[0])
     return op_norm(unvec(mat @ vec(np.eye(m, dtype=complex)), m))
@@ -203,12 +212,15 @@ def outer_radius_gelfand(mats_list, n: int) -> float:
         raise PreconditionError("outer_radius_gelfand requires n >= 1")
     tau = _tuple_map(mats)
     x, log_x = np.eye(tau.m, dtype=complex), 0.0
-    for _ in range(n):
-        x = tau.step(x)
-        scale = float(np.abs(x).max())
-        if scale == 0.0:
-            return 0.0
-        x, log_x = x / scale, log_x + math.log(scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for _ in range(n):
+            x = tau.step(x)
+            scale = float(np.abs(x).max())
+            if scale == 0.0:
+                return 0.0
+            if not math.isfinite(scale):
+                raise ConvergenceError("the Kraus iterate overflows")
+            x, log_x = x / scale, log_x + math.log(scale)
     return math.exp((log_x + math.log(op_norm(x))) / (2.0 * n))
 
 
@@ -251,12 +263,17 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     lower, upper = 0.0, math.inf
     for n in range(1, n_max + 1):
         if n > 1:
-            level = np.einsum("kij,ajl->kail", level, gens).reshape(
-                -1, gens.shape[1], gens.shape[2]
-            )
-        svals = np.linalg.svd(level, compute_uv=False)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                level = np.einsum("kij,ajl->kail", level, gens).reshape(
+                    -1, gens.shape[1], gens.shape[2]
+                )
+        try:
+            svals = np.linalg.svd(level, compute_uv=False)
+            radii_max = float(np.abs(np.linalg.eigvals(level[_necklaces(d, n)])).max())
+        except np.linalg.LinAlgError as exc:
+            _finite(level, f"the products of {n} letters")
+            raise ConvergenceError(f"words of length {n}: {exc}") from exc
         norms_max = float(svals[:, 0].max())
-        radii_max = float(np.abs(np.linalg.eigvals(level[_necklaces(d, n)])).max())
         upper = min(upper, norms_max ** (1.0 / n))
         lower = max(lower, radii_max ** (1.0 / n))
     return JsrEstimate(lower, upper, "brute", n_max)
@@ -368,11 +385,12 @@ def jsr_tensor_approx(mats_list, k: int) -> JsrEstimate:
     else:
         lifts = _symmetric_lifts(m, k)
         powers = []
-        for a in mats:
-            b = a
-            for w in lifts:
-                b = w.T @ kron(a, b) @ w
-            powers.append(b)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for a in mats:
+                b = a
+                for w in lifts:
+                    b = _finite(w.T @ kron(a, b) @ w, "the symmetric tensor power")
+                powers.append(b)
         rho_k = math.sqrt(_lifted_radius(_tuple_map(powers), k))
     upper = rho_k ** (1.0 / k)
     lower = d ** (-1.0 / (2.0 * k)) * upper
@@ -391,10 +409,11 @@ def scaled_outer_radius(mats_list, v, psd_tol: float = PSD_TOL) -> float:
         raise PreconditionError("scaling matrix v must be strictly positive")
     vi = inverse(v)
     total = np.zeros_like(mats[0])
-    for a in mats:
-        b = v @ a @ vi
-        total = total + b.conj().T @ b
-    return math.sqrt(op_norm(total))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for a in mats:
+            b = v @ a @ vi
+            total = total + b.conj().T @ b
+    return math.sqrt(op_norm(_finite(total, "the scaled sum")))
 
 
 def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
@@ -409,7 +428,9 @@ def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
         raise PreconditionError("w must belong to the block algebra")
     if not psd_report(w, psd_tol).is_strictly_positive:
         raise PreconditionError("w must be strictly positive")
-    return spectral_radius(inverse(w) @ act(w))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        image = act(w)
+    return spectral_radius(inverse(w) @ _finite(image, "phi(w)"))
 
 
 def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD_TOL) -> np.ndarray:

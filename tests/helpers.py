@@ -24,6 +24,14 @@ def random_unitary(rng, m):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def block_unitary(rng, shape):
+    """A unitary that is block diagonal in ``shape``, so conjugation keeps the algebra."""
+    u = np.zeros((shape.m, shape.m), dtype=complex)
+    for sl in shape.slices():
+        u[sl, sl] = random_unitary(rng, sl.stop - sl.start)
+    return u
+
+
 def random_normal_matrix(rng, m, radius=1.0):
     """Unitary conjugation of a diagonal, max |eigenvalue| exactly ``radius``."""
     mags = rng.uniform(0.2, 1.0, size=m)
@@ -128,3 +136,37 @@ def reference_maximal_hat(mat, degeneracy):
         core[:sdim, sdim:] = -scipy.linalg.solve_sylvester(t11, -t22, -t12)
         proj = q @ core @ q.conj().T
     return np.linalg.matrix_power(mat - r * np.eye(n), degeneracy - 1) @ proj
+
+
+def hermitian_basis(shape):
+    """The m^2 x (n1^2 + ... + nd^2) matrix whose columns are ``vec`` of ``E_ii``, then
+    ``(E_ij + E_ji)/sqrt 2`` and then ``i (E_ij - E_ji)/sqrt 2`` for i < j in one
+    block, built one element at a time."""
+    m = shape.m
+
+    def unit(i, j):
+        e = np.zeros((m, m), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    pairs = [(i, j) for sl in shape.slices() for i in range(sl.start, sl.stop) for j in range(i + 1, sl.stop)]
+    cols = [vec(unit(i, i)) for i in range(m)]
+    cols += [vec(unit(i, j) + unit(j, i)) / np.sqrt(2) for i, j in pairs]
+    cols += [vec(1j * (unit(i, j) - unit(j, i))) / np.sqrt(2) for i, j in pairs]
+    return np.column_stack(cols)
+
+
+def reference_clusters(eig, delta):
+    """The per-eigenvalue loop that clustered Schur eigenvalues: ``sorted`` by
+    ``(-|z|, re, im)``, each untaken eigenvalue takes every untaken one within
+    ``delta``, and the cluster's value is their ``np.mean``."""
+    order = sorted(range(eig.size), key=lambda i: (-abs(eig[i]), eig[i].real, eig[i].imag))
+    taken = np.zeros(eig.size, dtype=bool)
+    out = []
+    for idx in order:
+        if taken[idx]:
+            continue
+        members = ~taken & (np.abs(eig - eig[idx]) <= delta)
+        taken |= members
+        out.append((complex(np.mean(eig[members])), members))
+    return out

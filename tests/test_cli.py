@@ -336,6 +336,23 @@ def test_irreducible_overflow_exits_2(capsys, tmp_path):
     assert "overflow" in report["error"]["message"]
 
 
+def test_jsr_brute_and_friedland_overflow_exit_2(capsys, tmp_path):
+    # word products and phi(w) of 1e160-scaled operators overflow: exit 2, not malformed input (3)
+    rng = np.random.default_rng(0)
+    pair = [1e160 * random_matrix(rng, 3) for _ in range(2)]
+    (tmp_path / "tuple.json").write_text(json.dumps({"matrices": [matrix_to_json(a) for a in pair]}))
+    (tmp_path / "map.json").write_text(json.dumps(CpMap(tuple(pair), AlgebraShape.full(3)).to_json()))
+    (tmp_path / "w.json").write_text(json.dumps(matrix_to_json(np.eye(3))))
+    for argv in (
+        ["jsr", "--method", "brute", "--n", "4", "--tuple", str(tmp_path / "tuple.json")],
+        ["friedland", "--map", str(tmp_path / "map.json"), "--w", str(tmp_path / "w.json")],
+    ):
+        code, report = run(capsys, argv)
+        assert code == 2, argv
+        assert report["error"]["code"] == "precondition"
+        assert "overflow" in report["error"]["message"]
+
+
 def test_witness_residual_is_that_of_the_compressed_map(capsys, tmp_path):
     # off-block Kraus entries make tau(E(w)) differ from tau(w) once w leaks
     rng = np.random.default_rng(17)

@@ -1,15 +1,18 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import importlib
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cpspectra"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -134,3 +137,37 @@ def test_entry_point_signatures():
 
     got = {name: list(inspect.signature(getattr(cpspectra, name)).parameters) for name in ENTRY_POINTS}
     assert got == ENTRY_POINTS
+
+
+def module_constants(module: str) -> dict[str, float]:
+    """The number-valued constants a module assigns at its top level (UPPER_CASE names)."""
+    mod = importlib.import_module(f"cpspectra.{module}")
+    names = [
+        target.id
+        for node in ast.parse(inspect.getsource(mod)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    ]
+    values = {name: getattr(mod, name) for name in names}
+    return {name: v for name, v in values.items() if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+
+def readme_thresholds() -> dict[str, float]:
+    """The ``module.NAME = value`` entries of README "Fixed thresholds", evaluated."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("Fixed thresholds") :]
+    section = section[: section.index("\n## ")]
+    found = re.findall(r"`(\w+\.\w+) = ([^`]+)`", section)
+    return {name: eval(value, {"__builtins__": {}}) for name, value in found}  # noqa: S307 - README literals
+
+
+@pytest.mark.parametrize("module", ["mats", "cpmap", "spectra", "perron"])
+def test_constants_are_listed_in_the_readme(module):
+    # every fixed threshold is documented with its value, so no constant changes unseen
+    listed = readme_thresholds()
+    constants = module_constants(module)
+    assert constants, module
+    assert {f"{module}.{name}": listed.get(f"{module}.{name}") for name in constants} == {
+        f"{module}.{name}": value for name, value in constants.items()
+    }

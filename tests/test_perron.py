@@ -17,6 +17,7 @@ from cpspectra import (
     algebra_map,
     canonical_extension,
     choi_of_superop,
+    compress,
     exp_eta,
     irreducible_cp,
     kraus_of_choi,
@@ -42,7 +43,11 @@ from cpspectra.reference_maps import (
     trace_corner_map,
 )
 from helpers import (
+    block_unitary,
+    hermitian_basis,
     perron_dense_map,
+    random_unitary,
+    reference_clusters,
     random_cpmap,
     random_matrix,
     random_psd,
@@ -420,8 +425,9 @@ class TestMaximalFactorization:
         maps = [golden_ratio_map(), path_adjacency_map()]
         maps += [random_cpmap(rng, blocks) for blocks in ((3,), (2, 2))]
         for tau in maps:
+            # the factorization runs maximal_part on tau itself, in tau's coordinates
             fact = maximal_factorization(tau, rank_tol=1e-7)
-            ell = perron_vector(canonical_extension(tau), rank_tol=1e-7)
+            ell = perron_vector(tau, rank_tol=1e-7)
             assert np.array_equal(fact.eigenvector, ell)
 
 
@@ -672,6 +678,13 @@ def schur_fails(*args, **kwargs):
     raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
 
 
+def condition(hat, degeneracy):
+    """``||P_r||_2``, the condition number of a simple eigenvalue ``r``, for a projector
+    ``hat`` (``d = 1``); 1 for ``d > 1``.  Two backward-stable routes to ``P_r``
+    differ by about that factor times rounding."""
+    return float(np.linalg.norm(hat, 2)) if degeneracy == 1 else 1.0
+
+
 def dense_maps(seed):
     rng = np.random.default_rng(seed)
     return [(cls, perron_dense_map(rng, cls, blocks)) for cls, blocks in DENSE_MAPS]
@@ -686,15 +699,15 @@ class TestOneSchurForm:
             mp = maximal_part(tau)
             assert mp.degeneracy == (2 if cls == "jordan" else 1)
             want = reference_maximal_hat(cpmap.superop_matrix(tau), mp.degeneracy)
-            scale = np.abs(want).max()
-            assert np.abs(mp.superop.matrix - want).max() <= 1e-12 * scale, (cls, tau.shape)
+            bound = 1e-12 * np.abs(want).max() * condition(want, mp.degeneracy)
+            assert np.abs(mp.superop.matrix - want).max() <= bound, (cls, tau.shape)
 
     def test_one_schur_form_per_call(self, monkeypatch):
         calls = []
         real_schur = scipy.linalg.schur
 
         def counted(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append((args[0].shape, args[0].dtype))
             return real_schur(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
@@ -704,10 +717,15 @@ class TestOneSchurForm:
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", forbidden)
         monkeypatch.setattr(perron, "eigenvalues", forbidden)
         monkeypatch.setattr(mats, "eigenvalues", forbidden)
-        for _, tau in dense_maps(11):
+        for _, tau in route_maps(11):  # leaking maps too
+            side = sum(n * n for n in tau.shape.blocks)  # the real coordinates of the algebra
             calls.clear()
             maximal_part(tau)
-            assert calls == [(tau.m**2, tau.m**2)]
+            assert calls == [((side, side), np.float64)]
+        # a matrix that does not preserve Hermitian matrices keeps complex coordinates
+        calls.clear()
+        maximal_part(np.kron(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])))
+        assert calls == [((4, 4), np.complex128)]
 
     def test_many_scale_jordan_block(self):
         # a Jordan block at 1 with coupling 1e9 next to an eigenvalue 0.5: the rank
@@ -733,8 +751,6 @@ class TestOneSchurForm:
         mp = maximal_part(mat)
         assert mp.degeneracy == 2 and not mp.idempotent
         assert mp.radius == pytest.approx(scale)
-        if scale < 1e-8:  # r clusters with the zero eigenvalues of the maps below
-            return
         tau = perron_dense_map(np.random.default_rng(11), "jordan", (1, 1))
         tau = CpMap(tuple(np.sqrt(scale) * k for k in tau.kraus), tau.shape)
         phi = diagonal_algebra_map(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -775,17 +791,22 @@ class TestOneSchurForm:
                 call(golden_ratio_map())
 
     def test_lapack_failures_are_convergence_errors(self, monkeypatch):
+        # the real routines serve maps that preserve Hermitian matrices, the complex ones the rest
         lapack = scipy.linalg.lapack
-        real_trsen, real_trsyl = lapack.ztrsen, lapack.ztrsyl
-        monkeypatch.setattr(lapack, "ztrsen", lambda *a, **k: real_trsen(*a, **k)[:-1] + (1,))
-        with pytest.raises(ConvergenceError, match="trsen info 1"):
-            maximal_part(golden_ratio_map())
-        with pytest.raises(ConvergenceError, match="trsen info 1"):
-            spectral_structure(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        monkeypatch.setattr(lapack, "ztrsen", real_trsen)
-        monkeypatch.setattr(lapack, "ztrsyl", lambda *a, **k: real_trsyl(*a, **k)[:-1] + (-3,))
-        with pytest.raises(ConvergenceError, match="trsyl info -3"):
-            maximal_part(golden_ratio_map())
+        complex_map = np.kron(np.eye(3), np.diag([2.0, 1.0, 0.5]) + np.eye(3, k=1))
+        for prefix, phi in (("d", golden_ratio_map()), ("z", complex_map)):
+            real_trsen, real_trsyl = getattr(lapack, prefix + "trsen"), getattr(lapack, prefix + "trsyl")
+            monkeypatch.setattr(lapack, prefix + "trsen", lambda *a, **k: real_trsen(*a, **k)[:-1] + (1,))
+            with pytest.raises(ConvergenceError, match="trsen info 1"):
+                maximal_part(phi)
+            if prefix == "z":
+                with pytest.raises(ConvergenceError, match="trsen info 1"):
+                    spectral_structure(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            monkeypatch.setattr(lapack, prefix + "trsen", real_trsen)
+            monkeypatch.setattr(lapack, prefix + "trsyl", lambda *a, **k: real_trsyl(*a, **k)[:-1] + (-3,))
+            with pytest.raises(ConvergenceError, match="trsyl info -3"):
+                maximal_part(phi)
+            monkeypatch.setattr(lapack, prefix + "trsyl", real_trsyl)
 
     def test_schur_failure_exits_2_from_the_cli(self, monkeypatch, capsys):
         monkeypatch.setattr(scipy.linalg, "schur", schur_fails)
@@ -834,3 +855,138 @@ class TestAlgebraBasisStops:
             gen = algebra_basis(ext.kraus, unital=unital)
             assert (gen.dimension, gen.stabilization_index) == (m * m, stabilization)
             assert seen and max(seen) == m * m - 1
+
+
+def route_maps(seed):
+    """(kind, map) pairs: the perron_dense kinds (full, kept, reducible, Jordan) and
+    maps that leak out of their algebra."""
+    maps = dense_maps(seed)
+    rng = np.random.default_rng(seed)
+    maps += [("leaking", gaussian_block_map(rng, blocks)) for blocks in [(4, 4), (3, 3, 2), (2, 3)]]
+    return maps
+
+
+def rel_max(a, b):
+    """Largest entry of ``a - b`` relative to the largest entry of ``b``."""
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestHermitianCoordinates:
+    """maximal_part runs on the map's real matrix in the Hermitian basis of its algebra."""
+
+    @pytest.mark.parametrize("blocks", [(1,), (3,), (2, 1), (1, 1, 1), (3, 2, 2)])
+    def test_coordinates_and_embedding_match_the_basis_matrix(self, blocks):
+        shape = AlgebraShape(blocks)
+        v = hermitian_basis(shape)
+        side = sum(n * n for n in blocks)
+        assert v.shape == (shape.m**2, side)
+        assert np.abs(v.conj().T @ v - np.eye(side)).max() < 1e-15
+        for col in v.T:  # every basis element is Hermitian and in the algebra
+            x = unvec(col, shape.m)
+            assert np.array_equal(x, x.conj().T) and np.array_equal(x, compress(x, shape))
+        rng = np.random.default_rng(sum(blocks))
+        mat = random_matrix(rng, shape.m**2)
+        assert rel_max(shape.hermitian_coords(mat), v.conj().T @ mat @ v) < 1e-15
+        h = random_matrix(rng, side)
+        keep = np.diag(shape.vec_mask()).astype(complex)
+        assert rel_max(shape.embed_hermitian(h, keep, 1.0), v @ h @ v.conj().T) < 1e-15
+
+    def test_positive_maps_have_real_coordinates(self):
+        for _, tau in route_maps(11):
+            h = tau.shape.hermitian_coords(cpmap.superop_matrix(tau))
+            assert np.abs(h.imag).max() <= 1e-15 * np.abs(h).max()
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_entry_points_match_the_parent_route(self, seed):
+        # the parent route: three factorisations of the complex m^2 x m^2 matrix
+        for kind, tau in route_maps(seed):
+            mp = maximal_part(tau)
+            assert (mp.degeneracy, mp.idempotent) == ((2, False) if kind == "jordan" else (1, True))
+            want = reference_maximal_hat(cpmap.superop_matrix(tau), mp.degeneracy)
+            cond = condition(want, mp.degeneracy)
+            assert rel_max(mp.superop.matrix, want) <= 1e-12 * cond, (kind, tau.shape)
+            ell = unvec(want @ vec(np.eye(tau.m)), tau.m)
+            assert rel_max(perron_vector(tau), (ell + ell.conj().T) / 2) <= 1e-12 * cond, (kind, tau.shape)
+            if kind != "irreducible":
+                continue
+            fact = maximal_factorization(tau)
+            ext_hat = reference_maximal_hat(cpmap.superop_matrix(canonical_extension(tau)), 1)
+            ell = unvec(ext_hat @ vec(np.eye(tau.m)), tau.m)
+            ell = (ell + ell.conj().T) / 2
+            state = unvec(ext_hat.conj().T @ vec(ell) / np.vdot(vec(ell), vec(ell)).real, tau.m)
+            state = (state + state.conj().T) / 2
+            state /= np.trace(state @ ell).real
+            cond = condition(ext_hat, 1)
+            assert rel_max(fact.eigenvector, ell) <= 1e-12 * cond
+            assert rel_max(fact.state, state) <= 1e-12 * cond
+
+    def test_leaking_rows_are_fixed_by_the_map(self):
+        # (T - r) hat = 0 on every row, the off-algebra ones included
+        for kind, tau in route_maps(12):
+            mat = cpmap.superop_matrix(tau)
+            mp = maximal_part(tau)
+            hat = mp.superop.matrix
+            off = ~tau.shape.vec_mask()
+            if kind == "leaking":
+                assert np.abs(hat[off]).max() > 1e-3 * np.abs(hat).max()
+            else:
+                assert not hat[off].any()
+            assert not hat[:, off].any()
+            if mp.degeneracy == 1:
+                assert rel_max(mat @ hat, mp.radius * hat) <= 1e-12 * condition(hat, 1)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_block_unitary_conjugation_conjugates_the_perron_vector(self, seed):
+        # A_i -> U* A_i U gives X -> U* tau(U X U*) U, whose Perron vector is U* L U
+        rng = np.random.default_rng(seed)
+        for kind, tau in route_maps(seed):
+            if kind not in ("irreducible", "leaking"):
+                continue
+            u = block_unitary(rng, tau.shape)
+            turned = CpMap(tuple(u.conj().T @ a @ u for a in tau.kraus), tau.shape)
+            ell = perron_vector(tau)
+            assert rel_max(perron_vector(turned), u.conj().T @ ell @ u) <= 1e-12, (kind, tau.shape)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_kraus_mixing_leaves_the_perron_vector_and_the_verdict(self, seed):
+        # B_j = sum_i u_ji A_i with u unitary is another Kraus list of the same map
+        rng = np.random.default_rng(seed)
+        for kind, tau in route_maps(seed):
+            if kind == "jordan":
+                continue
+            u = random_unitary(rng, len(tau.kraus))
+            mixed = CpMap(tuple(np.tensordot(u, np.stack(tau.kraus), axes=1)), tau.shape)
+            cond = condition(maximal_part(tau).superop.matrix, 1)
+            assert rel_max(perron_vector(mixed), perron_vector(tau)) <= 1e-12 * cond, (kind, tau.shape)
+            want, got = irreducible_cp(tau), irreducible_cp(mixed)
+            assert (got.irreducible, got.dimension) == (want.irreducible, want.dimension)
+
+
+class TestScaleFreeClusters:
+    def test_tiny_jordan_block_keeps_its_own_cluster(self):
+        # below unit radius, an absolute 1e-8 would merge r = 1e-10 into the zero cluster
+        phi = diagonal_algebra_map(1e-10 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        got = [(c.value, c.multiplicity, c.degeneracy) for c in spectral_structure(phi).clusters]
+        assert [(m, d) for _, m, d in got] == [(2, 2), (2, 1)]
+        assert got[0][0] == pytest.approx(1e-10, rel=1e-12) and got[1][0] == 0
+        mp = maximal_part(phi)
+        assert mp.degeneracy == 2 and not mp.idempotent
+        assert mp.radius == pytest.approx(1e-10, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_clusters_match_the_per_eigenvalue_loop(self, seed):
+        # bitwise: the same values, members and order as the sorted() loop
+        arrays = []
+        for _, tau in dense_maps(seed):
+            mat = cpmap.superop_matrix(tau)
+            arrays += [np.linalg.eigvals(mat), np.linalg.eigvals(tau.shape.hermitian_coords(mat).real)]
+        rng = np.random.default_rng(seed)
+        chain = 1.0 + 0.6e-8 * np.arange(5)  # each within CLUSTER_TOL of the next, not of all
+        pairs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        arrays += [np.concatenate([chain, -chain, pairs, pairs.conj(), np.zeros(3)]).astype(complex)]
+        for eig in arrays:
+            radius, got = perron._clusters(eig)
+            want = reference_clusters(eig, mats.CLUSTER_TOL * radius)
+            assert radius == float(np.abs(eig).max())
+            assert [c.value for c in got] == [v for v, _ in want]
+            assert all(np.array_equal(c.members, w) for c, (_, w) in zip(got, want))

@@ -48,6 +48,7 @@ from cpspectra.reference_maps import (
     trace_corner_map,
 )
 from helpers import (
+    block_unitary,
     random_cpmap,
     random_matrix,
     random_normal_matrix,
@@ -591,13 +592,6 @@ def kraus_route_map(kind, m, seed):
     return CpMap(tuple(kraus), AlgebraShape(blocks))
 
 
-def block_unitary(rng, shape):
-    u = np.zeros((shape.m, shape.m), dtype=complex)
-    for sl in shape.slices():
-        u[sl, sl] = random_unitary(rng, sl.stop - sl.start)
-    return u
-
-
 def rel(a, b):
     return abs(a - b) / abs(b)
 
@@ -829,3 +823,37 @@ class TestOneRouteBelowSide16:
         friedland_value(tau, w)
         neumann_witness(tau, s)
         outer_radius_gelfand(mats, 64)
+
+
+class TestOverflowIsAConvergenceError:
+    """Kraus norms of 1e160 overflow inside the computation: a convergence failure,
+    never a FormatError (malformed input) or an untyped LinAlgError."""
+
+    def pair(self):
+        rng = np.random.default_rng(0)
+        return [1e160 * random_matrix(rng, 3) for _ in range(2)]
+
+    def test_every_entry_point_raises_convergence_error(self):
+        pair = self.pair()
+        tau = CpMap(tuple(pair), AlgebraShape.full(3))
+        calls = {
+            "positive_map_norm": lambda: positive_map_norm(tau),
+            "outer_radius_gelfand": lambda: outer_radius_gelfand(pair, 7),
+            "friedland_value": lambda: friedland_value(tau, np.eye(3)),
+            "jsr_tensor_approx": lambda: jsr_tensor_approx(pair, 2),
+            "scaled_outer_radius": lambda: scaled_outer_radius(pair, np.eye(3)),
+            "jsr_brute": lambda: jsr_brute(pair, 4),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ConvergenceError, match="overflow"):
+                call()
+
+    def test_unscaled_pair_still_answers(self):
+        pair = [a / 1e160 for a in self.pair()]
+        tau = CpMap(tuple(pair), AlgebraShape.full(3))
+        assert positive_map_norm(tau) > 0
+        assert outer_radius_gelfand(pair, 7) > 0
+        assert friedland_value(tau, np.eye(3)) > 0
+        assert jsr_tensor_approx(pair, 2).upper > 0
+        assert scaled_outer_radius(pair, np.eye(3)) > 0
+        assert jsr_brute(pair, 4).upper > 0
