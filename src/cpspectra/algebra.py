@@ -4,15 +4,11 @@ An algebra element is carried as the full embedded m x m matrix; all
 superoperators downstream act on ``vec`` of the embedded matrix.  The algebra
 itself is represented by one boolean mask over ``vec`` indices
 (:meth:`AlgebraShape.vec_mask`): compression zeroes the entries outside it.
-Dense stages that only need a map on the algebra run in the coordinates of
-its orthonormal Hermitian basis (:meth:`AlgebraShape.hermitian_coords`),
-where a positive map is a real matrix of side ``n1^2 + ... + nd^2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -71,50 +67,6 @@ class AlgebraShape:
             out.append(p)
         return out
 
-    @cached_property
-    def _units(self) -> tuple[np.ndarray, int]:
-        """``vec`` indices of ``E_ii``, of ``E_ij`` and of ``E_ji`` (i < j in one block),
-        in that order, and the number ``m`` of diagonal ones."""
-        m, upper = self.m, []
-        for sl in self.slices():
-            i, j = np.triu_indices(sl.stop - sl.start, 1)
-            upper.append((i + sl.start, j + sl.start))
-        i, j = (np.concatenate(ax) for ax in zip(*upper))
-        return np.concatenate([np.arange(m) * (m + 1), i + j * m, j + i * m]), m
-
-    def hermitian_coords(self, mat: np.ndarray) -> np.ndarray:
-        """``V* mat V`` for the orthonormal Hermitian basis ``V`` of the algebra.
-
-        The basis is ``E_ii``, then ``(E_ij + E_ji)/sqrt 2`` and then
-        ``i (E_ij - E_ji)/sqrt 2`` for i < j in one block; each coordinate
-        entry combines at most four entries of the m^2 x m^2 ``mat``, and no
-        basis matrix is formed.  A map that sends Hermitian matrices to
-        Hermitian matrices has real coordinates.
-        """
-        idx, k = self._units
-        rows = _to_hermitian(mat[np.ix_(idx, idx)], k, 1j)
-        return _to_hermitian(rows.T, k, -1j).T
-
-    def embed_hermitian(self, h: np.ndarray, mat: np.ndarray, radius: float) -> np.ndarray:
-        """The m^2 x m^2 matrix ``V h V*`` of an eigen-result ``h`` of ``mat``'s coordinates.
-
-        ``h`` satisfies ``(H - radius) h = 0`` for ``H = hermitian_coords(mat)``;
-        the off-algebra rows of the result are then ``B (V h V*) / radius``, with
-        ``B`` the off-algebra rows of ``mat`` on the algebra columns (zero for a
-        map that keeps its algebra), so the result is fixed by ``mat``'s own
-        ``T X = radius X`` at every row.  The off-algebra columns are zero.
-        """
-        idx, k = self._units
-        block = _from_hermitian(_from_hermitian(h, k, 1j).T, k, -1j).T
-        out = np.zeros(mat.shape, dtype=complex)
-        out[np.ix_(idx, idx)] = block
-        if idx.size < mat.shape[0]:
-            off = np.flatnonzero(~self.vec_mask())
-            leak = mat[np.ix_(off, idx)]
-            if leak.any():
-                out[np.ix_(off, idx)] = leak @ block / radius
-        return out
-
     @classmethod
     def full(cls, m: int) -> "AlgebraShape":
         return cls((int(m),))
@@ -135,24 +87,6 @@ class AlgebraShape:
         if not isinstance(obj, dict) or "blocks" not in obj:
             raise FormatError('shape JSON must be {"blocks": [n1, ...]}')
         return cls(tuple(obj["blocks"]))
-
-
-_HALF = np.sqrt(0.5)
-
-
-def _to_hermitian(a: np.ndarray, k: int, phase: complex) -> np.ndarray:
-    """Rows of ``a`` ordered as :attr:`AlgebraShape._units` taken to the Hermitian
-    basis: ``(x_ij + x_ji)/sqrt 2`` and ``phase (x_ji - x_ij)/sqrt 2``."""
-    h = (a.shape[0] - k) // 2
-    upper, lower = a[k : k + h], a[k + h :]
-    return np.concatenate([a[:k], _HALF * (upper + lower), (phase * _HALF) * (lower - upper)])
-
-
-def _from_hermitian(a: np.ndarray, k: int, phase: complex) -> np.ndarray:
-    """Inverse of :func:`_to_hermitian` for the same ``phase``."""
-    h = (a.shape[0] - k) // 2
-    sym, anti = _HALF * a[k : k + h], (phase * _HALF) * a[k + h :]
-    return np.concatenate([a[:k], sym + anti, sym - anti])
 
 
 def compress(x, shape: AlgebraShape) -> np.ndarray:

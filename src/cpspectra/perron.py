@@ -2,11 +2,13 @@
 
 The maximal part runs on the map's matrix ``H`` in the orthonormal Hermitian
 basis of its block algebra, of side ``n1^2 + ... + nd^2``: real for every
-positive map, so its one Schur form ``H = q t q*`` is real quasi-triangular
-and every later product is real (see :meth:`AlgebraShape.hermitian_coords`).
-The eigenvalues are read off the diagonal blocks of ``t``, and degeneracy
-indices come from tolerant rank plateaus of powers of ``t11 - lambda`` on a
-cluster's reordered Schur block; Jordan bases are never formed.  The maximal
+positive map, so its Schur form ``H = q t q*`` is real quasi-triangular and
+every later product is real.  The Schur form is taken per group of blocks
+that reach each other, so a reducible map's block-triangular zeros stay
+exact.  The eigenvalues are read off the diagonal blocks of ``t``, and
+degeneracy indices come from tolerant rank plateaus of powers of
+``t11 - lambda`` on a cluster's reordered Schur block; Jordan bases are never
+formed.  The maximal
 part is computed along two independent routes and cross-checked:
 
 * projection route: ``(H - r)^(d-1)`` composed with the spectral projector at
@@ -30,6 +32,7 @@ bases of the algebra generated by a matrix tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -119,7 +122,8 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     tolerant rank, where a power of norm at most ``rank_tol`` has rank 0.  A
     simple cluster has index 1 without a rank test.
     """
-    t, _, radius, clusters = _schur_clusters(superop_matrix(op))
+    t = _schur(superop_matrix(op))[0]
+    radius, clusters = _schur_clusters(t)
     out = tuple(
         EigenCluster(c.value, int(c.members.sum()), _cluster_degeneracy(t, c, rank_tol))
         for c in clusters
@@ -148,26 +152,26 @@ def _pairs(t: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diag(t, -1)) if not np.iscomplexobj(t) else np.empty(0, dtype=int)
 
 
-def _schur_clusters(mat: np.ndarray):
-    """One Schur form ``mat = q t q*`` and the eigenvalue clusters on its diagonal.
-
-    A real ``mat`` gets a real quasi-triangular form, whose 2 x 2 blocks
-    ``[[a, b], [c, a]]`` hold ``a +- i sqrt(|b c|)``; a complex one a
-    triangular form.  Returns ``(t, q, radius, clusters)``; see :func:`_clusters`.
-    """
+def _schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Schur form ``mat = q t q*``: real quasi-triangular for a real ``mat``, whose
+    2 x 2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(|b c|)``; triangular for a complex one."""
     import scipy.linalg  # deferred: scipy is most of the package's import time
 
     output = "complex" if np.iscomplexobj(mat) else "real"
     try:
-        t, q = scipy.linalg.schur(mat, output=output, check_finite=False)
+        return scipy.linalg.schur(mat, output=output, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
+
+
+def _schur_clusters(t: np.ndarray) -> tuple[float, list[_Cluster]]:
+    """The spectral radius and the eigenvalue clusters on the diagonal of the Schur form ``t``."""
     eig = np.diag(t).astype(complex)
     k = _pairs(t)
     im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
     eig[k] += 1j * im
     eig[k + 1] -= 1j * im
-    return (t, q, *_clusters(eig))
+    return _clusters(eig)
 
 
 def _clusters(eig: np.ndarray) -> tuple[float, list[_Cluster]]:
@@ -175,25 +179,37 @@ def _clusters(eig: np.ndarray) -> tuple[float, list[_Cluster]]:
 
     Eigenvalues within ``CLUSTER_TOL * r`` of each other form one cluster, walked
     greedily in the order of decreasing modulus, then real and imaginary part;
-    its value is the members' mean.  An eigenvalue with no neighbour is its own
-    cluster, with no mean taken.
+    its value is the members' mean.  An eigenvalue whose real or imaginary part
+    is farther than that from every other one's is its own cluster, found by
+    one sort each and taken with no distance row or mean.
     """
     n = eig.size
     radius = float(np.abs(eig).max()) if n else 0.0
-    # hypot is the scalar abs() of the loop this replaced, bit for bit; np.abs is not
+    delta = CLUSTER_TOL * radius
+    # hypot is bit for bit the scalar abs() of a sorted() key, so ties order alike; np.abs is not
     order = np.lexsort((eig.imag, eig.real, -np.hypot(eig.real, eig.imag)))  # stable
-    near = np.abs(eig[:, None] - eig) <= CLUSTER_TOL * radius
-    single = np.count_nonzero(near, axis=1) == 1
+    single = _isolated(eig.real, delta) | _isolated(eig.imag, delta)
     taken = np.zeros(n, dtype=bool)
     clusters = []
     for idx in order:
         if single[idx]:
-            clusters.append(_Cluster(complex(eig[idx]), near[idx]))
+            members = np.zeros(n, dtype=bool)
+            members[idx] = True
+            clusters.append(_Cluster(complex(eig[idx]), members))
         elif not taken[idx]:
-            members = near[idx] & ~taken
+            members = (np.abs(eig - eig[idx]) <= delta) & ~taken
             taken |= members
             clusters.append(_Cluster(complex(np.mean(eig[members])), members))
     return radius, clusters
+
+
+def _isolated(x: np.ndarray, delta: float) -> np.ndarray:
+    """Whether each entry of the real ``x`` is farther than ``delta`` from every other one."""
+    order = np.argsort(x, kind="stable")
+    apart = np.diff(x[order]) > delta
+    out = np.empty(x.size, dtype=bool)
+    out[order] = np.concatenate([[True], apart]) & np.concatenate([apart, [True]])
+    return out
 
 
 def _cluster_degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
@@ -323,18 +339,19 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     """Maximal part of a positive map with non-zero spectral radius.
 
     Runs on the map's matrix ``H`` in the orthonormal Hermitian basis of its
-    block algebra (:meth:`AlgebraShape.hermitian_coords`), of side
-    ``n1^2 + ... + nd^2``; a SuperOperator or a raw matrix is a map on the
-    full algebra.  ``H`` is real for a map that sends Hermitian matrices to
-    Hermitian ones (every CpMap and positive map): when its imaginary part is
-    at most ``_REAL_TOL = 1e-12`` relative to its largest entry, everything
-    below runs in real arithmetic, and otherwise in complex arithmetic.
+    block algebra, of side ``n1^2 + ... + nd^2``; a SuperOperator or a raw
+    matrix is a map on the full algebra.  ``H`` is real for a map that sends
+    Hermitian matrices to Hermitian ones (every CpMap and positive map): when
+    its imaginary part is at most ``_REAL_TOL = 1e-12`` relative to its
+    largest entry, everything below runs in real arithmetic.  Any other map
+    runs in complex arithmetic on its own entries on the algebra.
 
     Eigenvalues within ``CLUSTER_TOL * r`` (``CLUSTER_TOL = 1e-8``) form one
     cluster; they, the degeneracy indices of the clusters on the spectral
     circle (see :func:`spectral_structure`) and ``P_r`` all come from one
-    Schur form of ``H``.  Primary route is the spectral projection
-    ``(H - r)^(d-1) P_r``; the limit of averaged normalized powers is
+    Schur form of ``H``, assembled from one Schur form per group of blocks
+    that reach each other through the map.  Primary route is the spectral
+    projection ``(H - r)^(d-1) P_r``; the limit of averaged normalized powers is
     evaluated independently and both must agree within ``_ROUTE_TOL = 1e-6``
     (relative to the result's largest entry once that exceeds 1, since an
     ill-conditioned spectral projector inflates both routes alike).
@@ -348,8 +365,7 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     resolvent integral on the circle about ``r`` of half the distance to the
     nearest other eigenvalue cluster.
 
-    The result is embedded back at side m^2
-    (:meth:`AlgebraShape.embed_hermitian`); on a map that leaks out of its
+    The result is embedded back at side m^2; on a map that leaks out of its
     algebra, its off-algebra rows are ``B hat / r``, with ``B`` the map's
     off-algebra rows on the algebra columns.
 
@@ -370,10 +386,9 @@ def _shape_of(phi, mat: np.ndarray) -> AlgebraShape:
 
 def _maximal_part(mat: np.ndarray, shape: AlgebraShape, rank_tol: float) -> MaximalPart:
     """:func:`maximal_part` of the m^2 x m^2 ``mat`` of a map on the algebra ``shape``."""
-    h = shape.hermitian_coords(mat)
-    if float(np.abs(h.imag).max()) <= _REAL_TOL * float(np.abs(h).max()):
-        h = np.ascontiguousarray(h.real)
-    t, q, r, clusters = _schur_clusters(h)
+    h, idx = _coordinates(mat, shape)
+    t, q = _block_schur(h, np.repeat(np.arange(len(shape.blocks)), shape.blocks)[idx % shape.m])
+    r, clusters = _schur_clusters(t)
     if r <= 1e-300:
         raise PreconditionError(
             "maximal part is undefined when the spectral radius is zero"
@@ -420,12 +435,11 @@ def _maximal_part(mat: np.ndarray, shape: AlgebraShape, rank_tol: float) -> Maxi
             f"projection and {route} routes disagree by {gap:.3e} (> {_ROUTE_TOL})"
         )
 
-    # relative at every scale: a nilpotent part with entries below 1e-8 is no projector,
-    # and the rounding of hat @ hat grows like size^2
+    # relative at every scale: a nilpotent part with entries below 1e-8 is no projector
     sq = hat @ hat
     if float(np.abs(sq - hat).max()) < 1e-8 * size:
         idempotent = True
-    elif float(np.abs(sq).max()) < 1e-8 * size * size:
+    elif float(np.abs(sq).max()) < 1e-8 * size:
         idempotent = False
     else:
         raise ConvergenceError(
@@ -436,12 +450,125 @@ def _maximal_part(mat: np.ndarray, shape: AlgebraShape, rank_tol: float) -> Maxi
             f"idempotency branch contradicts degeneracy index {d}"
         )
     return MaximalPart(
-        superop=SuperOperator(shape.m, shape.embed_hermitian(hat, mat, r)),
+        superop=SuperOperator(shape.m, _embed(hat, idx, mat, r)),
         radius=r,
         degeneracy=d,
         idempotent=idempotent,
         route_gap=gap,
     )
+
+
+def _coordinates(mat: np.ndarray, shape: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
+    """``mat`` in an orthonormal basis of the algebra ``shape``, and the ``vec`` indices
+    of the matrix units that basis is built on.
+
+    The basis is first the Hermitian one: ``E_ii``, then ``(E_ij + E_ji)/sqrt 2`` and
+    then ``i (E_ij - E_ji)/sqrt 2`` for i < j in one block.  Each coordinate entry
+    combines at most four entries of ``mat``, and no basis matrix is formed.  A
+    map that sends Hermitian matrices to Hermitian ones has real coordinates
+    there; when the imaginary part is at most ``_REAL_TOL`` relative to the
+    largest entry, the real part is returned.  Any other map is returned in
+    the matrix units of the algebra, in ``vec`` order: its own entries, complex.
+    """
+    m, idx = shape.m, _hermitian_units(shape)
+    h = _to_hermitian(_to_hermitian(mat[np.ix_(idx, idx)], m, 1j).T, m, -1j).T
+    if float(np.abs(h.imag).max()) <= _REAL_TOL * float(np.abs(h).max()):
+        return np.ascontiguousarray(h.real), idx
+    idx = np.flatnonzero(shape.vec_mask())
+    return mat[np.ix_(idx, idx)], idx
+
+
+@lru_cache(maxsize=64)
+def _hermitian_units(shape: AlgebraShape) -> np.ndarray:
+    """``vec`` indices of the ``E_ii``, then the ``E_ij`` and then the ``E_ji`` (i < j in one block)."""
+    m, upper = shape.m, []
+    for sl in shape.slices():
+        i, j = np.triu_indices(sl.stop - sl.start, 1)
+        upper.append((i + sl.start, j + sl.start))
+    i, j = (np.concatenate(ax) for ax in zip(*upper))
+    idx = np.concatenate([np.arange(m) * (m + 1), i + j * m, j + i * m])
+    idx.flags.writeable = False  # shared between calls
+    return idx
+
+
+def _embed(hat: np.ndarray, idx: np.ndarray, mat: np.ndarray, radius: float) -> np.ndarray:
+    """The m^2 x m^2 matrix of a result ``hat`` in the coordinates of :func:`_coordinates`.
+
+    A real ``hat`` is in the Hermitian basis, a complex one in the matrix units
+    at ``idx``.  ``hat`` satisfies ``(H - radius) hat = 0`` for the coordinate
+    matrix ``H``, so the off-algebra rows of the result are ``B X / radius``,
+    with ``X`` the embedded ``hat`` and ``B`` the off-algebra rows of ``mat`` on
+    the algebra columns (zero for a map that keeps its algebra): ``mat`` fixes
+    the result up to ``radius`` at every row.  The off-algebra columns are zero.
+    """
+    n = mat.shape[0]
+    m = side_of(n)
+    if np.iscomplexobj(hat):
+        block = hat
+    else:
+        block = _from_hermitian(_from_hermitian(hat, m, 1j).T, m, -1j).T
+    out = np.zeros(mat.shape, dtype=complex)
+    out[np.ix_(idx, idx)] = block
+    if idx.size < n:
+        off = np.ones(n, dtype=bool)
+        off[idx] = False
+        leak = mat[np.ix_(off, idx)]
+        if leak.any():
+            out[np.ix_(off, idx)] = leak @ block / radius
+    return out
+
+
+def _to_hermitian(a: np.ndarray, k: int, phase: complex) -> np.ndarray:
+    """Rows of ``a`` at the ``k`` diagonal units, then the ``E_ij`` and then the ``E_ji`` of
+    :func:`_coordinates`, taken to ``(x_ij + x_ji)/sqrt 2`` and ``phase (x_ji - x_ij)/sqrt 2``."""
+    h, half = (a.shape[0] - k) // 2, np.sqrt(0.5)
+    upper, lower = a[k : k + h], a[k + h :]
+    return np.concatenate([a[:k], half * (upper + lower), (phase * half) * (lower - upper)])
+
+
+def _from_hermitian(a: np.ndarray, k: int, phase: complex) -> np.ndarray:
+    """Inverse of :func:`_to_hermitian` for the same ``phase``."""
+    h, half = (a.shape[0] - k) // 2, np.sqrt(0.5)
+    sym, anti = half * a[k : k + h], (phase * half) * a[k + h :]
+    return np.concatenate([a[:k], sym + anti, sym - anti])
+
+
+def _block_schur(h: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A Schur form ``h = q t q*`` that keeps the zeros between the algebra's blocks.
+
+    ``owner`` is the algebra block of each coordinate.  Blocks that reach each
+    other through ``h`` form one group, and a group reached from more blocks
+    comes first; ``h`` is then block upper triangular over the groups (a
+    reducible map).  Each group's diagonal block gets its own Schur form, and
+    ``t`` is ``q* h q`` with those forms on its diagonal and exact zeros below.
+    A dense Schur form of such an ``h`` rounds into the zero blocks, which moves
+    an ill-conditioned ``P_r`` by up to ``1e-11``; here they stay exact.  With
+    one group this is the Schur form of ``h``.
+    """
+    nb = int(owner.max()) + 1
+    if nb == 1:
+        return _schur(h)
+    # reach[j, i]: a path from block i to block j, by squaring the one-step relation
+    member = (owner[:, None] == np.arange(nb)).astype(float)
+    reach = (member.T @ (h != 0) @ member > 0).astype(int) + np.eye(nb, dtype=int)
+    for _ in range(nb.bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    keys = sorted({tuple(row) for row in reach}, key=lambda row: (-sum(row), row))
+    if len(keys) == 1:
+        return _schur(h)
+    group = np.array([keys.index(tuple(row)) for row in reach])[owner]
+    q = np.zeros_like(h)
+    diag, start = [], 0
+    for g in range(len(keys)):
+        sel = np.flatnonzero(group == g)
+        span = slice(start, start + sel.size)
+        t_g, q[sel, span] = _schur(h[np.ix_(sel, sel)])
+        diag.append((span, t_g))
+        start = span.stop
+    t = q.conj().T @ h @ q  # exactly zero below the groups' diagonal blocks
+    for span, t_g in diag:
+        t[span, span] = t_g
+    return t, q
 
 
 def perron_vector(phi, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -497,17 +624,11 @@ def maximal_factorization(
         raise PreconditionError(
             f"map is reducible (generated algebra has dimension {dimension} < {m ** 2})"
         )
-    mp = maximal_part(tau, rank_tol=rank_tol)  # the extension's matrix, in tau's coordinates
-    mat = superop_matrix(ext)
+    mat = superop_matrix(tau)  # iota o tau o E, the extension's matrix
+    mp = _maximal_part(mat, tau.shape, rank_tol=rank_tol)
     hat, r = mp.superop.matrix, mp.radius
 
-    # the off-algebra columns are zero; on a map that keeps its algebra the rows
-    # are too, and the rest is unitarily the coordinate result
-    mask = tau.shape.vec_mask()
-    core = hat[:, mask]
-    if not core[~mask].any():
-        core = core[mask]
-    svals = np.linalg.svd(core, compute_uv=False)
+    svals = np.linalg.svd(hat[:, tau.shape.vec_mask()], compute_uv=False)  # other columns are zero
     rank_gap = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
     if svals[0] == 0.0 or rank_gap > rank_tol:
         raise ConvergenceError(

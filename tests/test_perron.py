@@ -406,7 +406,7 @@ class TestMaximalFactorization:
             maximal_factorization(trace_corner_map())
 
     def test_each_stage_runs_once(self, monkeypatch):
-        calls = {"maximal_part": [], "canonical_extension": [], "irreducible_cp": []}
+        calls = {"_maximal_part": [], "canonical_extension": [], "irreducible_cp": []}
         for name in calls:
             original = getattr(perron, name)
 
@@ -417,7 +417,7 @@ class TestMaximalFactorization:
             monkeypatch.setattr(perron, name, counted)
         maximal_factorization(golden_ratio_map(), rank_tol=1e-7)
         assert len(calls["canonical_extension"]) == 1
-        assert calls["maximal_part"] == [{"rank_tol": 1e-7}]
+        assert calls["_maximal_part"] == [{"rank_tol": 1e-7}]
         assert calls["irreducible_cp"] == []
 
     def test_rank_tol_reaches_the_perron_vector(self):
@@ -678,20 +678,14 @@ def schur_fails(*args, **kwargs):
     raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
 
 
-def condition(hat, degeneracy):
-    """``||P_r||_2``, the condition number of a simple eigenvalue ``r``, for a projector
-    ``hat`` (``d = 1``); 1 for ``d > 1``.  Two backward-stable routes to ``P_r``
-    differ by about that factor times rounding."""
-    return float(np.linalg.norm(hat, 2)) if degeneracy == 1 else 1.0
-
-
 def dense_maps(seed):
     rng = np.random.default_rng(seed)
     return [(cls, perron_dense_map(rng, cls, blocks)) for cls, blocks in DENSE_MAPS]
 
 
 class TestOneSchurForm:
-    """maximal_part and spectral_structure run on one complex Schur form per call."""
+    """spectral_structure runs on one complex Schur form per call, and maximal_part on
+    one real Schur form per group of algebra blocks that reach each other."""
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_maximal_part_matches_the_three_factorisation_route(self, seed):
@@ -699,8 +693,8 @@ class TestOneSchurForm:
             mp = maximal_part(tau)
             assert mp.degeneracy == (2 if cls == "jordan" else 1)
             want = reference_maximal_hat(cpmap.superop_matrix(tau), mp.degeneracy)
-            bound = 1e-12 * np.abs(want).max() * condition(want, mp.degeneracy)
-            assert np.abs(mp.superop.matrix - want).max() <= bound, (cls, tau.shape)
+            scale = np.abs(want).max()
+            assert np.abs(mp.superop.matrix - want).max() <= 1e-12 * scale, (cls, tau.shape)
 
     def test_one_schur_form_per_call(self, monkeypatch):
         calls = []
@@ -717,11 +711,15 @@ class TestOneSchurForm:
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", forbidden)
         monkeypatch.setattr(perron, "eigenvalues", forbidden)
         monkeypatch.setattr(mats, "eigenvalues", forbidden)
-        for _, tau in route_maps(11):  # leaking maps too
-            side = sum(n * n for n in tau.shape.blocks)  # the real coordinates of the algebra
+        for kind, tau in route_maps(11):  # leaking maps too
             calls.clear()
             maximal_part(tau)
-            assert calls == [((side, side), np.float64)]
+            # real coordinates of the algebra: side sum n_i^2 in one form, or one form
+            # per block where the blocks feed each other without a cycle
+            squares = [n * n for n in tau.shape.blocks]
+            sides = squares if kind in ("reducible", "jordan") else [sum(squares)]
+            assert sorted(shape for shape, _ in calls) == sorted((k, k) for k in sides), (kind, tau.shape)
+            assert all(dtype == np.float64 for _, dtype in calls)
         # a matrix that does not preserve Hermitian matrices keeps complex coordinates
         calls.clear()
         maximal_part(np.kron(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])))
@@ -885,28 +883,56 @@ class TestHermitianCoordinates:
             x = unvec(col, shape.m)
             assert np.array_equal(x, x.conj().T) and np.array_equal(x, compress(x, shape))
         rng = np.random.default_rng(sum(blocks))
-        mat = random_matrix(rng, shape.m**2)
-        assert rel_max(shape.hermitian_coords(mat), v.conj().T @ mat @ v) < 1e-15
-        h = random_matrix(rng, side)
         keep = np.diag(shape.vec_mask()).astype(complex)
-        assert rel_max(shape.embed_hermitian(h, keep, 1.0), v @ h @ v.conj().T) < 1e-15
+        # a CP map has real coordinates in the Hermitian basis
+        mat = cpmap.superop_matrix(random_cpmap(rng, blocks))
+        h, idx = perron._coordinates(mat, shape)
+        assert h.dtype == np.float64
+        assert rel_max(h, (v.conj().T @ mat @ v).real) < 1e-15
+        h = rng.normal(size=(side, side))
+        assert rel_max(perron._embed(h, idx, keep, 1.0), v @ h @ v.conj().T) < 1e-15
+        # any other map keeps its own entries on the algebra, complex
+        mat = random_matrix(rng, shape.m**2)
+        h, idx = perron._coordinates(mat, shape)
+        assert np.array_equal(idx, np.flatnonzero(shape.vec_mask()))
+        assert np.array_equal(h, mat[np.ix_(idx, idx)])
+        out = perron._embed(h, idx, keep, 1.0)
+        assert np.array_equal(out[np.ix_(idx, idx)], h) and np.count_nonzero(out) == h.size
 
     def test_positive_maps_have_real_coordinates(self):
         for _, tau in route_maps(11):
-            h = tau.shape.hermitian_coords(cpmap.superop_matrix(tau))
+            mat = cpmap.superop_matrix(tau)
+            v = hermitian_basis(tau.shape)
+            h = v.conj().T @ mat @ v
             assert np.abs(h.imag).max() <= 1e-15 * np.abs(h).max()
+            assert perron._coordinates(mat, tau.shape)[0].dtype == np.float64
+
+    def test_block_schur_keeps_the_zeros_between_blocks(self):
+        for kind, tau in route_maps(11):
+            mat = cpmap.superop_matrix(tau)
+            h, idx = perron._coordinates(mat, tau.shape)
+            owner = np.repeat(np.arange(len(tau.shape.blocks)), tau.shape.blocks)[idx % tau.m]
+            t, q = perron._block_schur(h, owner)
+            assert np.abs(q.T @ q - np.eye(h.shape[0])).max() < 1e-14
+            assert rel_max(q @ t @ q.T, h) < 1e-14, (kind, tau.shape)
+            assert not np.tril(t, -2).any()  # quasi-triangular, exactly
+            if kind in ("reducible", "jordan"):  # one form per block: no 2 x 2 block across two
+                starts = np.cumsum([n * n for n in tau.shape.blocks])[:-1]
+                assert not np.diag(t, -1)[starts - 1].any()
+            else:
+                t_one, q_one = perron._schur(h)
+                assert np.array_equal(t, t_one) and np.array_equal(q, q_one)
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_entry_points_match_the_parent_route(self, seed):
-        # the parent route: three factorisations of the complex m^2 x m^2 matrix
+        # the parent route: three factorisations of the complex m^2 x m^2 matrix, refined
         for kind, tau in route_maps(seed):
             mp = maximal_part(tau)
             assert (mp.degeneracy, mp.idempotent) == ((2, False) if kind == "jordan" else (1, True))
             want = reference_maximal_hat(cpmap.superop_matrix(tau), mp.degeneracy)
-            cond = condition(want, mp.degeneracy)
-            assert rel_max(mp.superop.matrix, want) <= 1e-12 * cond, (kind, tau.shape)
+            assert rel_max(mp.superop.matrix, want) <= 1e-12, (kind, tau.shape)
             ell = unvec(want @ vec(np.eye(tau.m)), tau.m)
-            assert rel_max(perron_vector(tau), (ell + ell.conj().T) / 2) <= 1e-12 * cond, (kind, tau.shape)
+            assert rel_max(perron_vector(tau), (ell + ell.conj().T) / 2) <= 1e-12, (kind, tau.shape)
             if kind != "irreducible":
                 continue
             fact = maximal_factorization(tau)
@@ -916,9 +942,8 @@ class TestHermitianCoordinates:
             state = unvec(ext_hat.conj().T @ vec(ell) / np.vdot(vec(ell), vec(ell)).real, tau.m)
             state = (state + state.conj().T) / 2
             state /= np.trace(state @ ell).real
-            cond = condition(ext_hat, 1)
-            assert rel_max(fact.eigenvector, ell) <= 1e-12 * cond
-            assert rel_max(fact.state, state) <= 1e-12 * cond
+            assert rel_max(fact.eigenvector, ell) <= 1e-12
+            assert rel_max(fact.state, state) <= 1e-12
 
     def test_leaking_rows_are_fixed_by_the_map(self):
         # (T - r) hat = 0 on every row, the off-algebra ones included
@@ -933,7 +958,7 @@ class TestHermitianCoordinates:
                 assert not hat[off].any()
             assert not hat[:, off].any()
             if mp.degeneracy == 1:
-                assert rel_max(mat @ hat, mp.radius * hat) <= 1e-12 * condition(hat, 1)
+                assert rel_max(mat @ hat, mp.radius * hat) <= 1e-12
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_block_unitary_conjugation_conjugates_the_perron_vector(self, seed):
@@ -956,8 +981,7 @@ class TestHermitianCoordinates:
                 continue
             u = random_unitary(rng, len(tau.kraus))
             mixed = CpMap(tuple(np.tensordot(u, np.stack(tau.kraus), axes=1)), tau.shape)
-            cond = condition(maximal_part(tau).superop.matrix, 1)
-            assert rel_max(perron_vector(mixed), perron_vector(tau)) <= 1e-12 * cond, (kind, tau.shape)
+            assert rel_max(perron_vector(mixed), perron_vector(tau)) <= 1e-12, (kind, tau.shape)
             want, got = irreducible_cp(tau), irreducible_cp(mixed)
             assert (got.irreducible, got.dimension) == (want.irreducible, want.dimension)
 
@@ -979,7 +1003,7 @@ class TestScaleFreeClusters:
         arrays = []
         for _, tau in dense_maps(seed):
             mat = cpmap.superop_matrix(tau)
-            arrays += [np.linalg.eigvals(mat), np.linalg.eigvals(tau.shape.hermitian_coords(mat).real)]
+            arrays += [np.linalg.eigvals(mat), np.linalg.eigvals(perron._coordinates(mat, tau.shape)[0])]
         rng = np.random.default_rng(seed)
         chain = 1.0 + 0.6e-8 * np.arange(5)  # each within CLUSTER_TOL of the next, not of all
         pairs = rng.normal(size=4) + 1j * rng.normal(size=4)
