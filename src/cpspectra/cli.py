@@ -30,7 +30,7 @@ from .cpmap import (
     membership,
 )
 from .errors import BudgetExceededError, ConvergenceError, FormatError, PreconditionError
-from .mats import Tolerance, matrix_from_json, matrix_to_json, numerical_rank
+from .mats import CONV_TOL, PSD_TOL, RANK_TOL, Tolerance, matrix_from_json, matrix_to_json, numerical_rank
 from .perron import (
     algebra_basis,
     irreducible_cp,
@@ -143,9 +143,9 @@ def _build_parser(env_warnings: list[str]) -> argparse.ArgumentParser:
         prog="cpspectra",
         description="Spectral invariants of positive maps on block-diagonal algebras.",
     )
-    ap.add_argument("--tol-rank", type=float, default=_env_default("TOL_RANK", float, 1e-9, env_warnings))
-    ap.add_argument("--tol-psd", type=float, default=_env_default("TOL_PSD", float, 1e-9, env_warnings))
-    ap.add_argument("--tol-conv", type=float, default=_env_default("TOL_CONV", float, 1e-10, env_warnings))
+    ap.add_argument("--tol-rank", type=float, default=_env_default("TOL_RANK", float, RANK_TOL, env_warnings))
+    ap.add_argument("--tol-psd", type=float, default=_env_default("TOL_PSD", float, PSD_TOL, env_warnings))
+    ap.add_argument("--tol-conv", type=float, default=_env_default("TOL_CONV", float, CONV_TOL, env_warnings))
     budget = _env_default("BUDGET", int, 10**6, env_warnings)
     ap.add_argument("--budget", type=int, default=budget, help="word budget of jsr --method brute")
     ap.add_argument("--seed", type=int, default=_env_default("SEED", int, 0, env_warnings))

@@ -4,13 +4,12 @@ A :class:`CpMap` carries a Kraus list of side-``m`` matrices together with the
 shape of the block-diagonal algebra it acts on.  The three views are related
 by fixed conventions (see :mod:`cpspectra.mats`):
 
-* superoperator of ``X -> sum_i A_i* X A_i`` is ``sum_i kron(A_i.T, A_i.conj().T)``;
-* Choi matrix is ``sum_i outer(conj(vec A_i), vec A_i)``, equivalently the
-  reshuffle ``Choi[p*m + i, r*m + j] = S[p + r*m, i + j*m]`` of the superoperator S;
-* the conjugated Choi matrix is ``V V*`` for the stack ``V`` of the ``vec A_i``,
-  so coefficient spaces, Choi ranks and canonical extensions all come from one
-  thin SVD of ``V``, cut where ``sigma <= sqrt(rank_tol) * sigma_max`` (the
-  Choi eigenvalues are the ``sigma^2``).
+* the Choi matrix is the one product ``conj(V) V^T`` over the m^2 x k stack ``V``
+  of the ``vec A_i``, and the superoperator ``S = sum_i kron(A_i.T, A_i.conj().T)``
+  of ``X -> sum_i A_i* X A_i`` is its reshuffle ``S[p + r*m, i + j*m] = Choi[p*m + i, r*m + j]``;
+* the conjugated Choi matrix is ``V V*``, so coefficient spaces, Choi ranks and
+  canonical extensions all come from one thin SVD of ``V``, cut where
+  ``sigma <= sqrt(rank_tol) * sigma_max`` (the Choi eigenvalues are the ``sigma^2``).
 
 A map on ``M_{n1} + ... + M_{nd}`` is read as ``iota o tau o E``: ``E``
 compresses to the block diagonal and ``iota`` embeds back into M_m, so the
@@ -39,7 +38,6 @@ from .mats import (
     PSD_TOL,
     RANK_TOL,
     as_matrix,
-    kron,
     psd_report,
     side_of,
     unvec,
@@ -243,16 +241,15 @@ def superop_matrix(op) -> np.ndarray:
 def superop_of(tau: CpMap) -> SuperOperator:
     """Superoperator of a CP map under the package's vec convention.
 
-    Raises :class:`ConvergenceError` when its entries overflow.
+    :func:`choi_of` with its indices permuted back (the inverse of
+    :func:`choi_of_superop`); raises :class:`ConvergenceError` when its entries overflow.
     """
     m = tau.m
-    out = np.zeros((m * m, m * m), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for a in tau.kraus:
-            out += kron(a.T, a.conj().T)
-    if not np.isfinite(out).all():
+        choi = choi_of(tau)
+    if not np.isfinite(choi).all():
         raise ConvergenceError("superoperator entries overflow")
-    return SuperOperator(m, out)
+    return SuperOperator(m, choi.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(m * m, m * m))
 
 
 def compose(outer_map, inner_map) -> SuperOperator:
@@ -272,13 +269,16 @@ def map_power(op, n: int) -> SuperOperator:
 
 
 def choi_of(tau: CpMap) -> np.ndarray:
-    """Choi matrix of a CP map, PSD of side m^2 and linear in the map."""
-    m = tau.m
-    out = np.zeros((m * m, m * m), dtype=complex)
-    for a in tau.kraus:
-        v = vec(a)
-        out += np.outer(v.conj(), v)
-    return out
+    """Choi matrix of a CP map, PSD of side m^2 and linear in the map: ``conj(V) V^T``."""
+    v = _vec_stack(tau.kraus)
+    return v.conj() @ v.T
+
+
+def _vec_stack(kraus) -> np.ndarray:
+    """The m^2 x k stack ``V`` whose column ``i`` is ``vec A_i``, C-contiguous whatever the
+    layout of the ``A_i``, so the products with it round alike."""
+    stack = np.stack(kraus)  # stack[i, p, q] = A_i[p, q]
+    return np.ascontiguousarray(stack.T.reshape(-1, stack.shape[0]))  # row p + q*m of column i
 
 
 def choi_of_superop(s: SuperOperator) -> np.ndarray:
@@ -326,7 +326,7 @@ def _kraus_span(kraus, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     rule ``sigma > sqrt(rank_tol) * sigma_max`` (unsquared, so that no norm up to
     the largest float overflows); descending ``sigma``, and each ``u_j``'s
     largest-modulus entry real and positive, so only the map matters."""
-    u, s, _ = np.linalg.svd(np.column_stack([vec(a) for a in kraus]), full_matrices=False)
+    u, s, _ = np.linalg.svd(_vec_stack(kraus), full_matrices=False)
     keep = s > np.sqrt(rank_tol) * s[0]
     u, s = u[:, keep], s[keep]
     top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
@@ -357,8 +357,7 @@ class CoefficientSpace:
 
     def stacked(self) -> np.ndarray:
         """m^2 x dimension matrix with the vec of each basis element as a column."""
-        cols = [vec(b) for b in self.basis]
-        return np.column_stack(cols) if cols else np.zeros((self.m**2, 0), dtype=complex)
+        return _vec_stack(self.basis) if self.basis else np.zeros((self.m**2, 0), dtype=complex)
 
     def projector(self) -> np.ndarray:
         """m^2 x m^2 orthogonal projector onto vec of the space."""
@@ -416,8 +415,7 @@ def membership(a, tau: CpMap, rank_tol: float = RANK_TOL) -> MembershipResult:
     member = residual <= CHECK_TOL * max(1.0, float(np.linalg.norm(a)))
     if not member:
         return MembershipResult(False, residual)
-    stacked = np.column_stack([vec(k) for k in tau.kraus])
-    lam, *_ = np.linalg.lstsq(stacked, vec(a), rcond=None)
+    lam, *_ = np.linalg.lstsq(_vec_stack(tau.kraus), vec(a), rcond=None)
     q = float(np.linalg.norm(lam) ** 2 + 1.0)
     return MembershipResult(True, residual, q)
 

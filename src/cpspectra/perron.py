@@ -1,15 +1,15 @@
 """Constructive Perron theory for positive maps on block-diagonal algebras.
 
-The maximal part runs on the map's matrix ``H`` in the orthonormal Hermitian
-basis of its block algebra, of side ``n1^2 + ... + nd^2``: real for every
-positive map, so its Schur form ``H = q t q*`` is real quasi-triangular and
-every later product is real.  The Schur form is taken per group of blocks
-that reach each other, so a reducible map's block-triangular zeros stay
-exact.  The eigenvalues are read off the diagonal blocks of ``t``, and
-degeneracy indices come from tolerant rank plateaus of powers of
-``t11 - lambda`` on a cluster's reordered Schur block; Jordan bases are never
-formed.  The maximal
-part is computed along two independent routes and cross-checked:
+Every spectral stage runs on one Schur form of the map's matrix ``H`` in the
+orthonormal Hermitian basis of its block algebra, of side ``n1^2 + ... + nd^2``:
+real for every positive map, so ``H = q t q*`` is real quasi-triangular and
+every later product is real.  The Schur form is taken per group of blocks that
+reach each other, so a reducible map's block-triangular zeros stay exact.  The
+eigenvalues are read off the diagonal blocks of ``t``, and degeneracy indices
+come from tolerant rank plateaus of powers of ``t11 - lambda`` on a cluster's
+reordered Schur block; Jordan bases are never formed.  :func:`spectral_structure`
+reports those clusters; the maximal part is computed from the same form along
+two independent routes and cross-checked:
 
 * projection route: ``(H - r)^(d-1)`` composed with the spectral projector at
   the eigenvalue ``r``, from the same Schur form with the cluster at ``r``
@@ -22,8 +22,7 @@ part is computed along two independent routes and cross-checked:
   ``(1/2 pi i) oint (z - r)^(d-1) (z - H)^(-1) dz`` by the trapezoidal rule on
   a circle about ``r``.
 
-The result is embedded back at side m^2.  :func:`spectral_structure` runs the
-same Schur helper on the complex m^2 x m^2 matrix.  The same machinery yields
+The maximal part is embedded back at side m^2.  The same machinery yields
 Perron eigenvectors, the rank-one factorization of the maximal part of
 irreducible CP maps, irreducibility tests through canonical extensions, and
 bases of the algebra generated by a matrix tuple.
@@ -49,14 +48,13 @@ from .cpmap import (
     kraus_of_choi,
     superop_matrix,
 )
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, FormatError, PreconditionError
 from .mats import (
     CHECK_TOL,
     CLUSTER_TOL,
     PSD_TOL,
     RANK_TOL,
     as_matrix,
-    eigenvalues,
     numerical_rank,
     op_norm,
     psd_report,
@@ -64,6 +62,7 @@ from .mats import (
     unvec,
     vec,
 )
+from .spectra import spectral_radius_of
 
 __all__ = [
     "EigenCluster",
@@ -113,19 +112,18 @@ class SpectralStructure:
 def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     """Eigenvalue clusters, degeneracy indices, and the maximal spectrum.
 
-    The eigenvalues are the diagonal of one complex Schur form ``T = q t q*``
-    of the m^2 x m^2 matrix; clustering merges eigenvalues within
-    ``CLUSTER_TOL * r``.  The degeneracy index of a cluster of multiplicity
-    ``k > 1`` at ``value`` is read off the cluster's leading ``k x k`` block
-    ``t11`` of the reordered Schur form: with ``N = (t11 - value) / ||T||_2``,
-    it is the smallest ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the
-    tolerant rank, where a power of norm at most ``rank_tol`` has rank 0.  A
-    simple cluster has index 1 without a rank test.
+    Read off the Schur form of :func:`maximal_part`, of the map's matrix ``H`` in the
+    coordinates of its algebra (M_m for a raw matrix of side m^2, and its own entries for a
+    raw square array of another side), so a block map lists no zero cluster for its off-block
+    entries; clustering merges eigenvalues within ``CLUSTER_TOL * r``.  The degeneracy index
+    of a cluster of multiplicity ``k > 1`` at ``value`` is read off its leading block ``t11``
+    of the reordered Schur form: with ``N = (t11 - value) / ||H||_2``, it is the smallest
+    ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the tolerant rank, where a power of norm
+    at most ``rank_tol`` has rank 0.  A simple cluster has index 1 without a rank test.
     """
-    t = _schur(superop_matrix(op))[0]
-    radius, clusters = _schur_clusters(t)
+    _, _, t, _, radius, clusters = _schur_form(*_map_matrix(op))
     out = tuple(
-        EigenCluster(c.value, int(c.members.sum()), _cluster_degeneracy(t, c, rank_tol))
+        EigenCluster(c.value, int(c.members.sum()), _degeneracy(t, c, rank_tol))
         for c in clusters
     )
     delta = CLUSTER_TOL * radius
@@ -138,6 +136,37 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
 class _Cluster(NamedTuple):
     value: complex
     members: np.ndarray  # mask over the eigenvalues on the diagonal of the Schur form
+
+
+def _map_matrix(op) -> tuple[np.ndarray, AlgebraShape | None]:
+    """The matrix of a map and its algebra: a CpMap's or AlgebraMap's own, M_m for any
+    other matrix of side m^2, and None for a raw square array of another side."""
+    mat = superop_matrix(op)
+    if isinstance(op, (CpMap, AlgebraMap)):
+        return mat, op.shape
+    try:
+        return mat, AlgebraShape.full(side_of(mat.shape[0]))
+    except FormatError:
+        return mat, None
+
+
+def _schur_form(mat: np.ndarray, shape: AlgebraShape | None) -> tuple:
+    """``(idx, h, t, q, radius, clusters)``: the :func:`_coordinates` ``h`` of ``mat`` in the
+    algebra ``shape`` and their ``vec`` indices ``idx`` (``mat`` itself and None when ``shape``
+    is None), the :func:`_block_schur` form ``h = q t q*``, and the spectral radius and the
+    :func:`_clusters` of the eigenvalues on the diagonal blocks of ``t``."""
+    if shape is None:
+        h, idx, owner = mat, None, np.zeros(mat.shape[0], dtype=int)
+    else:
+        h, idx = _coordinates(mat, shape)
+        owner = np.repeat(np.arange(shape.d), shape.blocks)[idx % shape.m]
+    t, q = _block_schur(h, owner)
+    eig = np.diag(t).astype(complex)  # a 2 x 2 block [[a, b], [c, a]] holds a +- i sqrt(|b c|)
+    k = _pairs(t)
+    im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+    eig[k] += 1j * im
+    eig[k + 1] -= 1j * im
+    return (idx, h, t, q, *_clusters(eig))
 
 
 def _lapack(name: str, a: np.ndarray):
@@ -162,16 +191,6 @@ def _schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return scipy.linalg.schur(mat, output=output, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-
-
-def _schur_clusters(t: np.ndarray) -> tuple[float, list[_Cluster]]:
-    """The spectral radius and the eigenvalue clusters on the diagonal of the Schur form ``t``."""
-    eig = np.diag(t).astype(complex)
-    k = _pairs(t)
-    im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
-    eig[k] += 1j * im
-    eig[k + 1] -= 1j * im
-    return _clusters(eig)
 
 
 def _clusters(eig: np.ndarray) -> tuple[float, list[_Cluster]]:
@@ -212,27 +231,21 @@ def _isolated(x: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
-def _cluster_degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
-    """Degeneracy index of a cluster of the Schur form ``t``; see :func:`_degeneracy`."""
-    mult = int(cluster.members.sum())
-    if mult == 1:  # the index never exceeds the multiplicity
-        return 1
-    t_lead, _, sdim = _reorder(t, None, cluster.members)
-    return _degeneracy(t_lead, sdim, mult, cluster.value, rank_tol)
-
-
-def _degeneracy(t: np.ndarray, sdim: int, mult: int, value: complex, rank_tol: float) -> int:
-    """Rank-plateau index of ``t11 - value``, ``t11`` the leading ``sdim x sdim`` block of ``t``.
+def _degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
+    """Degeneracy index of a cluster of the Schur form ``t``: the rank-plateau index of
+    ``t11 - value``, ``t11`` the cluster's block moved to the lead by :func:`_reorder`.
 
     ``t11`` holds the ``mult`` eigenvalues of the cluster, and in a real form
     also their conjugates when ``value`` is not real; ``t11 - value`` is
     invertible on those, so they do not move the plateau.  The block is
-    divided by ``||t||_2 = ||T||_2``, so the index does not depend on the
+    divided by ``||t||_2 = ||H||_2``, so the index does not depend on the
     map's scale.
     """
-    if mult == 1:
+    mult = int(cluster.members.sum())
+    if mult == 1:  # the index never exceeds the multiplicity
         return 1
-    base = (t[:sdim, :sdim] - value * np.eye(sdim)) / (op_norm(t) or 1.0)
+    t, _, sdim = _reorder(t, None, cluster.members)
+    base = (t[:sdim, :sdim] - cluster.value * np.eye(sdim)) / (op_norm(t) or 1.0)
 
     def rank(x):
         return numerical_rank(x, rank_tol) if op_norm(x) > rank_tol else 0
@@ -373,22 +386,13 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     and on maps whose spectral radius is not an eigenvalue or does not carry
     a largest Jordan block (the claimed positivity is then false).
     """
-    mat = superop_matrix(phi)
-    return _maximal_part(mat, _shape_of(phi, mat), rank_tol)
+    return _maximal_part(phi, rank_tol)[0]
 
 
-def _shape_of(phi, mat: np.ndarray) -> AlgebraShape:
-    """The block shape of a CpMap or AlgebraMap; the full algebra for any other map."""
-    if isinstance(phi, (CpMap, AlgebraMap)):
-        return phi.shape
-    return AlgebraShape.full(side_of(mat.shape[0]))
-
-
-def _maximal_part(mat: np.ndarray, shape: AlgebraShape, rank_tol: float) -> MaximalPart:
-    """:func:`maximal_part` of the m^2 x m^2 ``mat`` of a map on the algebra ``shape``."""
-    h, idx = _coordinates(mat, shape)
-    t, q = _block_schur(h, np.repeat(np.arange(len(shape.blocks)), shape.blocks)[idx % shape.m])
-    r, clusters = _schur_clusters(t)
+def _maximal_part(phi, rank_tol: float) -> tuple[MaximalPart, np.ndarray]:
+    """:func:`maximal_part` of ``phi`` and the map's m^2 x m^2 matrix."""
+    mat, shape = _map_matrix(phi)
+    idx, h, t, q, r, clusters = _schur_form(mat, shape or AlgebraShape.full(side_of(mat.shape[0])))
     if r <= 1e-300:
         raise PreconditionError(
             "maximal part is undefined when the spectral radius is zero"
@@ -399,21 +403,18 @@ def _maximal_part(mat: np.ndarray, shape: AlgebraShape, rank_tol: float) -> Maxi
         raise PreconditionError(
             "spectral radius is not an eigenvalue; the map cannot be positive"
         )
-    others = [
-        _cluster_degeneracy(t, c, rank_tol)
+    d = _degeneracy(t, target, rank_tol)
+    if any(
+        _degeneracy(t, c, rank_tol) > d
         for c in clusters
         if c is not target and abs(c.value) >= r - delta
-    ]
-    # one reordering with the cluster at r leading gives both d and P_r
-    t_lead, q_lead, sdim = _reorder(t, q, target.members)
-    d = _degeneracy(t_lead, sdim, int(target.members.sum()), target.value, rank_tol)
-    if d < max(others, default=d):
+    ):
         raise PreconditionError(
             "a peripheral eigenvalue away from the spectral radius has a larger "
             "Jordan block; the map cannot be positive"
         )
 
-    proj = _spectral_projector(t_lead, q_lead, sdim)
+    proj = _spectral_projector(*_reorder(t, q, target.members))
     if d == 1:
         hat = proj
     else:
@@ -450,12 +451,12 @@ def _maximal_part(mat: np.ndarray, shape: AlgebraShape, rank_tol: float) -> Maxi
             f"idempotency branch contradicts degeneracy index {d}"
         )
     return MaximalPart(
-        superop=SuperOperator(shape.m, _embed(hat, idx, mat, r)),
+        superop=SuperOperator(side_of(mat.shape[0]), _embed(hat, idx, mat, r)),
         radius=r,
         degeneracy=d,
         idempotent=idempotent,
         route_gap=gap,
-    )
+    ), mat
 
 
 def _coordinates(mat: np.ndarray, shape: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
@@ -546,8 +547,6 @@ def _block_schur(h: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarr
     one group this is the Schur form of ``h``.
     """
     nb = int(owner.max()) + 1
-    if nb == 1:
-        return _schur(h)
     # reach[j, i]: a path from block i to block j, by squaring the one-step relation
     member = (owner[:, None] == np.arange(nb)).astype(float)
     reach = (member.T @ (h != 0) @ member > 0).astype(int) + np.eye(nb, dtype=int)
@@ -573,12 +572,12 @@ def _block_schur(h: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def perron_vector(phi, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Positive eigenvector ``L = maximal_part(phi)(1)`` at the spectral radius."""
-    mat = superop_matrix(phi)
-    return _perron_of(_maximal_part(mat, _shape_of(phi, mat), rank_tol), mat, psd_tol)
+    return _perron_of(*_maximal_part(phi, rank_tol), psd_tol)[0]
 
 
-def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> np.ndarray:
-    """``L = mp(1)``, made Hermitian and checked: non-zero, PSD, ``mat`` fixes it up to ``r``."""
+def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.ndarray, float]:
+    """``(L, ||mat L - r L||)`` for ``L = mp(1)`` made Hermitian; raises unless ``L`` is non-zero,
+    PSD and that residual at most ``CHECK_TOL * ||L||``."""
     m = mp.superop.m
     ell = mp.superop(np.eye(m, dtype=complex))
     ell = (ell + ell.conj().T) / 2.0
@@ -592,7 +591,7 @@ def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> np.ndarray:
         raise ConvergenceError(
             f"Perron eigenvector residual {residual:.3e} exceeds {CHECK_TOL} * ||L||"
         )
-    return ell
+    return ell, residual
 
 
 @dataclass(frozen=True)
@@ -624,8 +623,7 @@ def maximal_factorization(
         raise PreconditionError(
             f"map is reducible (generated algebra has dimension {dimension} < {m ** 2})"
         )
-    mat = superop_matrix(tau)  # iota o tau o E, the extension's matrix
-    mp = _maximal_part(mat, tau.shape, rank_tol=rank_tol)
+    mp, mat = _maximal_part(tau, rank_tol=rank_tol)  # mat: iota o tau o E, the extension's matrix
     hat, r = mp.superop.matrix, mp.radius
 
     svals = np.linalg.svd(hat[:, tau.shape.vec_mask()], compute_uv=False)  # other columns are zero
@@ -635,7 +633,7 @@ def maximal_factorization(
             f"maximal part is not numerically rank one (sigma2/sigma1 = {rank_gap:.3e})"
         )
 
-    ell = _perron_of(mp, mat, psd_tol)
+    ell, resid_eig = _perron_of(mp, mat, psd_tol)
     if not psd_report(ell, psd_tol).is_strictly_positive:
         raise ConvergenceError("Perron eigenvector of an irreducible map must be strictly positive")
 
@@ -652,7 +650,6 @@ def maximal_factorization(
     if not psd_report(state, psd_tol).is_strictly_positive:
         raise ConvergenceError("recovered state is not strictly positive")
 
-    resid_eig = float(np.linalg.norm(unvec(mat @ vl, m) - r * ell))
     resid_adj = float(np.linalg.norm(mat.conj().T @ vec(state) - r * vec(state)))
     resid_trace = abs(trace_raw - 1.0)
     residuals = {
@@ -661,8 +658,7 @@ def maximal_factorization(
         "state_trace": resid_trace,
         "rank_gap": rank_gap,
     }
-    scale = max(1.0, float(np.linalg.norm(ell)))
-    if resid_eig > CHECK_TOL * scale or resid_adj > CHECK_TOL or resid_trace > CHECK_TOL:
+    if resid_adj > CHECK_TOL or resid_trace > CHECK_TOL:  # _perron_of checked resid_eig
         raise ConvergenceError(f"factorization residuals too large: {residuals}")
     return Factorization(radius=r, eigenvector=ell, state=state, residuals=residuals)
 
@@ -694,6 +690,8 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
 
     Orthonormalization is classical Gram-Schmidt, applied twice, in the
     Hilbert-Schmidt inner product, against the basis kept as rows of one array.
+    The tuple is first scaled by the power of two that brings its largest entry into
+    ``[1/2, 1)``: exact, so the algebra is unchanged, and no norm or product overflows.
     """
     mats = [as_matrix(a) for a in mats_list]
     if not mats:
@@ -702,6 +700,8 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
     for a in mats:
         if a.shape != (m, m):
             raise PreconditionError("all matrices must share one square side")
+    exp = np.frexp(max(float(np.abs(x).max()) for a in mats for x in (a.real, a.imag)))[1]
+    mats = [np.ldexp(a.real, -exp) + 1j * np.ldexp(a.imag, -exp) for a in mats]
 
     rows = np.empty((1, m * m), dtype=complex)  # orthonormal basis, one row each
     count = 0
@@ -843,12 +843,12 @@ def resolvent_gamma(tau: CpMap, b: float | None = None) -> tuple[SuperOperator, 
     the dimensions of the unital / non-unital generated algebras of any Kraus
     list of ``tau``.  Default ``b = 1 / (2 max(1, r))``.
     """
-    s = superop_matrix(tau)
-    r = float(np.abs(eigenvalues(s)).max())
+    r = spectral_radius_of(tau)
     if b is None:
         b = 1.0 / (2.0 * max(1.0, r))
     if b <= 0.0 or b * r >= 1.0:
         raise PreconditionError(f"resolvent requires b > 0 and b * r < 1 (b={b}, r={r})")
+    s = superop_matrix(tau)
     n = s.shape[0]
     g0 = np.linalg.solve(np.eye(n, dtype=complex) - b * s, np.eye(n, dtype=complex))
     m = tau.m

@@ -20,6 +20,7 @@ from .errors import BudgetExceededError, ConvergenceError, PreconditionError
 from .mats import (
     CHECK_TOL,
     CLUSTER_TOL,
+    CONV_TOL,
     PSD_TOL,
     RANK_TOL,
     as_matrix,
@@ -433,7 +434,7 @@ def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
     return spectral_radius(inverse(w) @ _finite(image, "phi(w)"))
 
 
-def neumann_witness(phi, s: float, conv_tol: float = 1e-10, psd_tol: float = PSD_TOL) -> np.ndarray:
+def neumann_witness(phi, s: float, conv_tol: float = CONV_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Witness ``w = (id - phi/s)^(-1)(1)`` of ``r(phi) < s``.
 
     Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on an infinite

@@ -101,6 +101,12 @@ def perron_dense_map(rng, cls, blocks):
     return CpMap(tuple(rect_kraus(rng, blocks, pairs)), shape)
 
 
+def reference_superop(kraus):
+    """``sum_i kron(A_i.T, A_i.conj().T)``: the superoperator of ``X -> sum_i A_i* X A_i``
+    built from one Kronecker product per Kraus operator."""
+    return sum(np.kron(a.T, a.conj().T) for a in kraus)
+
+
 def reference_probe_minima(mat, rng, probes=64):
     """The one-probe-at-a-time loop of irreducible_cp: for each random rank-one
     probe ``h h*``, the smallest eigenvalue and the norm of the Hermitian part of

@@ -35,7 +35,7 @@ from cpspectra import (
     vec,
 )
 from cpspectra.reference_maps import double_trace_map, path_adjacency_map, trace_corner_map
-from helpers import random_cpmap, random_matrix, random_psd, random_unitary
+from helpers import random_cpmap, random_matrix, random_psd, random_unitary, reference_superop
 
 
 def unit(m, i, j):
@@ -215,6 +215,28 @@ class TestKrausOfChoi:
 
 
 class TestSuperop:
+    def test_matches_the_kron_sum(self):
+        rng = np.random.default_rng(9)
+        wide = [full_map(*(random_matrix(rng, m) for _ in range(k))) for m, k in ((16, 8), (24, 4))]
+        for tau in seeded_maps() + wide:
+            want = reference_superop(tau.kraus)
+            assert np.abs(superop_of(tau).matrix - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_one_choi_product_and_no_per_kraus_loop(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-Kraus kron or outer product ran")
+
+        tau = seeded_maps()[-1]
+        monkeypatch.setattr(np, "kron", forbidden)
+        monkeypatch.setattr(np, "outer", forbidden)
+        s = superop_of(tau)
+        assert np.array_equal(choi_of_superop(s), choi_of(tau))
+
+    def test_overflow_keeps_its_message(self):
+        tau = full_map(*(1e160 * random_matrix(np.random.default_rng(0), 3) for _ in range(2)))
+        with pytest.raises(ConvergenceError, match="^superoperator entries overflow$"):
+            superop_of(tau)
+
     def test_identity_channel_acts_trivially(self):
         x = random_matrix(np.random.default_rng(4), 2)
         assert np.abs(IDENTITY_CHANNEL(x) - x).max() == 0

@@ -223,9 +223,10 @@ class TestMaximalPart:
 
     def test_rejects_non_square_size_before_eigen_work(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(perron, "spectral_structure", lambda *a, **k: calls.append(a))
-        with pytest.raises(FormatError, match="perfect square"):
-            maximal_part(np.diag([2.0, 1.0, 0.5]))
+        monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(a))
+        for call in (maximal_part, perron_vector):
+            with pytest.raises(FormatError, match="perfect square"):
+                call(np.diag([2.0, 1.0, 0.5]))
         assert calls == []
 
     def test_commutation_and_branching_on_random_maps(self):
@@ -571,6 +572,28 @@ class TestAlgebraBasis:
                     gen = algebra_basis(mats, unital=unital)
                     assert gen.stabilization_index <= m * m
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-300])
+    def test_huge_and_tiny_generators_keep_the_unscaled_algebra(self, scale):
+        # the squared norms of these generators overflow or underflow
+        rng = np.random.default_rng(0)
+        pair = [random_matrix(rng, 3) for _ in range(2)]
+        for unital in (True, False):
+            want = algebra_basis(pair, unital=unital)
+            got = algebra_basis([scale * a for a in pair], unital=unital)
+            assert (got.dimension, got.stabilization_index) == (want.dimension, want.stabilization_index)
+            assert got.dimension == 9
+
+    def test_power_of_two_scaling_leaves_the_basis_bitwise(self):
+        rng = np.random.default_rng(8)
+        for m, count in ((3, 1), (4, 2), (5, 3)):
+            mats = [random_matrix(rng, m) for _ in range(count)]
+            for unital in (True, False):
+                want = algebra_basis(mats, unital=unital).basis
+                for factor in (2.0**-40, 8.0, 2.0**600):
+                    got = algebra_basis([factor * a for a in mats], unital=unital).basis
+                    assert len(got) == len(want)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
 
 class TestResolventAndExponential:
     def test_zero_map_resolvent_is_identity(self):
@@ -684,8 +707,8 @@ def dense_maps(seed):
 
 
 class TestOneSchurForm:
-    """spectral_structure runs on one complex Schur form per call, and maximal_part on
-    one real Schur form per group of algebra blocks that reach each other."""
+    """spectral_structure and maximal_part run on one real Schur form of the map's
+    coordinates per call, taken per group of algebra blocks that reach each other."""
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_maximal_part_matches_the_three_factorisation_route(self, seed):
@@ -705,21 +728,22 @@ class TestOneSchurForm:
             return real_schur(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("maximal_part ran a second factorisation")
+            raise AssertionError("a second factorisation ran")
 
         monkeypatch.setattr(scipy.linalg, "schur", counted)
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", forbidden)
-        monkeypatch.setattr(perron, "eigenvalues", forbidden)
         monkeypatch.setattr(mats, "eigenvalues", forbidden)
         for kind, tau in route_maps(11):  # leaking maps too
-            calls.clear()
-            maximal_part(tau)
             # real coordinates of the algebra: side sum n_i^2 in one form, or one form
             # per block where the blocks feed each other without a cycle
             squares = [n * n for n in tau.shape.blocks]
             sides = squares if kind in ("reducible", "jordan") else [sum(squares)]
-            assert sorted(shape for shape, _ in calls) == sorted((k, k) for k in sides), (kind, tau.shape)
-            assert all(dtype == np.float64 for _, dtype in calls)
+            for call in (maximal_part, spectral_structure):
+                calls.clear()
+                call(tau)
+                got = sorted(shape for shape, _ in calls)
+                assert got == sorted((k, k) for k in sides), (call.__name__, kind, tau.shape)
+                assert all(dtype == np.float64 for _, dtype in calls)
         # a matrix that does not preserve Hermitian matrices keeps complex coordinates
         calls.clear()
         maximal_part(np.kron(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])))
@@ -755,8 +779,9 @@ class TestOneSchurForm:
         for op in (tau, phi):
             structure = spectral_structure(op)
             assert structure.d_max == 2
-            # the zero cluster of the off-diagonal entries stays semisimple
-            assert [c.degeneracy for c in structure.clusters if c.value == 0] == [1]
+            # the coordinates of M_1 + M_1 hold the Jordan block alone: the off-diagonal
+            # entries of M_2 add no zero cluster
+            assert [(c.multiplicity, c.degeneracy) for c in structure.clusters] == [(2, 2)]
             mp = maximal_part(op)
             assert mp.degeneracy == 2 and mp.radius == pytest.approx(structure.radius)
 
@@ -988,14 +1013,21 @@ class TestHermitianCoordinates:
 
 class TestScaleFreeClusters:
     def test_tiny_jordan_block_keeps_its_own_cluster(self):
-        # below unit radius, an absolute 1e-8 would merge r = 1e-10 into the zero cluster
-        phi = diagonal_algebra_map(1e-10 * np.array([[1.0, 1.0], [0.0, 1.0]]))
-        got = [(c.value, c.multiplicity, c.degeneracy) for c in spectral_structure(phi).clusters]
-        assert [(m, d) for _, m, d in got] == [(2, 2), (2, 1)]
-        assert got[0][0] == pytest.approx(1e-10, rel=1e-12) and got[1][0] == 0
-        mp = maximal_part(phi)
-        assert mp.degeneracy == 2 and not mp.idempotent
-        assert mp.radius == pytest.approx(1e-10, rel=1e-12)
+        # below unit radius, an absolute 1e-8 would merge r = 1e-10 into the zero cluster;
+        # the third diagonal entry is a zero eigenvalue of the coordinates themselves
+        cases = [
+            ([[1.0, 1.0], [0.0, 1.0]], []),
+            ([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [(1, 1)]),
+        ]
+        for matrix, zeros in cases:
+            phi = diagonal_algebra_map(1e-10 * np.array(matrix))
+            got = [(c.value, c.multiplicity, c.degeneracy) for c in spectral_structure(phi).clusters]
+            assert [(m, d) for _, m, d in got] == [(2, 2)] + zeros
+            assert got[0][0] == pytest.approx(1e-10, rel=1e-12)
+            assert all(value == 0 for value, _, _ in got[1:])
+            mp = maximal_part(phi)
+            assert mp.degeneracy == 2 and not mp.idempotent
+            assert mp.radius == pytest.approx(1e-10, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_clusters_match_the_per_eigenvalue_loop(self, seed):
@@ -1014,3 +1046,53 @@ class TestScaleFreeClusters:
             assert radius == float(np.abs(eig).max())
             assert [c.value for c in got] == [v for v, _ in want]
             assert all(np.array_equal(c.members, w) for c, (_, w) in zip(got, want))
+
+
+class TestOnePipeline:
+    """spectral_structure reads the Schur form of the coordinates that maximal_part uses."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_structure_agrees_with_the_maximal_part(self, seed, scale):
+        for kind, tau in route_maps(seed):
+            tau = CpMap(tuple(np.sqrt(scale) * k for k in tau.kraus), tau.shape)
+            structure, mp = spectral_structure(tau), maximal_part(tau)
+            r = mp.radius
+            assert abs(structure.radius - r) <= 1e-12 * r, (kind, tau.shape)
+            assert mp.degeneracy == structure.d_max, (kind, tau.shape)
+            assert min(abs(v - r) for v in structure.maximal_spectrum) <= 1e-12 * r, (kind, tau.shape)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_clusters_are_the_nonzero_clusters_of_the_full_matrix(self, seed):
+        # the m^2 x m^2 matrix adds only zeros: m^2 - sum n_i^2 of them, from the off-block entries
+        for kind, tau in route_maps(seed):
+            mat = cpmap.superop_matrix(tau)
+            eig = np.linalg.eigvals(mat)
+            r = float(np.abs(eig).max())
+            want = [(v, int(w.sum())) for v, w in reference_clusters(eig, mats.CLUSTER_TOL * r)]
+            got = [(c.value, c.multiplicity) for c in spectral_structure(tau).clusters]
+            extra = tau.m**2 - sum(n * n for n in tau.shape.blocks)
+            zero = [(v, k) for v, k in want if abs(v) <= mats.CLUSTER_TOL * r]
+            assert [k for _, k in zero] == ([extra] if extra else []), (kind, tau.shape)
+            want = [pair for pair in want if pair not in zero]
+            assert len(got) == len(want), (kind, tau.shape)
+            for v, k in got:  # a multiset: rounding may swap equal-modulus clusters
+                hit = min(want, key=lambda pair: abs(pair[0] - v))
+                assert hit[1] == k and abs(hit[0] - v) <= 1e-9 * r, (kind, tau.shape)
+                want.remove(hit)
+
+    def test_raw_arrays_of_another_side_run_on_their_own_entries(self, monkeypatch):
+        calls = []
+        real_schur = scipy.linalg.schur
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].copy())
+            return real_schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        for n in (2, 3, 5):
+            a = random_matrix(np.random.default_rng(n), n)
+            calls.clear()
+            structure = spectral_structure(a)
+            assert len(calls) == 1 and np.array_equal(calls[0], a)
+            assert sum(c.multiplicity for c in structure.clusters) == n
