@@ -212,6 +212,8 @@ def _run_command(args, tol: Tolerance):
     cmd = args.command
     if hasattr(args, "map_file"):
         tau, inputs["map"] = _load_map(args.map_file, args.shape)
+        if args.shape:  # the parsed blocks, so "2,1" and " 2, 1" hash alike
+            inputs["shape"] = list(tau.shape.blocks)
 
     if cmd == "outer-radius":
         mats, raw = _load_tuple(args.tuple_file)
@@ -246,8 +248,9 @@ def _run_command(args, tol: Tolerance):
         residuals["equation"] = float(np.linalg.norm(tau(w) - args.s * (w - np.eye(tau.m))))
 
     elif cmd == "balance":
-        mat, raw = _load_matrix(args.matrix_file)
-        inputs["matrix"] = raw
+        mat, inputs["matrix"] = _load_matrix(args.matrix_file)
+        if args.epsilon is not None:
+            inputs["epsilon"] = args.epsilon
         result = balance_similarity(mat, epsilon=args.epsilon)
         values["p"] = matrix_to_json(result.p)
         values["norm"] = result.norm

@@ -23,9 +23,9 @@ two independent routes and cross-checked:
   a circle about ``r``.
 
 The maximal part is embedded back at side m^2.  The same machinery yields
-Perron eigenvectors, the rank-one factorization of the maximal part of
-irreducible CP maps, irreducibility tests through canonical extensions, and
-bases of the algebra generated by a matrix tuple.
+Perron eigenvectors, the rank-one factorization of the maximal part of an
+irreducible CP map with its verdict read off that part, irreducibility tests
+through canonical extensions, and bases of the algebra generated by a tuple.
 """
 
 from __future__ import annotations
@@ -577,7 +577,7 @@ def perron_vector(phi, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> 
 
 def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.ndarray, float]:
     """``(L, ||mat L - r L||)`` for ``L = mp(1)`` made Hermitian; raises unless ``L`` is non-zero,
-    PSD and that residual at most ``CHECK_TOL * ||L||``."""
+    PSD and that residual at most ``CHECK_TOL * r * ||L||``, the scale of its rounding."""
     m = mp.superop.m
     ell = mp.superop(np.eye(m, dtype=complex))
     ell = (ell + ell.conj().T) / 2.0
@@ -587,9 +587,9 @@ def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.nda
     if not psd_report(ell, psd_tol * max(1.0, norm)).is_psd:
         raise ConvergenceError("computed Perron vector is not PSD")
     residual = float(np.linalg.norm(unvec(mat @ vec(ell), m) - mp.radius * ell))
-    if residual > CHECK_TOL * norm:
+    if residual > CHECK_TOL * mp.radius * norm:
         raise ConvergenceError(
-            f"Perron eigenvector residual {residual:.3e} exceeds {CHECK_TOL} * ||L||"
+            f"Perron eigenvector residual {residual:.3e} exceeds {CHECK_TOL} * r * ||L||"
         )
     return ell, residual
 
@@ -612,33 +612,28 @@ def maximal_factorization(
     Returns the spectral radius ``r``, the strictly positive eigenvector ``L``
     (with ``tau(L) = r L``), and the strictly positive density matrix ``R`` of
     the invariant faithful state (``trace(R L) = 1``; the adjoint superoperator
-    fixes ``vec(R)`` up to the factor ``r``).  The maximal part must be
-    numerically rank one; anything else signals reducibility or a tolerance
-    failure.
+    fixes ``vec(R)`` up to the factor ``r``).  The map is irreducible iff ``d = 1``, the
+    maximal part is rank one and ``L, R > 0`` (Evans & Hoegh-Krohn 1978; Arias, Gheondea &
+    Gudder 2002); the first that fails raises :class:`PreconditionError` "map is reducible
+    (...)" with its margin.  :class:`ConvergenceError` is a failed route check, Hermitian gap
+    of ``R`` or residual (``CHECK_TOL`` times ``r ||L||``, ``r ||R||``, or 1 for ``trace(R L)``).
     """
-    m = tau.m
-    ext = canonical_extension(tau)
-    dimension = algebra_basis(ext.kraus, unital=False, rank_tol=rank_tol).dimension
-    if dimension != m * m:
-        raise PreconditionError(
-            f"map is reducible (generated algebra has dimension {dimension} < {m ** 2})"
-        )
     mp, mat = _maximal_part(tau, rank_tol=rank_tol)  # mat: iota o tau o E, the extension's matrix
     hat, r = mp.superop.matrix, mp.radius
+    if mp.degeneracy != 1:
+        raise PreconditionError(f"map is reducible (degeneracy index {mp.degeneracy} != 1)")
 
     svals = np.linalg.svd(hat[:, tau.shape.vec_mask()], compute_uv=False)  # other columns are zero
     rank_gap = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
-    if svals[0] == 0.0 or rank_gap > rank_tol:
-        raise ConvergenceError(
-            f"maximal part is not numerically rank one (sigma2/sigma1 = {rank_gap:.3e})"
-        )
+    if rank_gap > rank_tol:
+        raise PreconditionError(f"map is reducible (sigma2/sigma1 = {rank_gap:.3e} > rank_tol)")
 
     ell, resid_eig = _perron_of(mp, mat, psd_tol)
-    if not psd_report(ell, psd_tol).is_strictly_positive:
-        raise ConvergenceError("Perron eigenvector of an irreducible map must be strictly positive")
-
+    low = psd_report(ell, psd_tol).min_eigenvalue  # of L, made exactly Hermitian
+    if not low > psd_tol:
+        raise PreconditionError(f"map is reducible (lambda_min(L) = {low:.3e} <= psd_tol)")
     vl = vec(ell)
-    raw_state = unvec(hat.conj().T @ vl / float(np.vdot(vl, vl).real), m)
+    raw_state = unvec(hat.conj().T @ vl / float(np.vdot(vl, vl).real), tau.m)
     herm_gap = float(np.linalg.norm(raw_state - raw_state.conj().T))
     if herm_gap > CHECK_TOL * max(1.0, float(np.linalg.norm(raw_state))):
         raise ConvergenceError(
@@ -647,8 +642,9 @@ def maximal_factorization(
     state = (raw_state + raw_state.conj().T) / 2.0
     trace_raw = float(np.trace(state @ ell).real)
     state = state / trace_raw
-    if not psd_report(state, psd_tol).is_strictly_positive:
-        raise ConvergenceError("recovered state is not strictly positive")
+    low = psd_report(state, psd_tol).min_eigenvalue  # of R, made exactly Hermitian
+    if not low > psd_tol:
+        raise PreconditionError(f"map is reducible (lambda_min(R) = {low:.3e} <= psd_tol)")
 
     resid_adj = float(np.linalg.norm(mat.conj().T @ vec(state) - r * vec(state)))
     resid_trace = abs(trace_raw - 1.0)
@@ -658,7 +654,8 @@ def maximal_factorization(
         "state_trace": resid_trace,
         "rank_gap": rank_gap,
     }
-    if resid_adj > CHECK_TOL or resid_trace > CHECK_TOL:  # _perron_of checked resid_eig
+    # _perron_of checked resid_eig
+    if resid_adj > CHECK_TOL * r * float(np.linalg.norm(state)) or resid_trace > CHECK_TOL:
         raise ConvergenceError(f"factorization residuals too large: {residuals}")
     return Factorization(radius=r, eigenvector=ell, state=state, residuals=residuals)
 

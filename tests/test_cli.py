@@ -420,3 +420,27 @@ def test_check_passes_tol_rank_to_every_call(capsys, monkeypatch):
         "irreducible_cp": [1e-7],
         "maximal_ideal_check": [1e-7],
     }
+
+
+def test_digest_covers_the_shape_flag(capsys, tmp_path):
+    # a map file with no shape: --shape chooses the algebra, so it is part of the input
+    rng = np.random.default_rng(0)
+    kraus = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"kraus": [matrix_to_json(a) for a in kraus]}))
+    reports = {
+        shape: run(capsys, ["perron", "--map", str(path)] + (["--shape", shape] if shape else []))[1]
+        for shape in (None, "3", "2,1", " 2, 1")
+    }
+    assert reports["3"]["values"]["radius"] == pytest.approx(7.003663859966538, rel=1e-10)
+    assert reports["2,1"]["values"]["radius"] == pytest.approx(8.138225203754843, rel=1e-10)
+    digests = {shape: report["inputs_digest"] for shape, report in reports.items()}
+    assert len({digests[None], digests["3"], digests["2,1"]}) == 3
+    assert digests["2,1"] == digests[" 2, 1"]  # the parsed blocks, not the flag's text
+
+
+def test_digest_covers_the_epsilon_flag(capsys):
+    argv = ["balance", "--matrix", str(DATA / "interior_jordan.json")]
+    reports = [run(capsys, argv + extra)[1] for extra in ([], ["--epsilon", "1"], ["--epsilon", "0.001"])]
+    assert reports[1]["values"]["p"] != reports[2]["values"]["p"]
+    assert len({report["inputs_digest"] for report in reports}) == 3

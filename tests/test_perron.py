@@ -402,12 +402,14 @@ class TestMaximalFactorization:
             maximal_factorization(full_map(np.diag([2.0, 1.0])))
 
     def test_reducible_message_names_the_dimension(self):
-        message = r"^map is reducible \(generated algebra has dimension 2 < 4\)$"
+        # X -> trace(X) E_11: d = 1 and a rank-one maximal part, but L = 2 E_11 is singular
+        message = r"^map is reducible \(lambda_min\(L\) = 0\.000e\+00 <= psd_tol\)$"
         with pytest.raises(PreconditionError, match=message):
             maximal_factorization(trace_corner_map())
 
     def test_each_stage_runs_once(self, monkeypatch):
-        calls = {"_maximal_part": [], "canonical_extension": [], "irreducible_cp": []}
+        names = ("_maximal_part", "canonical_extension", "algebra_basis", "irreducible_cp")
+        calls = {name: [] for name in names}
         for name in calls:
             original = getattr(perron, name)
 
@@ -417,7 +419,8 @@ class TestMaximalFactorization:
 
             monkeypatch.setattr(perron, name, counted)
         maximal_factorization(golden_ratio_map(), rank_tol=1e-7)
-        assert len(calls["canonical_extension"]) == 1
+        # the verdict reads the one maximal part: no extension and no Burnside closure
+        assert calls["canonical_extension"] == calls["algebra_basis"] == []
         assert calls["_maximal_part"] == [{"rank_tol": 1e-7}]
         assert calls["irreducible_cp"] == []
 
@@ -1096,3 +1099,108 @@ class TestOnePipeline:
             structure = spectral_structure(a)
             assert len(calls) == 1 and np.array_equal(calls[0], a)
             assert sum(c.multiplicity for c in structure.clusters) == n
+
+
+def cycle_map():
+    """The period-3 cycle X -> sum_i E_{i+1,i} X E_{i,i+1} on the diagonal algebra (1, 1, 1):
+    irreducible, with the cube roots of r = 1 on the spectral circle."""
+    return CpMap(tuple(unit(3, i, (i + 1) % 3) for i in range(3)), AlgebraShape((1, 1, 1)))
+
+
+def equal_radius_sum(rng):
+    """tau + tau on (2, 2) for an irreducible tau on M_2: L and R are strictly positive, but
+    r has multiplicity 2 and the maximal part rank 2, so the sum is reducible."""
+    z = np.zeros((2, 2))
+    kraus = random_cpmap(rng, (2,)).kraus
+    both = [np.block([[a, z], [z, z]]) for a in kraus] + [np.block([[z, z], [z, a]]) for a in kraus]
+    return CpMap(tuple(both), AlgebraShape((2, 2)))
+
+
+def verdict_maps(seed):
+    """Seeded ring, triangular, random_cpmap, leaking and one-Kraus maps (m <= 6), the four
+    bundled maps, the period-3 cycle and an equal-radius direct sum."""
+    rng = np.random.default_rng(seed)
+    maps = [golden_ratio_map(), path_adjacency_map(), double_trace_map(), trace_corner_map()]
+    maps += [cycle_map(), equal_radius_sum(rng)]
+    for blocks in [(3,), (2, 2), (3, 3), (2, 2, 2)]:
+        for pairs in (ring_pairs, triangular_pairs):
+            maps.append(CpMap(tuple(rect_kraus(rng, blocks, pairs(len(blocks)))), AlgebraShape(blocks)))
+    maps += [random_cpmap(rng, blocks) for blocks in [(2,), (3,), (2, 2), (3, 2), (2, 1, 1)]]
+    maps += [gaussian_block_map(rng, blocks, terms=3) for blocks in [(2, 2), (3, 2)]]
+    maps += [CpMap((random_matrix(rng, m),), AlgebraShape.full(m)) for m in (3, 5, 6)]
+    return maps
+
+
+def outcome(func, *args):
+    """``func(*args)``, or the error it raised."""
+    try:
+        return func(*args)
+    except (PreconditionError, ConvergenceError) as exc:
+        return exc
+
+
+class TestVerdictFromTheMaximalPart:
+    """maximal_factorization decides reducibility from its own maximal part: d = 1, rank one,
+    L > 0 and R > 0, each failure a PreconditionError naming the condition and its margin."""
+
+    @pytest.mark.parametrize("seed", range(1000, 1006))
+    def test_verdict_agrees_with_irreducible_cp(self, seed):
+        verdicts = []
+        for tau in verdict_maps(seed):
+            irreducible = irreducible_cp(tau).irreducible
+            got = outcome(maximal_factorization, tau)
+            want = perron.Factorization if irreducible else PreconditionError
+            assert isinstance(got, want), (tau.shape, got)
+            verdicts.append(irreducible)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_each_condition_names_its_margin(self):
+        # x0' = x0, x1' = x0 + x1 / 2 on the diagonal algebra (1, 1): L = (1, 2) but R = (1, 0)
+        kraus = (unit(2, 0, 0), unit(2, 0, 1), np.sqrt(0.5) * unit(2, 1, 1))
+        source = CpMap(kraus, AlgebraShape((1, 1)))
+        jordan = perron_dense_map(np.random.default_rng(0), "jordan", (1, 1))
+        direct_sum = equal_radius_sum(np.random.default_rng(1))
+        cases = [
+            (jordan, r"\(degeneracy index 2 != 1\)$"),
+            (direct_sum, r"\(sigma2/sigma1 = 1\.000e\+00 > rank_tol\)$"),
+            (trace_corner_map(), r"\(lambda_min\(L\) = 0\.000e\+00 <= psd_tol\)$"),
+            (source, r"\(lambda_min\(R\) = 0\.000e\+00 <= psd_tol\)$"),
+        ]
+        for tau, message in cases:
+            with pytest.raises(PreconditionError, match="^map is reducible " + message):
+                maximal_factorization(tau)
+        # the direct sum fails on the rank alone: its Perron vector is strictly positive
+        assert psd_report(perron_vector(direct_sum)).is_strictly_positive
+        fact = maximal_factorization(cycle_map())
+        assert np.abs(fact.eigenvector - np.eye(3)).max() < 1e-12
+        assert np.abs(fact.state - np.eye(3) / 3).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_generic_kraus_operator_at_m_24_is_reducible(self, seed):
+        # the Burnside closure reports dimension 574 (seed 0) and 576 (seed 3) for this algebra
+        # of polynomials in a, of dimension 24; the maximal part's L is rank one
+        tau = CpMap((random_matrix(np.random.default_rng(seed), 24),), AlgebraShape.full(24))
+        with pytest.raises(PreconditionError, match=r"^map is reducible \(lambda_min\(L\) = "):
+            maximal_factorization(tau)
+
+
+class TestScaleFreeGates:
+    """The eigenvector gates of perron_vector and maximal_factorization are relative to r, so
+    scaling a map by c changes no outcome: the same error type, or r times c with the
+    normalised L and with R unchanged."""
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e7, 1e8])
+    def test_outcomes_do_not_depend_on_scale(self, c):
+        maps = [random_cpmap(np.random.default_rng(s), (3, 2)) for s in range(20)]
+        maps += [tau for seed in (11, 12) for _, tau in route_maps(seed)]
+        for tau in maps:
+            scaled = CpMap(tuple(np.sqrt(c) * a for a in tau.kraus), tau.shape)
+            for func in (perron_vector, maximal_factorization):
+                want, got = outcome(func, tau), outcome(func, scaled)
+                assert type(got) is type(want), (func.__name__, tau.shape, got)
+                if isinstance(want, np.ndarray):  # L scales like c^(d-1) at degeneracy index d
+                    assert rel_max(got / np.linalg.norm(got), want / np.linalg.norm(want)) <= 1e-12
+                elif isinstance(want, perron.Factorization):
+                    assert abs(got.radius - c * want.radius) <= 1e-12 * c * want.radius
+                    assert rel_max(got.eigenvector, want.eigenvector) <= 1e-12
+                    assert rel_max(got.state, want.state) <= 1e-12
