@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, PreconditionError
-from .mats import PSD_TOL, as_matrix
+from .mats import PSD_TOL, as_matrix, frobenius_norm
 
 __all__ = [
     "AlgebraShape",
@@ -101,8 +101,7 @@ def compress(x, shape: AlgebraShape) -> np.ndarray:
 def in_algebra(x, shape: AlgebraShape, psd_tol: float = PSD_TOL) -> bool:
     """Numeric membership: ``||x - compress(x)|| <= psd_tol * max(1, ||x||)``."""
     x = _check_side(x, shape)
-    gap = np.linalg.norm(x - compress(x, shape))
-    return bool(gap <= psd_tol * max(1.0, np.linalg.norm(x)))
+    return frobenius_norm(x - compress(x, shape)) <= psd_tol * max(1.0, frobenius_norm(x))
 
 
 def _check_side(x, shape: AlgebraShape) -> np.ndarray:

@@ -206,7 +206,6 @@ def _build_parser(env_warnings: list[str]) -> argparse.ArgumentParser:
 def _run_command(args, tol: Tolerance):
     values: dict = {}
     residuals: dict = {}
-    warnings: list[str] = []
     inputs: dict = {}
 
     cmd = args.command
@@ -320,8 +319,6 @@ def _run_command(args, tol: Tolerance):
         values["probes"] = rep.probes
         if rep.witness is not None:
             values["witness"] = matrix_to_json(rep.witness)
-        if not rep.probes_consistent:
-            warnings.append("randomized strict-positivity probes contradict the verdict")
         residuals["dimension_gap"] = float(tau.m**2 - rep.dimension)
 
     elif cmd == "algebra-dim":
@@ -354,7 +351,7 @@ def _run_command(args, tol: Tolerance):
     else:  # pragma: no cover - argparse enforces the choices
         raise FormatError(f"unknown command {cmd}")
 
-    return inputs, values, residuals, warnings
+    return inputs, values, residuals
 
 
 def _run_check(tol: Tolerance) -> list[dict]:
@@ -411,7 +408,7 @@ def main(argv=None) -> int:
         tol = Tolerance(rank_tol=args.tol_rank, psd_tol=args.tol_psd, conv_tol=args.tol_conv)
         if args.seed < 0:
             raise PreconditionError(f"--seed must be non-negative (got {args.seed})")
-        inputs, values, residuals, warnings = _run_command(args, tol)
+        inputs, values, residuals = _run_command(args, tol)
     except tuple(_ERROR_EXITS) as exc:
         code, status = next(v for cls, v in _ERROR_EXITS.items() if isinstance(exc, cls))
         print(_render_json({"command": args.command, "error": {"code": code, "message": str(exc)}}))
@@ -422,7 +419,7 @@ def main(argv=None) -> int:
         "inputs_digest": _digest(args.command, inputs, flags),
         "values": values,
         "residuals": residuals,
-        "warnings": env_warnings + warnings,
+        "warnings": env_warnings,
         "elapsed": elapsed,
     }
     print(_render_json(report))

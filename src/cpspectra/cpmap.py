@@ -38,6 +38,7 @@ from .mats import (
     PSD_TOL,
     RANK_TOL,
     as_matrix,
+    frobenius_norm,
     psd_report,
     side_of,
     unvec,
@@ -341,7 +342,7 @@ def choi_rank(tau: CpMap, rank_tol: float = RANK_TOL) -> int:
 def is_cp(s: SuperOperator, psd_tol: float = PSD_TOL) -> bool:
     """Whether a superoperator represents a CP map (Choi matrix PSD)."""
     c = choi_of_superop(s)
-    return psd_report(c, psd_tol * max(1.0, float(np.linalg.norm(c)))).is_psd
+    return psd_report(c, psd_tol * max(1.0, frobenius_norm(c))).is_psd
 
 
 @dataclass(frozen=True)
@@ -369,7 +370,7 @@ class CoefficientSpace:
         return unvec(v @ (v.conj().T @ vec(x)), self.m)
 
     def residual(self, x) -> float:
-        return float(np.linalg.norm(as_matrix(x) - self.project(x)))
+        return frobenius_norm(as_matrix(x) - self.project(x))
 
 
 def coefficient_space(tau: CpMap, rank_tol: float = RANK_TOL) -> CoefficientSpace:
@@ -387,7 +388,7 @@ def dominates(tau: CpMap, eta: CpMap, psd_tol: float = PSD_TOL) -> bool:
     if tau.m != eta.m:
         raise PreconditionError("maps act on different sides")
     diff = choi_of(tau) - choi_of(eta)
-    return psd_report(diff, psd_tol * max(1.0, float(np.linalg.norm(diff)))).is_psd
+    return psd_report(diff, psd_tol * max(1.0, frobenius_norm(diff))).is_psd
 
 
 @dataclass(frozen=True)
@@ -412,7 +413,7 @@ def membership(a, tau: CpMap, rank_tol: float = RANK_TOL) -> MembershipResult:
         raise PreconditionError("matrix side does not match the map")
     space = coefficient_space(tau, rank_tol)
     residual = space.residual(a)
-    member = residual <= CHECK_TOL * max(1.0, float(np.linalg.norm(a)))
+    member = residual <= CHECK_TOL * max(1.0, frobenius_norm(a))
     if not member:
         return MembershipResult(False, residual)
     lam, *_ = np.linalg.lstsq(_vec_stack(tau.kraus), vec(a), rcond=None)

@@ -10,11 +10,15 @@ Conventions used across the whole package:
   layout matched to this convention, i.e. ``vec(P @ X @ Q) = kron(Q.T, P) @ vec(X)``.
 
 Rank decisions are relative to the largest singular value so that scaling a
-matrix never changes its reported rank.
+matrix never changes its reported rank; :func:`frobenius_norm` squares no
+entry past the float range.  The one Schur kernel of the package, which the
+maximal part and ``balance_similarity`` share, is :func:`schur`,
+:func:`reorder_schur` (``trsen``) and :func:`schur_sylvester` (``trsyl``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +112,19 @@ def spectral_radius(a) -> float:
     return float(np.abs(eigenvalues(a)).max())
 
 
+def frobenius_norm(a) -> float:
+    """Frobenius norm that no square takes out of the float range: where ``np.linalg.norm``
+    overflows or underflows, it is taken on ``a`` scaled exactly by the power of two that
+    brings the largest modulus into ``[1/2, 1)``.  Elsewhere it is ``np.linalg.norm(a)``."""
+    with np.errstate(over="ignore"):  # an overflowed norm is taken again below
+        norm = float(np.linalg.norm(a))
+    if 1e-140 < norm < math.inf:
+        return norm
+    a = np.asarray(a)
+    scale = math.ldexp(1.0, -math.frexp(float(np.abs(a).max(initial=0.0)))[1])
+    return float(np.linalg.norm(a * scale)) / scale  # inf beyond the float range
+
+
 def op_norm(a) -> float:
     """Operator (spectral) 2-norm."""
     return float(np.linalg.norm(as_matrix(a), 2))
@@ -137,13 +154,12 @@ def psd_report(a, psd_tol: float = PSD_TOL) -> PsdReport:
     """Hermiticity / positivity report for a square matrix.
 
     The matrix counts as Hermitian when ``||M - M*|| <= psd_tol * ||M||``
-    (Frobenius norms).  Eigenvalue floors are taken on the symmetrized part
+    (:func:`frobenius_norm`).  Eigenvalue floors are taken on the symmetrized part
     ``(M + M*) / 2`` to suppress round-off asymmetry: PSD means minimum
     eigenvalue ``>= -psd_tol``, strictly positive means ``> psd_tol``.
     """
     m = _square(a)
-    herm_gap = np.linalg.norm(m - m.conj().T)
-    hermitian = bool(herm_gap <= psd_tol * np.linalg.norm(m))
+    hermitian = frobenius_norm(m - m.conj().T) <= psd_tol * frobenius_norm(m)
     sym = (m + m.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym).min()) if m.shape[0] else 0.0
     return PsdReport(
@@ -174,6 +190,62 @@ def inverse(a, rank_tol: float = RANK_TOL) -> np.ndarray:
     if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
         raise PreconditionError("matrix is numerically singular")
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
+
+
+def _lapack(name: str, a: np.ndarray):
+    """The LAPACK routine ``name`` for the dtype of ``a``: ``d...`` if real, ``z...`` if complex."""
+    from scipy.linalg import lapack  # deferred: scipy is most of the package's import time
+
+    return getattr(lapack, ("z" if np.iscomplexobj(a) else "d") + name)
+
+
+def schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Schur form ``mat = q t q*``: real quasi-triangular for a real ``mat``, whose
+    2 x 2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(|b c|)``; triangular for a complex one."""
+    import scipy.linalg  # deferred: scipy is most of the package's import time
+
+    output = "complex" if np.iscomplexobj(mat) else "real"
+    try:
+        return scipy.linalg.schur(mat, output=output, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
+
+
+def schur_pairs(t: np.ndarray) -> np.ndarray:
+    """Leading indices of the 2 x 2 blocks of a real Schur form (none in a complex one)."""
+    return np.flatnonzero(np.diag(t, -1)) if not np.iscomplexobj(t) else np.empty(0, dtype=int)
+
+
+def reorder_schur(t: np.ndarray, q: np.ndarray | None, members: np.ndarray):
+    """Reorder a Schur form so the ``members`` of its diagonal lead (LAPACK ``trsen``).
+
+    A 2 x 2 block of a real form moves whole, so a non-real eigenvalue
+    brings its conjugate.  Returns ``(t, q, sdim)``, ``sdim`` the size of the
+    leading block; ``q`` is updated only when given.
+    """
+    select = members.copy()
+    k = schur_pairs(t)
+    select[k] = select[k + 1] = select[k] | select[k + 1]
+    out = _lapack("trsen", t)(  # q is a required argument even unused
+        select.astype(np.int32), t, t if q is None else q, job="N", wantq=int(q is not None)
+    )
+    ts, qs, sdim, info = out[0], out[1], out[-4], out[-1]
+    if info != 0 or sdim != int(select.sum()):
+        raise ConvergenceError(f"Schur reordering failed (trsen info {info})")
+    return ts, None if q is None else qs, sdim
+
+
+def schur_sylvester(t: np.ndarray, sdim: int) -> np.ndarray:
+    """The ``sdim x (n - sdim)`` block ``y`` with ``t11 y - y t22 = -t12`` that decouples the
+    leading block of a Schur form ``t`` from the rest (LAPACK ``trsyl`` on the blocks, which
+    are already (quasi-)triangular); empty when ``sdim`` is the side."""
+    t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
+    if sdim == t.shape[0]:
+        return t12
+    y, scale, info = _lapack("trsyl", t)(t11, t22, -t12, isgn=-1)
+    if info < 0:
+        raise ConvergenceError(f"Sylvester solve failed (trsyl info {info})")
+    return y / scale
 
 
 def matrix_to_json(a) -> dict:

@@ -1,31 +1,26 @@
 """Constructive Perron theory for positive maps on block-diagonal algebras.
 
 Every spectral stage runs on one Schur form of the map's matrix ``H`` in the
-orthonormal Hermitian basis of its block algebra, of side ``n1^2 + ... + nd^2``:
-real for every positive map, so ``H = q t q*`` is real quasi-triangular and
-every later product is real.  The Schur form is taken per group of blocks that
-reach each other, so a reducible map's block-triangular zeros stay exact.  The
-eigenvalues are read off the diagonal blocks of ``t``, and degeneracy indices
-come from tolerant rank plateaus of powers of ``t11 - lambda`` on a cluster's
-reordered Schur block; Jordan bases are never formed.  :func:`spectral_structure`
-reports those clusters; the maximal part is computed from the same form along
-two independent routes and cross-checked:
+orthonormal Hermitian basis of its block algebra, of side ``n1^2 + ... + nd^2``
+and real for every positive map, taken per group of blocks that reach each
+other so a reducible map's block-triangular zeros stay exact.  The eigenvalue
+clusters and their degeneracy indices (rank plateaus of powers of
+``t11 - lambda`` on a cluster's reordered block) are read off it, and
+:func:`spectral_structure` reports them.  The maximal part comes from the same
+form along two routes that must agree:
 
-* projection route: ``(H - r)^(d-1)`` composed with the spectral projector at
-  the eigenvalue ``r``, from the same Schur form with the cluster at ``r``
-  moved to the leading block (LAPACK ``trsen``) and the Sylvester equation
-  between its (quasi-)triangular blocks solved directly (LAPACK ``trsyl``);
-* second route, the limit of the averaged normalized powers
+* the projection ``(H - r)^(d-1) P_r``, with ``P_r`` from the Schur kernel of
+  :mod:`cpspectra.mats` (reordering and triangular Sylvester solve);
+* the limit of the averaged normalized powers
   ``(1/N) sum_n H^n / (binom(n, d-1) r^(n-d+1))``: for ``d = 1`` the Cesaro
-  mean by exact partial-sum doubling with Richardson extrapolation; for
-  ``d > 1`` its closed form, the resolvent integral
-  ``(1/2 pi i) oint (z - r)^(d-1) (z - H)^(-1) dz`` by the trapezoidal rule on
+  mean by partial-sum doubling with Richardson extrapolation, for ``d > 1``
+  its closed form, the resolvent integral
+  ``(1/2 pi i) oint (z - r)^(d-1) (z - H)^(-1) dz``, by the trapezoidal rule on
   a circle about ``r``.
 
-The maximal part is embedded back at side m^2.  The same machinery yields
-Perron eigenvectors, the rank-one factorization of the maximal part of an
-irreducible CP map with its verdict read off that part, irreducibility tests
-through canonical extensions, and bases of the algebra generated by a tuple.
+The same machinery yields Perron eigenvectors, the rank-one factorization of
+the maximal part of an irreducible CP map, irreducibility tests through
+canonical extensions, and bases of the algebra generated by a tuple.
 """
 
 from __future__ import annotations
@@ -58,6 +53,10 @@ from .mats import (
     numerical_rank,
     op_norm,
     psd_report,
+    reorder_schur,
+    schur,
+    schur_pairs,
+    schur_sylvester,
     side_of,
     unvec,
     vec,
@@ -162,35 +161,11 @@ def _schur_form(mat: np.ndarray, shape: AlgebraShape | None) -> tuple:
         owner = np.repeat(np.arange(shape.d), shape.blocks)[idx % shape.m]
     t, q = _block_schur(h, owner)
     eig = np.diag(t).astype(complex)  # a 2 x 2 block [[a, b], [c, a]] holds a +- i sqrt(|b c|)
-    k = _pairs(t)
+    k = schur_pairs(t)
     im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
     eig[k] += 1j * im
     eig[k + 1] -= 1j * im
     return (idx, h, t, q, *_clusters(eig))
-
-
-def _lapack(name: str, a: np.ndarray):
-    """The LAPACK routine ``name`` for the dtype of ``a``: ``d...`` if real, ``z...`` if complex."""
-    from scipy.linalg import lapack
-
-    return getattr(lapack, ("z" if np.iscomplexobj(a) else "d") + name)
-
-
-def _pairs(t: np.ndarray) -> np.ndarray:
-    """Leading indices of the 2 x 2 blocks of a real Schur form (none in a complex one)."""
-    return np.flatnonzero(np.diag(t, -1)) if not np.iscomplexobj(t) else np.empty(0, dtype=int)
-
-
-def _schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Schur form ``mat = q t q*``: real quasi-triangular for a real ``mat``, whose
-    2 x 2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(|b c|)``; triangular for a complex one."""
-    import scipy.linalg  # deferred: scipy is most of the package's import time
-
-    output = "complex" if np.iscomplexobj(mat) else "real"
-    try:
-        return scipy.linalg.schur(mat, output=output, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
 
 
 def _clusters(eig: np.ndarray) -> tuple[float, list[_Cluster]]:
@@ -233,7 +208,7 @@ def _isolated(x: np.ndarray, delta: float) -> np.ndarray:
 
 def _degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
     """Degeneracy index of a cluster of the Schur form ``t``: the rank-plateau index of
-    ``t11 - value``, ``t11`` the cluster's block moved to the lead by :func:`_reorder`.
+    ``t11 - value``, ``t11`` the cluster's block moved to the lead by :func:`reorder_schur`.
 
     ``t11`` holds the ``mult`` eigenvalues of the cluster, and in a real form
     also their conjugates when ``value`` is not real; ``t11 - value`` is
@@ -244,7 +219,7 @@ def _degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
     mult = int(cluster.members.sum())
     if mult == 1:  # the index never exceeds the multiplicity
         return 1
-    t, _, sdim = _reorder(t, None, cluster.members)
+    t, _, sdim = reorder_schur(t, None, cluster.members)
     base = (t[:sdim, :sdim] - cluster.value * np.eye(sdim)) / (op_norm(t) or 1.0)
 
     def rank(x):
@@ -260,42 +235,18 @@ def _degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
     return mult
 
 
-def _reorder(t: np.ndarray, q: np.ndarray | None, members: np.ndarray):
-    """Reorder a Schur form so the ``members`` of its diagonal lead (LAPACK ``trsen``).
-
-    A 2 x 2 block of a real form moves whole, so a non-real eigenvalue
-    brings its conjugate.  Returns ``(t, q, sdim)``, ``sdim`` the size of the
-    leading block; ``q`` is updated only when given.
-    """
-    select = members.copy()
-    k = _pairs(t)
-    select[k] = select[k + 1] = select[k] | select[k + 1]
-    out = _lapack("trsen", t)(  # q is a required argument even unused
-        select.astype(np.int32), t, t if q is None else q, job="N", wantq=int(q is not None)
-    )
-    ts, qs, sdim, info = out[0], out[1], out[-4], out[-1]
-    if info != 0 or sdim != int(select.sum()):
-        raise ConvergenceError(f"Schur reordering failed (trsen info {info})")
-    return ts, None if q is None else qs, sdim
-
-
 def _spectral_projector(t: np.ndarray, q: np.ndarray, sdim: int) -> np.ndarray:
     """Riesz projection of ``q t q*`` onto the eigenvalues of the leading ``sdim x sdim`` block.
 
-    ``t`` is a Schur form whose cluster already leads (see :func:`_reorder`);
-    ``t11 y - y t22 = -t12`` is solved on the (quasi-)triangular blocks
-    (LAPACK ``trsyl``), so no further Schur form is computed.
+    ``t`` is a Schur form whose cluster already leads (see :func:`reorder_schur`),
+    and ``y`` is its :func:`schur_sylvester` block, so no further Schur form is computed.
     """
     n = t.shape[0]
     if sdim == n:
         return np.eye(n, dtype=t.dtype)
-    t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
-    y, scale, info = _lapack("trsyl", t)(t11, t22, -t12, isgn=-1)
-    if info < 0:
-        raise ConvergenceError(f"Sylvester solve failed (trsyl info {info})")
     # q [[1, -y], [0, 0]] q* = q1 (q1* - y q2*): rank sdim, with no n x n product
     q1 = q[:, :sdim]
-    return q1 @ (q1.conj().T - (y / scale) @ q[:, sdim:].conj().T)
+    return q1 @ (q1.conj().T - schur_sylvester(t, sdim) @ q[:, sdim:].conj().T)
 
 
 def _cesaro_limit(mat: np.ndarray, radius: float) -> np.ndarray:
@@ -305,21 +256,23 @@ def _cesaro_limit(mat: np.ndarray, radius: float) -> np.ndarray:
     reduced resolvent), so the Richardson value ``2 avg(2N) - avg(N)`` cancels
     the slow term.  Stops when two consecutive values agree within
     ``_CESARO_TOL`` relative to ``max(1, largest entry)``; ``N`` never exceeds
-    ``_CESARO_TERMS``.
+    ``_CESARO_TERMS``; an overflow raises :class:`ConvergenceError`.
     """
     power = partial = avg = mat / radius  # partial: the sum of the first ``count`` powers
     count, prev = 1, None
-    while 2 * count <= _CESARO_TERMS:
-        partial = partial + power @ partial
-        power = power @ power
-        count *= 2
-        avg, last = partial / count, avg
-        cur = 2.0 * avg - last
-        if prev is not None:
-            scale = max(1.0, float(np.abs(cur).max()))
-            if float(np.abs(cur - prev).max()) <= _CESARO_TOL * scale:
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        while 2 * count <= _CESARO_TERMS:
+            partial = partial + power @ partial
+            power = power @ power
+            count *= 2
+            avg, last = partial / count, avg
+            cur = 2.0 * avg - last
+            size = float(np.abs(cur).max())
+            if not size < np.inf:  # inf or nan
+                raise ConvergenceError(f"Cesaro partial sums overflow at {count} terms")
+            if prev is not None and float(np.abs(cur - prev).max()) <= _CESARO_TOL * max(1.0, size):
                 return cur
-        prev = cur
+            prev = cur
     raise ConvergenceError(f"Cesaro mean did not converge within {_CESARO_TERMS} terms")
 
 
@@ -352,31 +305,23 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     """Maximal part of a positive map with non-zero spectral radius.
 
     Runs on the map's matrix ``H`` in the orthonormal Hermitian basis of its
-    block algebra, of side ``n1^2 + ... + nd^2``; a SuperOperator or a raw
-    matrix is a map on the full algebra.  ``H`` is real for a map that sends
-    Hermitian matrices to Hermitian ones (every CpMap and positive map): when
-    its imaginary part is at most ``_REAL_TOL = 1e-12`` relative to its
-    largest entry, everything below runs in real arithmetic.  Any other map
-    runs in complex arithmetic on its own entries on the algebra.
+    block algebra (a SuperOperator or a raw matrix is a map on the full
+    algebra): in real arithmetic when the imaginary part of ``H`` is at most
+    ``_REAL_TOL = 1e-12`` relative to its largest entry, as for every CpMap
+    and positive map, and on the map's own complex entries otherwise.
 
     Eigenvalues within ``CLUSTER_TOL * r`` (``CLUSTER_TOL = 1e-8``) form one
-    cluster; they, the degeneracy indices of the clusters on the spectral
-    circle (see :func:`spectral_structure`) and ``P_r`` all come from one
-    Schur form of ``H``, assembled from one Schur form per group of blocks
-    that reach each other through the map.  Primary route is the spectral
-    projection ``(H - r)^(d-1) P_r``; the limit of averaged normalized powers is
-    evaluated independently and both must agree within ``_ROUTE_TOL = 1e-6``
-    (relative to the result's largest entry once that exceeds 1, since an
-    ill-conditioned spectral projector inflates both routes alike).
-
-    For ``d = 1`` the second route is the Cesaro mean of ``(H / r)^n`` over
-    ``N = 2, 4, 8, ...`` terms with Richardson extrapolation; it stops when
-    two consecutive values agree within ``_CESARO_TOL = 2.5e-7`` (relative
-    to ``max(1, largest entry)``) and raises :class:`ConvergenceError` if
-    that needs more than ``_CESARO_TERMS = 2**26`` terms.  For ``d > 1`` it
-    is the trapezoidal rule with ``_CONTOUR_NODES = 64`` nodes for the
-    resolvent integral on the circle about ``r`` of half the distance to the
-    nearest other eigenvalue cluster.
+    cluster; the clusters, their degeneracy indices (see
+    :func:`spectral_structure`) and ``P_r`` come from one Schur form of ``H``.
+    The projection ``(H - r)^(d-1) P_r`` and the second route (see the module
+    docstring) must agree within ``_ROUTE_TOL = 1e-6``, relative to the
+    result's largest entry once that exceeds 1, since an ill-conditioned
+    spectral projector inflates both routes alike.  The Cesaro mean (``d = 1``)
+    stops when two consecutive values agree within ``_CESARO_TOL = 2.5e-7``
+    relative to ``max(1, largest entry)``, and raises :class:`ConvergenceError`
+    past ``_CESARO_TERMS = 2**26`` terms or on overflow; the contour route
+    (``d > 1``) takes ``_CONTOUR_NODES = 64`` nodes on the circle about ``r``
+    of half the distance to the nearest other cluster.
 
     The result is embedded back at side m^2; on a map that leaks out of its
     algebra, its off-algebra rows are ``B hat / r``, with ``B`` the map's
@@ -414,42 +359,31 @@ def _maximal_part(phi, rank_tol: float) -> tuple[MaximalPart, np.ndarray]:
             "Jordan block; the map cannot be positive"
         )
 
-    proj = _spectral_projector(*_reorder(t, q, target.members))
+    proj = _spectral_projector(*reorder_schur(t, q, target.members))
     if d == 1:
-        hat = proj
+        hat, route, other = proj, "Cesaro", _cesaro_limit(h, r)
     else:
         hat = np.linalg.matrix_power(h - r * np.eye(h.shape[0]), d - 1) @ proj
+        # half the distance to the nearest other cluster; with none, any circle will do
+        rho = min((abs(c.value - r) for c in clusters if c is not target), default=r) / 2
+        route, other = "contour", _contour_limit(h, r, d, rho)
 
     # relative beyond unit scale: ill-conditioned eigenbases inflate both
     # routes' entries by the same factor
     size = float(np.abs(hat).max())
-    scale = max(1.0, size)
-    if d == 1:
-        route, other = "Cesaro", _cesaro_limit(h, r)
-    else:
-        # half the distance to the nearest other cluster; with none, any circle will do
-        rho = min((abs(c.value - r) for c in clusters if c is not target), default=r) / 2
-        route, other = "contour", _contour_limit(h, r, d, rho)
     gap = float(np.abs(hat - other).max())
-    if gap > _ROUTE_TOL * scale:
+    if gap > _ROUTE_TOL * max(1.0, size):
         raise ConvergenceError(
             f"projection and {route} routes disagree by {gap:.3e} (> {_ROUTE_TOL})"
         )
 
-    # relative at every scale: a nilpotent part with entries below 1e-8 is no projector
+    # d = 1 needs a projector and d > 1 a nilpotent part, relative at every scale:
+    # a nilpotent part with entries below 1e-8 is no projector
+    idempotent = d == 1
     sq = hat @ hat
-    if float(np.abs(sq - hat).max()) < 1e-8 * size:
-        idempotent = True
-    elif float(np.abs(sq).max()) < 1e-8 * size:
-        idempotent = False
-    else:
-        raise ConvergenceError(
-            "maximal part is neither idempotent nor nilpotent within tolerance"
-        )
-    if idempotent != (d == 1):
-        raise ConvergenceError(
-            f"idempotency branch contradicts degeneracy index {d}"
-        )
+    if not float(np.abs(sq - hat if idempotent else sq).max()) < 1e-8 * size:
+        kind = "idempotent" if idempotent else "nilpotent"
+        raise ConvergenceError(f"maximal part is not {kind} within tolerance at degeneracy index {d}")
     return MaximalPart(
         superop=SuperOperator(side_of(mat.shape[0]), _embed(hat, idx, mat, r)),
         radius=r,
@@ -554,14 +488,14 @@ def _block_schur(h: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarr
         reach = np.minimum(reach @ reach, 1)
     keys = sorted({tuple(row) for row in reach}, key=lambda row: (-sum(row), row))
     if len(keys) == 1:
-        return _schur(h)
+        return schur(h)
     group = np.array([keys.index(tuple(row)) for row in reach])[owner]
     q = np.zeros_like(h)
     diag, start = [], 0
     for g in range(len(keys)):
         sel = np.flatnonzero(group == g)
         span = slice(start, start + sel.size)
-        t_g, q[sel, span] = _schur(h[np.ix_(sel, sel)])
+        t_g, q[sel, span] = schur(h[np.ix_(sel, sel)])
         diag.append((span, t_g))
         start = span.stop
     t = q.conj().T @ h @ q  # exactly zero below the groups' diagonal blocks
@@ -575,23 +509,24 @@ def perron_vector(phi, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> 
     return _perron_of(*_maximal_part(phi, rank_tol), psd_tol)[0]
 
 
-def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.ndarray, float]:
-    """``(L, ||mat L - r L||)`` for ``L = mp(1)`` made Hermitian; raises unless ``L`` is non-zero,
-    PSD and that residual at most ``CHECK_TOL * r * ||L||``, the scale of its rounding."""
+def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.ndarray, float, float]:
+    """``(L, ||mat L - r L||, lambda_min(L))`` for ``L = mp(1)`` made Hermitian; raises unless ``L``
+    is non-zero, PSD and that residual at most ``CHECK_TOL * r * ||L||``, its rounding scale."""
     m = mp.superop.m
     ell = mp.superop(np.eye(m, dtype=complex))
     ell = (ell + ell.conj().T) / 2.0
     norm = float(np.linalg.norm(ell))
     if norm <= psd_tol:
         raise ConvergenceError("maximal part annihilates the identity")
-    if not psd_report(ell, psd_tol * max(1.0, norm)).is_psd:
+    rep = psd_report(ell, psd_tol * max(1.0, norm))
+    if not rep.is_psd:
         raise ConvergenceError("computed Perron vector is not PSD")
     residual = float(np.linalg.norm(unvec(mat @ vec(ell), m) - mp.radius * ell))
     if residual > CHECK_TOL * mp.radius * norm:
         raise ConvergenceError(
             f"Perron eigenvector residual {residual:.3e} exceeds {CHECK_TOL} * r * ||L||"
         )
-    return ell, residual
+    return ell, residual, rep.min_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -628,8 +563,7 @@ def maximal_factorization(
     if rank_gap > rank_tol:
         raise PreconditionError(f"map is reducible (sigma2/sigma1 = {rank_gap:.3e} > rank_tol)")
 
-    ell, resid_eig = _perron_of(mp, mat, psd_tol)
-    low = psd_report(ell, psd_tol).min_eigenvalue  # of L, made exactly Hermitian
+    ell, resid_eig, low = _perron_of(mp, mat, psd_tol)
     if not low > psd_tol:
         raise PreconditionError(f"map is reducible (lambda_min(L) = {low:.3e} <= psd_tol)")
     vl = vec(ell)
@@ -783,12 +717,14 @@ def irreducible_cp(
     the full matrix algebra (dimension m^2).  When reducible, a witness
     matrix HS-orthogonal to the generated algebra is returned.
 
-    A randomized corroborator additionally applies ``(1 + ext)^(m-1)`` to
-    ``_PROBES = 64`` random rank-one PSD probes; for an irreducible map every
-    probe must come out strictly positive.  The probes can refute but never
-    certify irreducibility, so ``probes_consistent`` only flags the
-    contradictory case.  Pass a seeded ``rng`` for reproducibility (default
-    seed 0).
+    A randomized corroborator applies ``(1 + T / ||T(1)||)^(m-1)``, ``T`` the
+    extension, to ``_PROBES = 64`` random rank-one PSD probes; an image is
+    strictly positive when ``lambda_min > psd_tol * lambda_max``, so the count
+    does not depend on the map's scale.  For an irreducible map every image
+    is, so a dimension-m^2 verdict with one that is not raises
+    :class:`ConvergenceError` naming the count (``probes_consistent`` is True
+    on every returned report).  Pass a seeded ``rng`` for reproducibility
+    (default seed 0).
     """
     ext = canonical_extension(tau)
     gen = algebra_basis(ext.kraus, unital=False, rank_tol=rank_tol)
@@ -801,36 +737,39 @@ def irreducible_cp(
         witness = unvec(u[:, gen.dimension], m)
 
     rng = rng if rng is not None else np.random.default_rng(0)
-    strict = int(np.count_nonzero(_probe_minima(superop_matrix(ext), rng) > psd_tol))
+    strict = int(np.count_nonzero(_probe_ratios(superop_matrix(ext), rng) > psd_tol))
+    if verdict and strict < _PROBES:
+        message = f"only {strict} of {_PROBES} probe images are strictly positive"
+        raise ConvergenceError(f"algebra dimension {m * m} says irreducible, but {message}")
     return IrreducibilityReport(
         irreducible=verdict,
         dimension=gen.dimension,
         witness=witness,
         strict_probes=strict,
         probes=_PROBES,
-        probes_consistent=not (verdict and strict < _PROBES),
+        probes_consistent=True,
     )
 
 
-def _probe_minima(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Smallest eigenvalue of ``(1 + T)^(m-1)`` applied to each of ``_PROBES`` probes.
+def _probe_ratios(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``lambda_min / lambda_max`` of ``(1 + T / ||T(1)||)^(m-1)`` applied to each of ``_PROBES`` probes.
 
     Probe ``k`` is ``h h*`` for ``h = (g[k, 0] + i g[k, 1]) / ||.||`` from one
     Gaussian draw ``g`` of shape ``(_PROBES, 2, m)``; the images are made
-    Hermitian before their eigenvalues are taken.
+    Hermitian before their eigenvalues are taken.  ``T / ||T(1)||`` is CP of norm 1, so
+    an image is at least its probe and at most ``2^(m-1)``: nothing overflows.
     """
     m = side_of(mat.shape[0])
+    size = op_norm(unvec(mat @ vec(np.eye(m, dtype=complex)), m)) or 1.0
     g = rng.normal(size=(_PROBES, 2, m))
     h = g[:, 0] + 1j * g[:, 1]
     h /= np.linalg.norm(h, axis=1, keepdims=True)
     # column k is vec(h_k h_k*): entry i + j*m is h_k[i] conj(h_k[j])
     probes = (h.conj()[:, :, None] * h[:, None, :]).reshape(_PROBES, m * m).T
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        powered = np.linalg.matrix_power(np.eye(m * m, dtype=complex) + mat, m - 1)
-        y = (powered @ probes).T.reshape(_PROBES, m, m).transpose(0, 2, 1)
-    if not np.isfinite(y).all():
-        raise ConvergenceError("probe images of (1 + T)^(m-1) overflow")
-    return np.linalg.eigvalsh((y + y.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+    powered = np.linalg.matrix_power(np.eye(m * m, dtype=complex) + mat / size, m - 1)
+    y = (powered @ probes).T.reshape(_PROBES, m, m).transpose(0, 2, 1)
+    lam = np.linalg.eigvalsh((y + y.conj().transpose(0, 2, 1)) / 2.0)
+    return lam[:, 0] / lam[:, -1]
 
 
 def resolvent_gamma(tau: CpMap, b: float | None = None) -> tuple[SuperOperator, SuperOperator]:

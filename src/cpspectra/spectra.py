@@ -3,7 +3,8 @@
 Covers the plain spectral radius of a map, the outer spectral radius of a
 tuple (square root of the spectral radius of the associated CP map), brute
 force and tensor-power bounds for the joint spectral radius, scaled-norm and
-eigenvalue-quotient evaluators, resolvent witnesses and similarity balancing.
+eigenvalue-quotient evaluators, resolvent witnesses and similarity balancing,
+which runs on the Schur kernel of :mod:`cpspectra.mats`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .mats import (
     op_norm,
     psd_report,
     psd_sqrt,
+    reorder_schur,
+    schur,
+    schur_sylvester,
     side_of,
     spectral_radius,
     unvec,
@@ -566,15 +570,15 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     is screened empirically up to ``n = _BALANCE_HORIZON = 256``: every norm
     must stay at most ``_POWER_BOUND = 1e3``, and the last quarter may exceed
     the second quarter by at most the factor ``_GROWTH_RATIO = 1.5``.
-    Construction: Schur form ordered so peripheral eigenvalues (``|z| >= 1 -
-    10 * CLUSTER_TOL`` after scaling by ``r``) come first, Sylvester
-    decoupling of the interior block, eigenvector diagonalization of the
-    (semisimple) peripheral block, and a geometric diagonal scaling of the
-    interior block, halving ``epsilon`` (default 1; it must be finite and
-    positive) until the norm fits.  No Jordan form is ever computed.
+    Construction, on the Schur kernel of :mod:`cpspectra.mats`: one complex
+    Schur form, reordered so the peripheral eigenvalues (``|z| >= 1 - 10 *
+    CLUSTER_TOL`` after scaling by ``r``) lead, decoupling of the interior
+    block by the Sylvester solve on the triangular blocks, eigenvector
+    diagonalization of the (semisimple) peripheral block, and a geometric
+    diagonal scaling of the interior block, halving ``epsilon`` (default 1; it
+    must be finite and positive) until the norm fits.  No Jordan form and no
+    second Schur form is ever computed.
     """
-    import scipy.linalg  # deferred: scipy is most of the package's import time
-
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         raise PreconditionError(f"epsilon must be finite and positive (got {epsilon})")
     a = as_matrix(a)
@@ -592,47 +596,33 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
             "unbounded normalized powers (peripheral Jordan block detected)"
         )
 
-    t, q, sdim = scipy.linalg.schur(
-        b, output="complex", sort=lambda z: abs(z) >= 1.0 - 10.0 * CLUSTER_TOL
-    )
-    p_count = int(sdim)
+    t, q = schur(b)
+    t, q, p_count = reorder_schur(t, q, np.abs(np.diag(t)) >= 1.0 - 10.0 * CLUSTER_TOL)
     if p_count == 0:
         raise ConvergenceError("no peripheral eigenvalue found at the spectral radius")
 
-    t11 = t[:p_count, :p_count]
-    lam, vmat = np.linalg.eig(t11)
+    lam, vmat = np.linalg.eig(t[:p_count, :p_count])
     if np.linalg.cond(vmat) > 1e8:
         raise PreconditionError(
             "unbounded normalized powers (peripheral Jordan block detected)"
         )
     vmat = vmat / np.linalg.norm(vmat, axis=0, keepdims=True)
-
-    if p_count == n:
-        p_full = np.linalg.solve(vmat, q.conj().T)
-        norm = op_norm(p_full @ a @ np.linalg.inv(p_full))
-        if norm > r * (1.0 + _BALANCE_SLACK):
-            raise ConvergenceError(f"balanced norm {norm} exceeds the target {r}")
-        return BalanceResult(p=p_full, norm=norm, radius=r)
-
-    t12 = t[:p_count, p_count:]
+    # P = f g_inv w_inv q*: w_inv decouples the interior block, g_inv diagonalizes the
+    # peripheral one, and f scales the interior one
+    w_inv = np.eye(n, dtype=complex)
+    w_inv[:p_count, p_count:] = -schur_sylvester(t, p_count)
+    g_inv = np.eye(n, dtype=complex)
+    g_inv[:p_count, :p_count] = np.linalg.inv(vmat)
     t22 = t[p_count:, p_count:]
-    z = scipy.linalg.solve_sylvester(t11, -t22, -t12)
-    q_int = n - p_count
-    mu = float(np.abs(np.diag(t22)).max()) if q_int else 0.0
+    mu = float(np.abs(np.diag(t22)).max(initial=0.0))
     eps = epsilon if epsilon is not None else 1.0
 
     for _ in range(80):
-        scale = eps ** np.arange(q_int, 0, -1)
+        scale = eps ** np.arange(n - p_count, 0, -1)
         if not np.all(scale > 0.0):
             raise ConvergenceError("interior scaling underflowed")
         c = np.diag(scale)
-        c_inv = np.diag(1.0 / scale)
-        t22_scaled = c @ t22 @ c_inv
-        if op_norm(t22_scaled) <= (1.0 + mu) / 2.0:
-            w_inv = np.eye(n, dtype=complex)
-            w_inv[:p_count, p_count:] = -z
-            g_inv = np.eye(n, dtype=complex)
-            g_inv[:p_count, :p_count] = np.linalg.inv(vmat)
+        if op_norm(c @ t22 @ np.diag(1.0 / scale)) <= (1.0 + mu) / 2.0:
             f = np.eye(n, dtype=complex)
             f[p_count:, p_count:] = c
             p_full = f @ g_inv @ w_inv @ q.conj().T

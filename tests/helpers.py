@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cpspectra import AlgebraShape, CpMap, psd_report, unvec, vec
+from cpspectra import AlgebraShape, CpMap, unvec, vec
 from cpspectra.mats import CLUSTER_TOL, side_of
 
 
@@ -107,21 +107,21 @@ def reference_superop(kraus):
     return sum(np.kron(a.T, a.conj().T) for a in kraus)
 
 
-def reference_probe_minima(mat, rng, probes=64):
+def reference_probe_ratios(mat, rng, probes=64):
     """The one-probe-at-a-time loop of irreducible_cp: for each random rank-one
-    probe ``h h*``, the smallest eigenvalue and the norm of the Hermitian part of
-    ``(1 + T)^(m-1)`` applied to it."""
+    probe ``h h*``, ``lambda_min / lambda_max`` of the Hermitian part of
+    ``(1 + T / ||T(1)||)^(m-1)`` applied to it."""
     m = side_of(mat.shape[0])
-    powered = np.linalg.matrix_power(np.eye(m * m, dtype=complex) + mat, m - 1)
-    minima, norms = [], []
+    size = np.linalg.norm(unvec(mat @ vec(np.eye(m)), m), 2) or 1.0
+    powered = np.linalg.matrix_power(np.eye(m * m, dtype=complex) + mat / size, m - 1)
+    ratios = []
     for _ in range(probes):
         h = rng.normal(size=m) + 1j * rng.normal(size=m)
         h /= np.linalg.norm(h)
         y = unvec(powered @ vec(np.outer(h, h.conj())), m)
-        y = (y + y.conj().T) / 2.0
-        minima.append(psd_report(y).min_eigenvalue)
-        norms.append(np.linalg.norm(y))
-    return np.array(minima), np.array(norms)
+        lam = np.linalg.eigvalsh((y + y.conj().T) / 2.0)
+        ratios.append(lam[0] / lam[-1])
+    return np.array(ratios)
 
 
 def reference_maximal_hat(mat, degeneracy):

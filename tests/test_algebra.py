@@ -85,6 +85,13 @@ class TestEmbedCompress:
         assert in_algebra(np.eye(2), shape)
         assert not in_algebra(np.ones((2, 2)), shape)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
+    def test_in_algebra_at_large_scale(self, scale):
+        # the squares of a 1e160 gap overflow np.linalg.norm, and inf <= inf would hold
+        shape = AlgebraShape((1, 1))
+        assert in_algebra(scale * np.eye(2), shape)
+        assert not in_algebra(scale * np.ones((2, 2)), shape)
+
 
 SHAPES = [(2, 1), (1, 1, 1), (3, 2, 4), (5,), (1, 4)]
 

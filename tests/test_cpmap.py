@@ -34,7 +34,7 @@ from cpspectra import (
     unvec,
     vec,
 )
-from cpspectra.reference_maps import double_trace_map, path_adjacency_map, trace_corner_map
+from cpspectra.reference_maps import double_trace_map, golden_ratio_map, path_adjacency_map, trace_corner_map
 from helpers import random_cpmap, random_matrix, random_psd, random_unitary, reference_superop
 
 
@@ -365,6 +365,28 @@ class TestHugeKrausNorms:
             for call in (superop_of, irreducible_cp, spectral_radius_of):
                 with pytest.raises(ConvergenceError, match="overflow"):
                     call(huge)
+
+
+class TestHugeNormVerdicts:
+    """Frobenius norms of 1e160 matrices square past the float range; the gates built on
+    them (PSD floors, membership bounds) must not turn into inf <= inf."""
+
+    @pytest.mark.parametrize("c", [1.0, 1e100, 1e150, 1e160])
+    def test_false_verdicts_stay_false(self, c):
+        tau0 = golden_ratio_map()
+        m = tau0.m
+        tau = CpMap(tuple(np.sqrt(c) * k for k in tau0.kraus), tau0.shape)
+        swap = np.zeros((m * m, m * m))
+        for i in range(m):
+            for j in range(m):
+                swap[j + i * m, i + j * m] = 1.0  # the transpose map, not CP
+        outsider = np.zeros((m, m))
+        outsider[1, 1] = 1.0  # E_11 is not in span{E_00, E_01, E_12, E_20, E_21}
+        assert not is_cp(SuperOperator(m, c * swap))
+        assert not dominates(CpMap(tau.kraus[:1], tau.shape), tau)
+        assert not membership(c * outsider, tau).member
+        assert is_cp(superop_of(tau)) and dominates(tau, CpMap(tau.kraus[:1], tau.shape))
+        assert membership(c * tau0.kraus[1], tau).member
 
 
 class TestCoefficientSpace:

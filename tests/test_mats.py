@@ -19,7 +19,7 @@ from cpspectra import (
     unvec,
     vec,
 )
-from cpspectra.mats import side_of
+from cpspectra.mats import frobenius_norm, side_of
 from helpers import random_matrix, random_normal_matrix, random_unitary
 
 GOLD = (1 + np.sqrt(5)) / 2
@@ -143,6 +143,30 @@ class TestPsdReport:
     def test_non_hermitian(self):
         rep = psd_report(np.array([[0, 1], [0, 0.0]]))
         assert not rep.is_hermitian and not rep.is_psd
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e160, 1e300])
+    def test_non_hermitian_at_any_scale(self, scale):
+        # np.linalg.norm of M - M* overflows above about 1e154, and inf <= inf would hold
+        rep = psd_report(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert not rep.is_hermitian and not rep.is_psd and not rep.is_strictly_positive
+
+
+class TestFrobeniusNorm:
+    def test_matches_numpy_in_range(self):
+        rng = np.random.default_rng(17)
+        for a in (random_matrix(rng, 5), rng.normal(size=(4, 7)), 1e-100 * random_matrix(rng, 3)):
+            want = np.linalg.norm(a)
+            assert abs(frobenius_norm(a) - want) <= np.spacing(want)
+        assert frobenius_norm(np.zeros((3, 3))) == 0.0 and frobenius_norm(np.zeros((0, 0))) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_finite_where_the_squares_leave_the_range(self, scale):
+        # the squares underflow to 0 below about 1e-154 and overflow to inf above 1e154
+        a = random_matrix(np.random.default_rng(18), 4)
+        assert frobenius_norm(scale * a) == pytest.approx(scale * np.linalg.norm(a), rel=1e-15)
+
+    def test_out_of_range_norm_is_inf(self):
+        assert frobenius_norm(np.full((2, 2), 1e308)) == np.inf  # 2e308 is out of range
 
 
 class TestMatrixFunctions:

@@ -53,7 +53,7 @@ from helpers import (
     random_psd,
     rect_kraus,
     reference_maximal_hat,
-    reference_probe_minima,
+    reference_probe_ratios,
     ring_pairs,
     triangular_pairs,
 )
@@ -842,22 +842,68 @@ class TestOneSchurForm:
         assert code == 2 and "Schur decomposition failed" in report["error"]["message"]
 
 
+def scaled_map(tau, c):
+    """The map ``c tau``: every Kraus operator times ``sqrt(c)``."""
+    return CpMap(tuple(np.sqrt(c) * k for k in tau.kraus), tau.shape)
+
+
 class TestBatchedProbes:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_probes_match_the_per_probe_loop(self, seed):
         for cls, tau in dense_maps(seed):
             mat = cpmap.superop_matrix(canonical_extension(tau))
-            got = perron._probe_minima(mat, np.random.default_rng(0))
-            want, norms = reference_probe_minima(mat, np.random.default_rng(0))
-            assert np.all(np.abs(got - want) <= 1e-12 * norms), (cls, tau.shape)
+            got = perron._probe_ratios(mat, np.random.default_rng(0))
+            want = reference_probe_ratios(mat, np.random.default_rng(0))
+            assert np.all(np.abs(got - want) <= 1e-12), (cls, tau.shape)
             strict = int(np.count_nonzero(want > mats.PSD_TOL))
             assert irreducible_cp(tau).strict_probes == strict
             assert cls != "irreducible" or strict == 64
 
-    def test_overflow_is_a_convergence_error(self):
-        tau = full_map(1e100 * np.eye(3))  # (1 + T)^2 reaches 1e400
-        with pytest.raises(ConvergenceError, match="overflow"):
+    @pytest.mark.parametrize("c", [1e-100, 1e100])
+    def test_scaled_identity_map_keeps_its_count(self, c):
+        # T / ||T(1)|| is the identity at every c, so (1 + T)^2 never nears 1e400
+        want = irreducible_cp(full_map(np.eye(3)))
+        got = irreducible_cp(full_map(c * np.eye(3)))
+        assert (got.irreducible, got.strict_probes) == (want.irreducible, want.strict_probes) == (False, 0)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1e4, 1e8])
+    def test_scaled_maps_keep_their_unit_counts(self, c):
+        ring = CpMap(tuple(rect_kraus(np.random.default_rng(5), (6,), ring_pairs(1))), AlgebraShape((6,)))
+        for tau in (golden_ratio_map(), double_trace_map(), ring):
+            want, got = irreducible_cp(tau), irreducible_cp(scaled_map(tau, c))
+            assert got.irreducible and got.strict_probes == want.strict_probes == 64
+            assert got.probes_consistent
+
+    def test_a_contradicted_verdict_raises(self):
+        # one Kraus operator generates a commutative algebra, yet algebra_basis reaches
+        # dimension m^2 here; no probe image is strictly positive
+        tau = full_map(random_matrix(np.random.default_rng(3), 24))
+        with pytest.raises(ConvergenceError, match="only 0 of 64 probe images"):
             irreducible_cp(tau)
+
+
+class TestCesaroOverflow:
+    def test_overflowing_powers_are_a_convergence_error(self):
+        # a Jordan block at 1.5 with coupling 150, rotated by 0.3: rounding splits the
+        # defective eigenvalue, the map reads as d = 1, and the doubled powers overflow
+        u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        tau = full_map(u.T @ (np.sqrt(1.5) * np.eye(2)) @ u, u.T @ (np.sqrt(150.0) * unit(2, 1, 0)) @ u)
+        for call in (maximal_part, perron_vector, maximal_factorization):
+            with pytest.raises(ConvergenceError, match="Cesaro partial sums overflow"):
+                call(tau)
+
+
+class TestSuperOperatorInput:
+    def test_superoperator_matches_the_full_shape_map(self):
+        rng = np.random.default_rng(31)
+        for tau in (golden_ratio_map(), path_adjacency_map(), random_cpmap(rng, (3,)), random_cpmap(rng, (2, 2))):
+            full = CpMap(tau.kraus, AlgebraShape.full(tau.m))
+            s = superop_of(full)
+            assert spectral_radius_of(s) == pytest.approx(spectral_radius_of(full), rel=1e-12)
+            assert spectral_structure(s) == spectral_structure(full)
+            got, want = maximal_part(s), maximal_part(full)
+            assert np.array_equal(got.superop.matrix, want.superop.matrix)
+            assert (got.radius, got.degeneracy, got.idempotent) == (want.radius, want.degeneracy, want.idempotent)
 
 
 class TestAlgebraBasisStops:
@@ -948,7 +994,7 @@ class TestHermitianCoordinates:
                 starts = np.cumsum([n * n for n in tau.shape.blocks])[:-1]
                 assert not np.diag(t, -1)[starts - 1].any()
             else:
-                t_one, q_one = perron._schur(h)
+                t_one, q_one = mats.schur(h)
                 assert np.array_equal(t, t_one) and np.array_equal(q, q_one)
 
     @pytest.mark.parametrize("seed", [11, 12])

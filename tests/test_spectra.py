@@ -437,6 +437,27 @@ class TestNeumannWitness:
         with pytest.raises((PreconditionError, ConvergenceError)):
             neumann_witness(phi, 1.0 + 1e-12)
 
+    def test_stalled_iteration_falls_back_to_the_dense_solve(self, monkeypatch):
+        # at s = 1.01 r the fixed point contracts by 1/1.01 a step: 400 steps do not reach it
+        from cpspectra import spectra
+
+        returned = []
+        real = spectra._neumann_iterate
+
+        def spy(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(spectra, "_neumann_iterate", spy)
+        tau = golden_ratio_map()
+        s = 1.01 * spectral_radius_of(tau)
+        w = neumann_witness(tau, s)
+        assert returned == [None]
+        dense = neumann_witness(algebra_map(tau), s)  # an AlgebraMap takes the dense solve only
+        assert len(returned) == 1
+        assert np.abs(w - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.linalg.norm(tau(w) - s * (w - np.eye(3))) < 1e-10
+
 
 class TestConjugateMap:
     def test_identity_scaling_is_noop(self):
@@ -497,6 +518,42 @@ class TestBalanceSimilarity:
         assert result.norm <= 1.0 + 1e-6
         p_inv = np.linalg.inv(result.p)
         assert op_norm(result.p @ a @ p_inv) == pytest.approx(result.norm)
+
+    def test_all_peripheral_spectrum(self):
+        # every eigenvalue on the circle: no interior block, P diagonalizes a alone
+        rng = np.random.default_rng(15)
+        for side in (2, 5, 9):
+            v = random_matrix(rng, side) + 2.0 * np.eye(side)
+            a = 1.5 * v @ random_unitary(rng, side) @ np.linalg.inv(v)
+            result = balance_similarity(a)
+            assert result.radius == pytest.approx(1.5, rel=1e-12)
+            assert result.norm <= 1.5 * (1 + 1e-6)
+            balanced = result.p @ a @ np.linalg.inv(result.p)
+            assert np.abs(balanced - np.diag(np.diag(balanced))).max() <= 1e-10
+
+    def test_one_schur_form_per_call(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        real_schur = scipy.linalg.schur
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real_schur(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a second factorisation ran")
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        monkeypatch.setattr(scipy.linalg, "solve_sylvester", forbidden)
+        rng = np.random.default_rng(16)
+        inputs = [np.array([[1.0, 0, 0], [0, 0.5, 100.0], [0, 0, 0.5]])]
+        inputs += [random_normal_matrix(rng, side, radius=1.7) for side in (3, 12)]
+        inputs += [1.5 * random_unitary(rng, 4)]
+        for a in inputs:
+            calls.clear()
+            balance_similarity(a)
+            assert len(calls) == 1 and "sort" not in calls[0]
 
     def test_peripheral_jordan_rejected(self):
         with pytest.raises(PreconditionError):
