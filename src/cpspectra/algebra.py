@@ -99,9 +99,9 @@ def compress(x, shape: AlgebraShape) -> np.ndarray:
 
 
 def in_algebra(x, shape: AlgebraShape, psd_tol: float = PSD_TOL) -> bool:
-    """Numeric membership: ``||x - compress(x)|| <= psd_tol * max(1, ||x||)``."""
+    """Numeric membership, relative to the scale of ``x``: ``||x - compress(x)|| <= psd_tol * ||x||``."""
     x = _check_side(x, shape)
-    return frobenius_norm(x - compress(x, shape)) <= psd_tol * max(1.0, frobenius_norm(x))
+    return frobenius_norm(x - compress(x, shape)) <= psd_tol * frobenius_norm(x)
 
 
 def _check_side(x, shape: AlgebraShape) -> np.ndarray:

@@ -13,15 +13,15 @@ by fixed conventions (see :mod:`cpspectra.mats`):
 
 A map on ``M_{n1} + ... + M_{nd}`` is read as ``iota o tau o E``: ``E``
 compresses to the block diagonal and ``iota`` embeds back into M_m, so the
-off-block inputs of a Kraus list never count.  :func:`superop_matrix` is the
-one coercion from a map to its matrix under this reading; spectral radii,
-norms, powers and maximal parts all go through it.  Its matrix equals, up to
-round-off, the superoperator of :func:`canonical_extension`.  Only
-:func:`algebra_map`, which applies the mask, and :func:`preserves_algebra`,
-which tests the off-block action, read the raw Kraus superoperator.  Calling
-a :class:`CpMap` applies the same ``iota o tau o E`` through its Kraus list
-(:meth:`CpMap.step`, which the radius, norm, witness and Gelfand routes of
-:mod:`cpspectra.spectra` iterate for every CpMap) and never builds the matrix.
+off-block inputs of a Kraus list never count.  :func:`map_matrix` is the one
+coercion from a map to its matrix under this reading and to its algebra;
+spectral radii, norms, powers and maximal parts all go through it.  Its
+matrix equals the superoperator of :func:`canonical_extension` up to round-off.
+Only it, which masks the off-block columns, and :func:`preserves_algebra`
+read the raw Kraus superoperator.  Calling a :class:`CpMap` applies ``iota o tau o E``
+through its Kraus list (:meth:`CpMap.step`, which every matrix-free route of
+:mod:`cpspectra.spectra` iterates) and builds no matrix.  Input verdicts compare
+each residual with a tolerance times the norm of what it checks, at any scale.
 """
 
 from __future__ import annotations
@@ -206,12 +206,9 @@ def algebra_map(op, shape: AlgebraShape | None = None) -> AlgebraMap:
     if isinstance(op, AlgebraMap):
         return op
     if isinstance(op, CpMap):
-        shape = op.shape
-        mat = superop_of(op).matrix
-    elif isinstance(op, SuperOperator):
-        if shape is None:
-            shape = AlgebraShape.full(op.m)
-        mat = op.matrix
+        return AlgebraMap(SuperOperator(op.m, map_matrix(op)[0]), op.shape)
+    if isinstance(op, SuperOperator):
+        mat, shape = op.matrix, shape or AlgebraShape.full(op.m)
     else:
         mat = as_matrix(op)
         if shape is None:
@@ -225,18 +222,29 @@ def algebra_map(op, shape: AlgebraShape | None = None) -> AlgebraMap:
     return AlgebraMap(SuperOperator(shape.m, mat), shape)
 
 
-def superop_matrix(op) -> np.ndarray:
-    """The matrix of a map: ``iota o tau o E`` for a CpMap / SuperOperator / AlgebraMap.
-
-    Map objects go through :func:`algebra_map`, so a block-shaped map never
-    sees off-block input; any other input is taken as a square matrix.
-    """
-    if isinstance(op, (CpMap, SuperOperator, AlgebraMap)):
-        return algebra_map(op).superop.matrix
+def map_matrix(op) -> tuple[np.ndarray, AlgebraShape | None]:
+    """The one coercion from a map to its matrix ``iota o tau o E``, and the map's algebra:
+    a CpMap's (its off-block columns zeroed) or AlgebraMap's own, M_m for a SuperOperator
+    or any other matrix of side m^2, and None for a raw square array of another side."""
+    if isinstance(op, AlgebraMap):
+        return op.superop.matrix, op.shape
+    if isinstance(op, CpMap):
+        mat, shape = superop_of(op).matrix, op.shape
+        return (mat if shape.is_full else np.where(shape.vec_mask(), mat, 0)), shape
+    if isinstance(op, SuperOperator):
+        return op.matrix, AlgebraShape.full(op.m)
     mat = as_matrix(op)
     if mat.shape[0] != mat.shape[1]:
         raise PreconditionError("operator matrix must be square")
-    return mat
+    try:
+        return mat, AlgebraShape.full(side_of(mat.shape[0]))
+    except FormatError:
+        return mat, None
+
+
+def superop_matrix(op) -> np.ndarray:
+    """The matrix of a map, the first half of :func:`map_matrix`."""
+    return map_matrix(op)[0]
 
 
 def superop_of(tau: CpMap) -> SuperOperator:
@@ -295,25 +303,24 @@ def choi_of_superop(s: SuperOperator) -> np.ndarray:
 def kraus_of_choi(c, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> list[np.ndarray]:
     """Kraus operators of a PSD Choi matrix, one per retained eigenpair.
 
-    ``psd_tol`` bounds the Hermiticity and positivity checks.  Eigenpairs with
-    eigenvalue ``<= rank_tol * max eigenvalue`` are discarded, a rank decision
-    (numerical Choi matrices of exact low-rank maps carry round-off tails).
+    Its checks, ``||c - c*|| <= psd_tol ||c||`` and ``lambda_min >= -psd_tol lambda_max``,
+    hold at any scale.  Eigenpairs with ``lambda <= rank_tol lambda_max`` are discarded, a
+    rank decision (numerical Choi matrices of exact low-rank maps carry round-off tails).
     Each retained pair ``(lam, u)`` yields ``sqrt(lam) * unvec(conj(u))``.
     """
     c = as_matrix(c)
     if c.shape[0] != c.shape[1]:
         raise FormatError("Choi matrix must be square")
     m = side_of(c.shape[0])
-    nrm = float(np.linalg.norm(c))
-    if np.linalg.norm(c - c.conj().T) > psd_tol * max(1.0, nrm) * nrm:
+    if frobenius_norm(c - c.conj().T) > psd_tol * frobenius_norm(c):
         raise PreconditionError("Choi matrix is not Hermitian")
     w, u = np.linalg.eigh((c + c.conj().T) / 2.0)
     top = float(w.max(initial=0.0))
-    if float(w.min(initial=0.0)) < -psd_tol * max(1.0, top):
+    if float(w.min(initial=0.0)) < -psd_tol * top:
         raise PreconditionError(
             f"Choi matrix is not PSD (min eigenvalue {w.min():.3e})"
         )
-    keep = w > rank_tol * max(top, 0.0)
+    keep = w > rank_tol * top
     if not np.any(keep):
         # zero map; represent it with a single zero Kraus operator
         return [np.zeros((m, m), dtype=complex)]
@@ -340,9 +347,10 @@ def choi_rank(tau: CpMap, rank_tol: float = RANK_TOL) -> int:
 
 
 def is_cp(s: SuperOperator, psd_tol: float = PSD_TOL) -> bool:
-    """Whether a superoperator represents a CP map (Choi matrix PSD)."""
+    """Whether a superoperator represents a CP map (Choi matrix PSD within ``psd_tol * ||c||``)."""
     c = choi_of_superop(s)
-    return psd_report(c, psd_tol * max(1.0, frobenius_norm(c))).is_psd
+    rep = psd_report(c, psd_tol)
+    return rep.is_hermitian and rep.min_eigenvalue >= -psd_tol * frobenius_norm(c)
 
 
 @dataclass(frozen=True)
@@ -384,11 +392,12 @@ def coefficient_space(tau: CpMap, rank_tol: float = RANK_TOL) -> CoefficientSpac
 
 
 def dominates(tau: CpMap, eta: CpMap, psd_tol: float = PSD_TOL) -> bool:
-    """Whether ``tau - eta`` is CP, i.e. Choi(tau) - Choi(eta) is PSD."""
+    """Whether ``tau - eta`` is CP: ``c = Choi(tau) - Choi(eta)`` PSD within ``psd_tol * ||c||``."""
     if tau.m != eta.m:
         raise PreconditionError("maps act on different sides")
     diff = choi_of(tau) - choi_of(eta)
-    return psd_report(diff, psd_tol * max(1.0, frobenius_norm(diff))).is_psd
+    rep = psd_report(diff, psd_tol)
+    return rep.is_hermitian and rep.min_eigenvalue >= -psd_tol * frobenius_norm(diff)
 
 
 @dataclass(frozen=True)
@@ -402,7 +411,7 @@ def membership(a, tau: CpMap, rank_tol: float = RANK_TOL) -> MembershipResult:
     """Decide whether ``a`` lies in the coefficient space of ``tau``.
 
     Decided by subspace projection: ``a`` is a member when its residual is at
-    most ``CHECK_TOL * max(1, ||a||)``.  For members, also return the scalar
+    most ``CHECK_TOL * ||a||``.  For members, also return the scalar
     certificate ``q = ||lambda||^2 + 1`` built from least-squares expansion
     coefficients of ``a`` in the given Kraus list; ``q * tau - alpha_a`` is
     then CP, which cross-checks the verdict through :func:`dominates`.
@@ -413,7 +422,7 @@ def membership(a, tau: CpMap, rank_tol: float = RANK_TOL) -> MembershipResult:
         raise PreconditionError("matrix side does not match the map")
     space = coefficient_space(tau, rank_tol)
     residual = space.residual(a)
-    member = residual <= CHECK_TOL * max(1.0, frobenius_norm(a))
+    member = residual <= CHECK_TOL * frobenius_norm(a)
     if not member:
         return MembershipResult(False, residual)
     lam, *_ = np.linalg.lstsq(_vec_stack(tau.kraus), vec(a), rcond=None)
@@ -440,11 +449,12 @@ def preserves_algebra(tau: CpMap) -> bool:
 
     Column ``i + j*m`` of the superoperator is ``vec tau(E_ij)``; for every
     in-algebra ``E_ij`` its off-block part must be at most
-    ``_LEAK_TOL * max(1, ||tau(E_ij)||)``, with ``_LEAK_TOL = 1e-10``.
+    ``_LEAK_TOL * ||tau(E_ij)||``, with ``_LEAK_TOL = 1e-10``, so scaling the map
+    changes no verdict.
     """
     if tau.shape.is_full:
         return True
     mask = tau.shape.vec_mask()
     cols = superop_of(tau).matrix[:, mask]
     leak = np.linalg.norm(cols[~mask], axis=0)
-    return bool(np.all(leak <= _LEAK_TOL * np.maximum(1.0, np.linalg.norm(cols, axis=0))))
+    return bool(np.all(leak <= _LEAK_TOL * np.linalg.norm(cols, axis=0)))

@@ -59,6 +59,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_matrices(mats_list) -> list[np.ndarray]:
+    """Coerce a tuple to a non-empty list of finite complex matrices of one square side."""
+    mats = [as_matrix(a) for a in mats_list]
+    if not mats:
+        raise PreconditionError("tuple of matrices must be non-empty")
+    if any(a.shape != (mats[0].shape[0],) * 2 for a in mats):
+        raise PreconditionError("all matrices in the tuple must share one square side")
+    return mats
+
+
 def _square(a) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:

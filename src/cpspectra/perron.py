@@ -33,7 +33,6 @@ import numpy as np
 
 from .algebra import AlgebraShape
 from .cpmap import (
-    AlgebraMap,
     CoefficientSpace,
     CpMap,
     SuperOperator,
@@ -41,15 +40,16 @@ from .cpmap import (
     choi_of_superop,
     coefficient_space,
     kraus_of_choi,
+    map_matrix,
     superop_matrix,
 )
-from .errors import ConvergenceError, FormatError, PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .mats import (
     CHECK_TOL,
     CLUSTER_TOL,
     PSD_TOL,
     RANK_TOL,
-    as_matrix,
+    as_matrices,
     numerical_rank,
     op_norm,
     psd_report,
@@ -120,7 +120,7 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the tolerant rank, where a power of norm
     at most ``rank_tol`` has rank 0.  A simple cluster has index 1 without a rank test.
     """
-    _, _, t, _, radius, clusters = _schur_form(*_map_matrix(op))
+    _, _, t, _, radius, clusters = _schur_form(*map_matrix(op))
     out = tuple(
         EigenCluster(c.value, int(c.members.sum()), _degeneracy(t, c, rank_tol))
         for c in clusters
@@ -135,18 +135,6 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
 class _Cluster(NamedTuple):
     value: complex
     members: np.ndarray  # mask over the eigenvalues on the diagonal of the Schur form
-
-
-def _map_matrix(op) -> tuple[np.ndarray, AlgebraShape | None]:
-    """The matrix of a map and its algebra: a CpMap's or AlgebraMap's own, M_m for any
-    other matrix of side m^2, and None for a raw square array of another side."""
-    mat = superop_matrix(op)
-    if isinstance(op, (CpMap, AlgebraMap)):
-        return mat, op.shape
-    try:
-        return mat, AlgebraShape.full(side_of(mat.shape[0]))
-    except FormatError:
-        return mat, None
 
 
 def _schur_form(mat: np.ndarray, shape: AlgebraShape | None) -> tuple:
@@ -336,7 +324,7 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
 
 def _maximal_part(phi, rank_tol: float) -> tuple[MaximalPart, np.ndarray]:
     """:func:`maximal_part` of ``phi`` and the map's m^2 x m^2 matrix."""
-    mat, shape = _map_matrix(phi)
+    mat, shape = map_matrix(phi)
     idx, h, t, q, r, clusters = _schur_form(mat, shape or AlgebraShape.full(side_of(mat.shape[0])))
     if r <= 1e-300:
         raise PreconditionError(
@@ -624,13 +612,8 @@ def algebra_basis(mats_list, unital: bool, rank_tol: float = RANK_TOL) -> Genera
     The tuple is first scaled by the power of two that brings its largest entry into
     ``[1/2, 1)``: exact, so the algebra is unchanged, and no norm or product overflows.
     """
-    mats = [as_matrix(a) for a in mats_list]
-    if not mats:
-        raise PreconditionError("tuple of matrices must be non-empty")
+    mats = as_matrices(mats_list)
     m = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (m, m):
-            raise PreconditionError("all matrices must share one square side")
     exp = np.frexp(max(float(np.abs(x).max()) for a in mats for x in (a.real, a.imag)))[1]
     mats = [np.ldexp(a.real, -exp) + 1j * np.ldexp(a.imag, -exp) for a in mats]
 

@@ -24,7 +24,9 @@ from .mats import (
     CONV_TOL,
     PSD_TOL,
     RANK_TOL,
+    as_matrices,
     as_matrix,
+    frobenius_norm,
     inverse,
     kron,
     op_norm,
@@ -183,24 +185,13 @@ def positive_map_norm(op) -> float:
     return op_norm(unvec(mat @ vec(np.eye(m, dtype=complex)), m))
 
 
-def _checked_tuple(mats_list) -> list[np.ndarray]:
-    mats = [as_matrix(a) for a in mats_list]
-    if not mats:
-        raise PreconditionError("tuple of matrices must be non-empty")
-    m = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (m, m):
-            raise PreconditionError("all matrices in the tuple must share one square side")
-    return mats
-
-
 def _tuple_map(mats) -> CpMap:
     return CpMap(tuple(mats), AlgebraShape.full(mats[0].shape[0]))
 
 
 def outer_radius(mats_list) -> float:
     """Outer spectral radius of a tuple: sqrt of the CP map's spectral radius."""
-    mats = _checked_tuple(mats_list)
+    mats = as_matrices(mats_list)
     return math.sqrt(spectral_radius_of(_tuple_map(mats)))
 
 
@@ -212,7 +203,7 @@ def outer_radius_gelfand(mats_list, n: int) -> float:
     accumulated in a log, so that large ``n`` neither overflows nor
     underflows.
     """
-    mats = _checked_tuple(mats_list)
+    mats = as_matrices(mats_list)
     if n < 1:
         raise PreconditionError("outer_radius_gelfand requires n >= 1")
     tau = _tuple_map(mats)
@@ -254,7 +245,7 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     of a word share its spectrum.  The enumeration size
     ``d + d^2 + ... + d^n_max`` must fit the budget.
     """
-    mats = _checked_tuple(mats_list)
+    mats = as_matrices(mats_list)
     if n_max < 1:
         raise PreconditionError("jsr_brute requires n_max >= 1")
     d = len(mats)
@@ -376,7 +367,7 @@ def jsr_tensor_approx(mats_list, k: int) -> JsrEstimate:
     error could move ``rho_k^(1/k)`` by more than ``CHECK_TOL = 1e-8``
     relative, :class:`ConvergenceError` is raised in place of bounds.
     """
-    mats = _checked_tuple(mats_list)
+    mats = as_matrices(mats_list)
     if k < 1:
         raise PreconditionError("jsr_tensor_approx requires k >= 1")
     m, d = mats[0].shape[0], len(mats)
@@ -408,7 +399,7 @@ def scaled_outer_radius(mats_list, v, psd_tol: float = PSD_TOL) -> float:
     Always at least the outer radius; equality is approached at Perron-type
     scalings.  ``v`` must be strictly positive.
     """
-    mats = _checked_tuple(mats_list)
+    mats = as_matrices(mats_list)
     v = as_matrix(v)
     if not psd_report(v, psd_tol).is_strictly_positive:
         raise PreconditionError("scaling matrix v must be strictly positive")
@@ -516,25 +507,30 @@ class NormAchievingResult:
 
 
 def norm_achieving_check(phi, w, psd_tol: float = PSD_TOL) -> NormAchievingResult:
-    """Constructive check that conjugation by ``w^(1/2)`` achieves norm = radius.
+    """Constructive check that conjugation by ``v = w^(1/2)`` achieves norm = radius.
 
-    Requires ``phi(w) <= r w``; the violating eigenvalue is reported when the
-    precondition fails.  The conjugated norm must meet ``r`` within
-    ``CHECK_TOL``.
+    Requires ``phi(w) <= r w``: ``r w - phi(w)`` must be Hermitian and PSD within
+    ``psd_tol * r * ||w||``, its rounding scale, else its violating eigenvalue is
+    reported.  The conjugated norm, ``||v^-1 phi(w) v^-1||`` for a positive map,
+    must meet ``r`` within ``CHECK_TOL * r``.  A CpMap is applied through its Kraus list.
     """
-    phi = algebra_map(phi)
+    act = _action(phi)
     w = as_matrix(w)
+    if not in_algebra(w, act.shape, psd_tol):
+        raise PreconditionError("w must belong to the block algebra")
     if not psd_report(w, psd_tol).is_strictly_positive:
         raise PreconditionError("w must be strictly positive")
-    r = spectral_radius_of(phi)
-    slack = psd_report(r * w - phi(w), psd_tol)
-    if not slack.is_psd:
-        raise PreconditionError(
-            f"phi(w) <= r*w fails: violating eigenvalue {slack.min_eigenvalue:.6e}"
-        )
+    r = spectral_radius_of(act)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        image = _finite(act(w), "phi(w)")
+    slack, scale = r * w - image, psd_tol * r * frobenius_norm(w)
+    low = float(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0).min())
+    if frobenius_norm(slack - slack.conj().T) > scale or low < -scale:
+        raise PreconditionError(f"phi(w) <= r*w fails: violating eigenvalue {low:.6e}")
     v = psd_sqrt(w, psd_tol)
-    norm = positive_map_norm(conjugate_map(phi, v, psd_tol))
-    if abs(norm - r) > CHECK_TOL:
+    vi = inverse(v)
+    norm = op_norm(vi @ image @ vi)
+    if abs(norm - r) > CHECK_TOL * r:
         raise ConvergenceError(
             f"conjugated norm {norm} misses the spectral radius {r} by {abs(norm - r):.3e}"
         )

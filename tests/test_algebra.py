@@ -207,3 +207,12 @@ class TestCanonicalExtension:
                         idx.append(i + j * tau.m)
             restricted = phi.superop.matrix[np.ix_(idx, idx)]
             assert abs(spectral_radius_of(phi) - spectral_radius(restricted)) < 1e-9
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-10, 1.0])
+def test_in_algebra_below_unit_scale(c):
+    # the gap is relative to ||x|| at every scale, with no unit floor
+    shape = AlgebraShape((2, 2))
+    y = np.random.default_rng(6).normal(size=(4, 4))
+    assert not in_algebra(c * y, shape)
+    assert in_algebra(c * compress(y, shape), shape)

@@ -545,3 +545,85 @@ class TestPreservesAlgebra:
                 tau = CpMap(kept.kraus + (eps * b,), kept.shape)
                 assert abs(leak_ratio(tau) / tol - factor) < 1e-3 * factor
                 assert preserves_algebra(tau) == preserves_by_matrix_units(tau, tol) == (factor < 1)
+
+
+class TestOneCoercion:
+    """cpmap.map_matrix is the one reader of a map's matrix and algebra."""
+
+    def test_algebra_of_each_input(self):
+        tau = random_cpmap(np.random.default_rng(20), (2, 1))
+        mat, shape = cpmap.map_matrix(tau)
+        assert shape == tau.shape
+        assert np.array_equal(mat, np.where(tau.shape.vec_mask(), superop_of(tau).matrix, 0))
+        assert cpmap.map_matrix(algebra_map(tau))[1] == tau.shape
+        assert cpmap.map_matrix(SuperOperator(3, mat))[1] == AlgebraShape.full(3)
+        assert cpmap.map_matrix(mat)[1] == AlgebraShape.full(3)
+        assert cpmap.map_matrix(np.eye(5))[1] is None
+        with pytest.raises(PreconditionError, match="square"):
+            cpmap.map_matrix(np.ones((2, 3)))
+
+    def test_superop_matrix_of_a_cpmap_builds_no_algebra_map(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an AlgebraMap was built")
+
+        tau = random_cpmap(np.random.default_rng(21), (2, 2))
+        want = algebra_map(tau).superop.matrix
+        monkeypatch.setattr(cpmap.AlgebraMap, "__init__", forbidden)
+        assert np.array_equal(cpmap.superop_matrix(tau), want)
+
+
+def superop_of_choi(c, m):
+    """The superoperator whose Choi matrix is ``c`` (the inverse reshuffle)."""
+    return SuperOperator(m, c.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(m * m, m * m))
+
+
+class TestScaleFreeVerdicts:
+    """is_cp, dominates, kraus_of_choi, membership and preserves_algebra compare each
+    residual with their tolerance times the norm of what they check, so scaling an input
+    by c changes no verdict, below unit scale as above it."""
+
+    SCALES = [1e-12, 1e-9, 1.0, 1e6]
+
+    @staticmethod
+    def skewed_golden_choi():
+        # Choi(golden) plus an anti-Hermitian part of 1e-3 of its Frobenius norm
+        c0 = choi_of(golden_ratio_map())
+        rng = np.random.default_rng(0)
+        k = rng.normal(size=c0.shape) + 1j * rng.normal(size=c0.shape)
+        k = k - k.conj().T
+        return c0 + 1e-3 * np.linalg.norm(c0) / np.linalg.norm(k) * k
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_choi_verdicts(self, c):
+        good = choi_of(golden_ratio_map())
+        swap = choi_of_superop(transpose_superop(3))  # eigenvalues +-1
+        for bad in (self.skewed_golden_choi(), swap):
+            assert not is_cp(superop_of_choi(c * bad, 3))
+            with pytest.raises(PreconditionError):
+                kraus_of_choi(c * bad)
+        assert is_cp(superop_of_choi(c * good, 3))
+        assert len(kraus_of_choi(c * good)) == choi_rank(golden_ratio_map())
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_dominates(self, c):
+        rng = np.random.default_rng(0)
+        a0, a1 = (np.sqrt(c) * rng.normal(size=(3, 3)) for _ in range(2))
+        tau, eta = full_map(a0, a1), full_map(a0, 2 * a1)
+        assert not dominates(tau, eta)
+        assert dominates(eta, tau)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_membership(self, c):
+        tau = golden_ratio_map()
+        outsider = np.random.default_rng(5).normal(size=(3, 3))
+        assert coefficient_space(tau).residual(outsider) > 1.0
+        assert not membership(c * outsider, tau).member
+        assert membership(c * tau.kraus[1], tau).member
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_preserves_algebra(self, c):
+        rng = np.random.default_rng(0)
+        leaky = [random_matrix(rng, 4) for _ in range(2)]
+        assert not preserves_algebra(CpMap(tuple(np.sqrt(c) * k for k in leaky), AlgebraShape((2, 2))))
+        kept = random_cpmap(rng, (2, 2))
+        assert preserves_algebra(CpMap(tuple(np.sqrt(c) * k for k in kept.kraus), kept.shape))

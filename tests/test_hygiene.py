@@ -101,6 +101,65 @@ def test_detects_a_private_import():
     assert private_imports(source) == ["_kraus_step (line 1)", "_action (line 2)"]
 
 
+def unit_floors(source: str) -> list[str]:
+    """``function: call`` for each ``max(1, x)``-style threshold of a module: a two-argument
+    ``max`` or ``np.maximum`` with the constant 1 as an argument, which makes a gate
+    absolute below unit scale."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and len(child.args) == 2:
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in ("max", "maximum") and any(
+                    isinstance(a, ast.Constant) and a.value == 1 for a in child.args
+                ):
+                    found.append(f"{where}: {ast.unparse(child)}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# The unit floors left: the gates that scale-free certification has not reached yet, and
+# two that are not scale gates.  A gate made relative leaves this list.
+UNIT_FLOORS = {
+    "perron.py": [
+        "_cesaro_limit: max(1.0, size)",  # the Cesaro stop rule
+        "_maximal_part: max(1.0, size)",  # the route gap
+        "_perron_of: max(1.0, norm)",  # the PSD tolerance of L
+        "maximal_factorization: max(1.0, float(np.linalg.norm(raw_state)))",  # the Hermitian gap of R
+        "resolvent_gamma: max(1.0, r)",  # the default b, not a gate
+    ],
+    "spectra.py": [
+        "neumann_witness: max(s, 1.0)",  # the near-singular guard
+        "balance_similarity: max(early, 1.0)",  # norms of powers of a / r, at least 1: no scale
+    ],
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_unit_floors_are_listed(path):
+    # an input verdict compares its residual with its tolerance times the norm of what it checks
+    assert unit_floors(path.read_text(encoding="utf-8")) == UNIT_FLOORS.get(path.name, [])
+
+
+def test_detects_a_unit_floor():
+    source = (
+        "def gate(x, y):\n"
+        "    a = max(1, x) + max(1.0, x) + max(x, 1.0)\n"
+        "    def inner(z):\n"
+        "        return np.maximum(1.0, z)\n"
+        "    return max(0.0, x) + max(x, y) + max(1.0, x, y) + a\n"
+    )
+    assert unit_floors(source) == [
+        "gate: max(1, x)",
+        "gate: max(1.0, x)",
+        "gate: max(x, 1.0)",
+        "inner: np.maximum(1.0, z)",
+    ]
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is most of the import time; the package imports it where it is used
     probe = "import sys, cpspectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

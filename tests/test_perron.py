@@ -24,6 +24,7 @@ from cpspectra import (
     maximal_factorization,
     maximal_ideal_check,
     maximal_part,
+    membership,
     numerical_rank,
     perron_vector,
     preserves_algebra,
@@ -299,14 +300,16 @@ class TestPerronVector:
             assert np.linalg.norm(phi(ell) - r * ell) < 1e-8 * np.linalg.norm(ell)
 
     def test_coerces_the_map_once(self, monkeypatch):
+        # cpmap.map_matrix is the one coercion, reached from cpmap and perron alike
         calls = []
-        original = cpmap.algebra_map
+        original = cpmap.map_matrix
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cpmap, "algebra_map", counted)
+        monkeypatch.setattr(cpmap, "map_matrix", counted)
+        monkeypatch.setattr(perron, "map_matrix", counted)
         perron_vector(golden_ratio_map())
         assert len(calls) == 1
 
@@ -1237,9 +1240,7 @@ class TestScaleFreeGates:
 
     @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e7, 1e8])
     def test_outcomes_do_not_depend_on_scale(self, c):
-        maps = [random_cpmap(np.random.default_rng(s), (3, 2)) for s in range(20)]
-        maps += [tau for seed in (11, 12) for _, tau in route_maps(seed)]
-        for tau in maps:
+        for tau in self.maps():
             scaled = CpMap(tuple(np.sqrt(c) * a for a in tau.kraus), tau.shape)
             for func in (perron_vector, maximal_factorization):
                 want, got = outcome(func, tau), outcome(func, scaled)
@@ -1250,3 +1251,32 @@ class TestScaleFreeGates:
                     assert abs(got.radius - c * want.radius) <= 1e-12 * c * want.radius
                     assert rel_max(got.eigenvector, want.eigenvector) <= 1e-12
                     assert rel_max(got.state, want.state) <= 1e-12
+
+    @staticmethod
+    def maps():
+        maps = [random_cpmap(np.random.default_rng(s), (3, 2)) for s in range(20)]
+        return maps + [tau for seed in (11, 12) for _, tau in route_maps(seed)]
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-4, 1e4, 1e8])
+    def test_maximal_part_does_not_depend_on_scale(self, c):
+        # the maximal part of c tau is c^(d-1) times that of tau, at radius c r
+        for tau in self.maps():
+            want = outcome(maximal_part, tau)
+            got = outcome(maximal_part, CpMap(tuple(np.sqrt(c) * a for a in tau.kraus), tau.shape))
+            assert type(got) is type(want), (tau.shape, got)
+            if isinstance(want, perron.MaximalPart):
+                assert abs(got.radius - c * want.radius) <= 1e-12 * c * want.radius
+                assert (got.degeneracy, got.idempotent) == (want.degeneracy, want.idempotent)
+                scaled = got.superop.matrix / c ** (want.degeneracy - 1)
+                assert rel_max(scaled, want.superop.matrix) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-4, 1e4, 1e8])
+    def test_membership_does_not_depend_on_scale(self, c):
+        # a Kraus operator is a member and a Gaussian matrix is not, with map and matrix scaled
+        for seed, tau in enumerate(self.maps()):
+            outsider = random_matrix(np.random.default_rng(seed), tau.m)
+            scaled = CpMap(tuple(np.sqrt(c) * a for a in tau.kraus), tau.shape)
+            for x in (tau.kraus[0], outsider):
+                want = membership(x, tau).member
+                assert membership(np.sqrt(c) * x, scaled).member == want
+            assert membership(tau.kraus[0], tau).member

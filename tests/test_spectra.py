@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from cpspectra import cpmap
+from cpspectra import cpmap, spectra
 from cpspectra import (
     AlgebraShape,
     BudgetExceededError,
@@ -31,6 +31,7 @@ from cpspectra import (
     outer_radius_gelfand,
     perron_vector,
     positive_map_norm,
+    psd_report,
     psd_sqrt,
     scaled_outer_radius,
     spectral_radius,
@@ -502,6 +503,50 @@ class TestNormAchieving:
             with pytest.raises(PreconditionError) as err:
                 norm_achieving_check(phi, w.astype(complex))
             assert "violating eigenvalue" in str(err.value)
+
+    @staticmethod
+    def perron_scaled_maps():
+        """Maps with a strictly positive Perron vector: complex ring maps, the three
+        random (3, 2) maps of seeds 0-19 with L > 0, the real bundled maps, and the
+        golden-ratio map scaled far from unit norm."""
+        shapes = [(3,), (4,), (2, 2), (6,), (3, 3), (8,), (2, 2, 2), (4, 4), (12,), (6, 6), (16,), (4, 4, 4)]
+        maps = [
+            CpMap(tuple(rect_kraus(np.random.default_rng(s), b, ring_pairs(len(b)))), AlgebraShape(b))
+            for b in shapes
+            for s in (3, 4)
+        ]
+        maps += [random_cpmap(np.random.default_rng(s), (3, 2)) for s in (12, 15, 19)]
+        maps += [golden_ratio_map(), double_trace_map(), path_adjacency_map()]
+        gold = golden_ratio_map()
+        maps += [CpMap(tuple(np.sqrt(c) * a for a in gold.kraus), gold.shape) for c in (1e-8, 1e4, 1e8)]
+        return maps
+
+    def test_accepts_the_perron_vector_at_any_scale(self):
+        # r w - phi(w) at the Perron vector is rounding noise of r ||w||: it is judged at that
+        # scale, and the radius is the certified bracket's
+        for tau in self.perron_scaled_maps():
+            ell = perron_vector(tau)
+            assert psd_report(ell).is_strictly_positive
+            result = norm_achieving_check(tau, ell)
+            assert result.radius == spectral_radius_of(tau)
+            assert abs(result.norm - result.radius) <= 1e-8 * result.radius
+            assert np.abs(result.v @ result.v - ell).max() <= 1e-12 * np.abs(ell).max()
+
+    def test_applies_the_kraus_list(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a superoperator or a conjugated map was built")
+
+        tau = CpMap(tuple(rect_kraus(np.random.default_rng(3), (4, 4), ring_pairs(2))), AlgebraShape((4, 4)))
+        ell = perron_vector(tau)
+        monkeypatch.setattr(cpmap, "superop_of", forbidden)
+        monkeypatch.setattr(spectra, "conjugate_map", forbidden)
+        result = norm_achieving_check(tau, ell)
+        assert abs(result.norm - result.radius) <= 1e-8 * result.radius
+
+    def test_w_outside_the_algebra(self):
+        tau = golden_ratio_map()
+        with pytest.raises(PreconditionError, match="^w must belong to the block algebra$"):
+            norm_achieving_check(tau, np.ones((3, 3)) + np.eye(3))
 
 
 class TestBalanceSimilarity:
