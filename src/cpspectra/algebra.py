@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, PreconditionError
-from .mats import PSD_TOL, as_matrix, frobenius_norm
+from .errors import FormatError
+from .mats import PSD_TOL, frobenius_norm, of_side
 
 __all__ = [
     "AlgebraShape",
@@ -94,20 +94,11 @@ def compress(x, shape: AlgebraShape) -> np.ndarray:
 
     Idempotent and positivity-preserving (it is X |-> sum_k P_k X P_k).
     """
-    x = _check_side(x, shape)
+    x = of_side(x, shape.m)
     return np.where(shape.vec_mask().reshape(shape.m, shape.m), x, 0)  # the mask is symmetric
 
 
 def in_algebra(x, shape: AlgebraShape, psd_tol: float = PSD_TOL) -> bool:
     """Numeric membership, relative to the scale of ``x``: ``||x - compress(x)|| <= psd_tol * ||x||``."""
-    x = _check_side(x, shape)
+    x = of_side(x, shape.m)
     return frobenius_norm(x - compress(x, shape)) <= psd_tol * frobenius_norm(x)
-
-
-def _check_side(x, shape: AlgebraShape) -> np.ndarray:
-    x = as_matrix(x)
-    if x.shape != (shape.m, shape.m):
-        raise PreconditionError(
-            f"matrix of shape {x.shape} does not act on a size-{shape.m} algebra"
-        )
-    return x

@@ -41,13 +41,12 @@ from .perron import (
 )
 from .spectra import (
     balance_similarity,
-    conjugate_map,
     friedland_value,
     jsr_brute,
     jsr_tensor_approx,
     neumann_witness,
+    norm_achieving_check,
     outer_radius,
-    positive_map_norm,
     spectral_radius_of,
 )
 
@@ -371,9 +370,8 @@ def _run_check(tol: Tolerance) -> list[dict]:
         "golden_ratio.perron",
         float(np.abs(ell - np.diag([gold**2, gold**2, gold]) / math.sqrt(5)).max()),
     )
-    root = np.asarray(np.diag(np.sqrt(np.diag(ell).real)))
-    sigma = conjugate_map(tau, root, psd_tol=tol.psd_tol)
-    case("golden_ratio.norm_achieving", abs(positive_map_norm(sigma) - gold))
+    check = norm_achieving_check(tau, ell, psd_tol=tol.psd_tol)
+    case("golden_ratio.norm_achieving", abs(check.norm - gold))
 
     tau = reference_maps.path_adjacency_map()
     mp = maximal_part(tau, rank_tol=tol.rank_tol)

@@ -39,6 +39,7 @@ from .mats import (
     RANK_TOL,
     as_matrix,
     frobenius_norm,
+    of_side,
     psd_report,
     side_of,
     unvec,
@@ -70,14 +71,6 @@ __all__ = [
 _LEAK_TOL = 1e-10  # largest relative off-block image that preserves_algebra allows
 
 
-def _of_side(x, m: int) -> np.ndarray:
-    """``x`` as a finite complex m x m array; another shape is a :class:`FormatError`."""
-    x = as_matrix(x)
-    if x.shape != (m, m):
-        raise FormatError(f"input of shape {x.shape} does not match the map's side {m}")
-    return x
-
-
 @dataclass(frozen=True)
 class SuperOperator:
     """An m^2 x m^2 matrix acting on ``vec`` of m x m matrices."""
@@ -94,7 +87,7 @@ class SuperOperator:
         object.__setattr__(self, "matrix", mat)
 
     def __call__(self, x) -> np.ndarray:
-        return unvec(self.matrix @ _of_side(x, self.m).ravel(order="F"), self.m)
+        return unvec(self.matrix @ of_side(x, self.m).ravel(order="F"), self.m)
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,7 @@ class CpMap:
         return (adjoints @ x @ stack).sum(axis=0)
 
     def __call__(self, x) -> np.ndarray:
-        return self.step(_of_side(x, self.m))
+        return self.step(of_side(x, self.m))
 
     def to_json(self) -> dict:
         from .mats import matrix_to_json
@@ -417,9 +410,7 @@ def membership(a, tau: CpMap, rank_tol: float = RANK_TOL) -> MembershipResult:
     then CP, which cross-checks the verdict through :func:`dominates`.
     ``rank_tol`` decides the dimension of the coefficient space.
     """
-    a = as_matrix(a)
-    if a.shape != (tau.m, tau.m):
-        raise PreconditionError("matrix side does not match the map")
+    a = of_side(a, tau.m)
     space = coefficient_space(tau, rank_tol)
     residual = space.residual(a)
     member = residual <= CHECK_TOL * frobenius_norm(a)

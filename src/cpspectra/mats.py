@@ -13,13 +13,17 @@ Rank decisions are relative to the largest singular value so that scaling a
 matrix never changes its reported rank; :func:`frobenius_norm` squares no
 entry past the float range.  The one Schur kernel of the package, which the
 maximal part and ``balance_similarity`` share, is :func:`schur`,
-:func:`reorder_schur` (``trsen``) and :func:`schur_sylvester` (``trsyl``).
+:func:`reorder_schur` (``trsen``) and :func:`schur_sylvester` (``trsyl``).  On
+it sits the one Jordan-block decision: :func:`schur_clusters`, which clusters by
+distance and, near the spectral circle, by conditioning, and :func:`degeneracy`,
+the size of a cluster's largest Jordan block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +78,14 @@ def _square(a) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise FormatError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def of_side(x, m: int) -> np.ndarray:
+    """``x`` as a finite complex m x m array; another shape is a :class:`FormatError`."""
+    x = as_matrix(x)
+    if x.shape != (m, m):
+        raise FormatError(f"input of shape {x.shape} does not match the map's side {m}")
+    return x
 
 
 def kron(a, b) -> np.ndarray:
@@ -256,6 +268,127 @@ def schur_sylvester(t: np.ndarray, sdim: int) -> np.ndarray:
     if info < 0:
         raise ConvergenceError(f"Sylvester solve failed (trsyl info {info})")
     return y / scale
+
+
+class Cluster(NamedTuple):
+    value: complex  # the mean of the members
+    members: np.ndarray  # mask over the eigenvalues on the diagonal of the Schur form
+
+
+def schur_clusters(t: np.ndarray) -> tuple[float, list[Cluster]]:
+    """The spectral radius and the eigenvalue clusters of a Schur form ``t``, by decreasing modulus.
+
+    Eigenvalues within ``CLUSTER_TOL * r`` form one cluster (:func:`_distance_clusters`).
+    Rounding splits a Jordan block of size ``d`` and coupling ``c`` by about ``(eps
+    c^(d-1))^(1/d)``, far more than that, so clusters with eigenvalues within ``w = 1e-2 r``
+    of each other in ``|z| >= r - 2 w`` also merge, until none does, where a backward error of the
+    Schur form could move one onto the other (first order, after Kagstrom & Ruhe, ACM TOMS
+    6, 1980): ``|v_a - v_b| <= 10 n eps ||t||_2 max(kappa_a, kappa_b)``, ``kappa`` the
+    :func:`_condition`.  A merged value is the members' mean, and ``r`` the largest ``|value|``.
+    """
+    eig = np.diag(t).astype(complex)  # a 2 x 2 block [[a, b], [c, a]] holds a +- i sqrt(|b c|)
+    k = schur_pairs(t)
+    im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+    eig[k], eig[k + 1] = eig[k] + 1j * im, eig[k + 1] - 1j * im
+    radius, clusters = _distance_clusters(eig)
+    width = 1e-2 * radius
+    near = np.flatnonzero(np.abs(eig) >= radius - 2.0 * width)
+    i, j = near[np.argwhere(np.triu(np.abs(eig[near, None] - eig[None, near]) <= width, 1)).T]
+    if not i.size:
+        return radius, clusters
+    label = np.stack([c.members for c in clusters]).argmax(axis=0)
+    backward = 10.0 * eig.size * np.finfo(float).eps * op_norm(t)
+    merged = dict(enumerate(clusters))
+    while True:  # a merged cluster may reach another one
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(label[i].tolist(), label[j].tolist()) if a != b}
+        hits = [(a, b) for a, b in sorted(pairs) if abs(merged[a].value - merged[b].value)
+                <= backward * max(_condition(t, merged[a]), _condition(t, merged[b]))]
+        if not hits:
+            break
+        a, b = hits[0]
+        members = merged[a].members | merged.pop(b).members
+        merged[a] = Cluster(complex(np.mean(eig[members])), members)
+        label[members] = a
+    if len(merged) == len(clusters):
+        return radius, clusters
+    out = [merged[k] for k in sorted(merged)]
+    return max(abs(c.value) for c in out), out
+
+
+def _condition(t: np.ndarray, c: Cluster) -> float:
+    """A bound on the spectral projector norm of the cluster ``c``: ``sqrt(1 + ||Y||^2)`` for its
+    :func:`schur_sylvester` block ``Y``, times ``(|p| + |q|) / (2 sqrt|p q|)`` for a real block
+    ``[[x, p], [q, x]]`` it holds one half of; infinite where ``trsen`` cannot separate ``c``."""
+    try:
+        ts, _, sdim = reorder_schur(t, None, c.members)
+    except ConvergenceError:
+        return math.inf
+    k = schur_pairs(t)
+    half = k[c.members[k] != c.members[k + 1]]
+    p, q = np.abs(t[half, half + 1]), np.abs(t[half + 1, half])
+    block = float(np.max((p + q) / (2.0 * np.sqrt(p * q)), initial=1.0))
+    return math.hypot(1.0, op_norm(schur_sylvester(ts, sdim))) * block
+
+
+def _distance_clusters(eig: np.ndarray) -> tuple[float, list[Cluster]]:
+    """The spectral radius and the clusters of ``eig`` by distance, by decreasing modulus.
+
+    Eigenvalues within ``CLUSTER_TOL * r`` of each other form one cluster, walked
+    greedily in the order of decreasing modulus, then real and imaginary part;
+    its value is the members' mean.  An eigenvalue whose real or imaginary part
+    is farther than that from every other one's is its own cluster, found by
+    one sort each and taken with no distance row or mean.
+    """
+    n = eig.size
+    radius = float(np.abs(eig).max()) if n else 0.0
+    delta = CLUSTER_TOL * radius
+    # hypot is bit for bit the scalar abs() of a sorted() key, so ties order alike; np.abs is not
+    order = np.lexsort((eig.imag, eig.real, -np.hypot(eig.real, eig.imag)))  # stable
+    single = _isolated(eig.real, delta) | _isolated(eig.imag, delta)
+    taken = np.zeros(n, dtype=bool)
+    clusters = []
+    for idx in order:
+        if single[idx]:
+            members = np.zeros(n, dtype=bool)
+            members[idx] = True
+            clusters.append(Cluster(complex(eig[idx]), members))
+        elif not taken[idx]:
+            members = (np.abs(eig - eig[idx]) <= delta) & ~taken
+            taken |= members
+            clusters.append(Cluster(complex(np.mean(eig[members])), members))
+    return radius, clusters
+
+
+def _isolated(x: np.ndarray, delta: float) -> np.ndarray:
+    """Whether each entry of the real ``x`` is farther than ``delta`` from every other one."""
+    order = np.argsort(x, kind="stable")
+    apart = np.diff(x[order]) > delta
+    out = np.empty(x.size, dtype=bool)
+    out[order] = np.concatenate([[True], apart]) & np.concatenate([apart, [True]])
+    return out
+
+
+def degeneracy(t: np.ndarray, cluster: Cluster, rank_tol: float = RANK_TOL) -> int:
+    """Size of the largest Jordan block of a cluster of ``t``: the least ``j`` with ``rank(N^j)
+    == rank(N^(j+1))``, ``N = (t11 - value) / ||t||_2`` on the cluster's block moved to the
+    lead, where a power of norm at most ``rank_tol`` has rank 0; 1 for a simple cluster."""
+    mult = int(cluster.members.sum())
+    if mult == 1:  # the index never exceeds the multiplicity
+        return 1
+    t, _, sdim = reorder_schur(t, None, cluster.members)
+    base = (t[:sdim, :sdim] - cluster.value * np.eye(sdim)) / (op_norm(t) or 1.0)
+
+    def rank(x):
+        return numerical_rank(x, rank_tol) if op_norm(x) > rank_tol else 0
+
+    cur, prev_rank = base, rank(base)
+    for k in range(1, mult):
+        cur = cur @ base
+        cur_rank = rank(cur)
+        if cur_rank == prev_rank:
+            return k
+        prev_rank = cur_rank
+    return mult
 
 
 def matrix_to_json(a) -> dict:

@@ -3,11 +3,11 @@
 Every spectral stage runs on one Schur form of the map's matrix ``H`` in the
 orthonormal Hermitian basis of its block algebra, of side ``n1^2 + ... + nd^2``
 and real for every positive map, taken per group of blocks that reach each
-other so a reducible map's block-triangular zeros stay exact.  The eigenvalue
-clusters and their degeneracy indices (rank plateaus of powers of
-``t11 - lambda`` on a cluster's reordered block) are read off it, and
-:func:`spectral_structure` reports them.  The maximal part comes from the same
-form along two routes that must agree:
+other so a reducible map's block-triangular zeros stay exact.  Its eigenvalue
+clusters and their degeneracy indices come from the Jordan-block kernel of
+:mod:`cpspectra.mats` (:func:`~cpspectra.mats.schur_clusters`,
+:func:`~cpspectra.mats.degeneracy`), and :func:`spectral_structure` reports
+them.  The maximal part comes from the same form along two routes that must agree:
 
 * the projection ``(H - r)^(d-1) P_r``, with ``P_r`` from the Schur kernel of
   :mod:`cpspectra.mats` (reordering and triangular Sylvester solve);
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,12 +49,12 @@ from .mats import (
     PSD_TOL,
     RANK_TOL,
     as_matrices,
-    numerical_rank,
+    degeneracy,
     op_norm,
     psd_report,
     reorder_schur,
     schur,
-    schur_pairs,
+    schur_clusters,
     schur_sylvester,
     side_of,
     unvec,
@@ -114,15 +113,13 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     Read off the Schur form of :func:`maximal_part`, of the map's matrix ``H`` in the
     coordinates of its algebra (M_m for a raw matrix of side m^2, and its own entries for a
     raw square array of another side), so a block map lists no zero cluster for its off-block
-    entries; clustering merges eigenvalues within ``CLUSTER_TOL * r``.  The degeneracy index
-    of a cluster of multiplicity ``k > 1`` at ``value`` is read off its leading block ``t11``
-    of the reordered Schur form: with ``N = (t11 - value) / ||H||_2``, it is the smallest
-    ``j`` with ``rank(N^j) == rank(N^(j+1))`` under the tolerant rank, where a power of norm
-    at most ``rank_tol`` has rank 0.  A simple cluster has index 1 without a rank test.
+    entries.  The clusters are :func:`~cpspectra.mats.schur_clusters`, which merges the
+    pieces that rounding splits a peripheral Jordan block into, and each index is
+    :func:`~cpspectra.mats.degeneracy` at ``rank_tol``.
     """
     _, _, t, _, radius, clusters = _schur_form(*map_matrix(op))
     out = tuple(
-        EigenCluster(c.value, int(c.members.sum()), _degeneracy(t, c, rank_tol))
+        EigenCluster(c.value, int(c.members.sum()), degeneracy(t, c, rank_tol))
         for c in clusters
     )
     delta = CLUSTER_TOL * radius
@@ -132,95 +129,17 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     return SpectralStructure(clusters=out, radius=radius, d_max=d_max, maximal_spectrum=maximal)
 
 
-class _Cluster(NamedTuple):
-    value: complex
-    members: np.ndarray  # mask over the eigenvalues on the diagonal of the Schur form
-
-
 def _schur_form(mat: np.ndarray, shape: AlgebraShape | None) -> tuple:
     """``(idx, h, t, q, radius, clusters)``: the :func:`_coordinates` ``h`` of ``mat`` in the
     algebra ``shape`` and their ``vec`` indices ``idx`` (``mat`` itself and None when ``shape``
-    is None), the :func:`_block_schur` form ``h = q t q*``, and the spectral radius and the
-    :func:`_clusters` of the eigenvalues on the diagonal blocks of ``t``."""
+    is None), the :func:`_block_schur` form ``h = q t q*``, and its :func:`schur_clusters`."""
     if shape is None:
         h, idx, owner = mat, None, np.zeros(mat.shape[0], dtype=int)
     else:
         h, idx = _coordinates(mat, shape)
         owner = np.repeat(np.arange(shape.d), shape.blocks)[idx % shape.m]
     t, q = _block_schur(h, owner)
-    eig = np.diag(t).astype(complex)  # a 2 x 2 block [[a, b], [c, a]] holds a +- i sqrt(|b c|)
-    k = schur_pairs(t)
-    im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
-    eig[k] += 1j * im
-    eig[k + 1] -= 1j * im
-    return (idx, h, t, q, *_clusters(eig))
-
-
-def _clusters(eig: np.ndarray) -> tuple[float, list[_Cluster]]:
-    """The spectral radius and the clusters of ``eig``, by decreasing modulus.
-
-    Eigenvalues within ``CLUSTER_TOL * r`` of each other form one cluster, walked
-    greedily in the order of decreasing modulus, then real and imaginary part;
-    its value is the members' mean.  An eigenvalue whose real or imaginary part
-    is farther than that from every other one's is its own cluster, found by
-    one sort each and taken with no distance row or mean.
-    """
-    n = eig.size
-    radius = float(np.abs(eig).max()) if n else 0.0
-    delta = CLUSTER_TOL * radius
-    # hypot is bit for bit the scalar abs() of a sorted() key, so ties order alike; np.abs is not
-    order = np.lexsort((eig.imag, eig.real, -np.hypot(eig.real, eig.imag)))  # stable
-    single = _isolated(eig.real, delta) | _isolated(eig.imag, delta)
-    taken = np.zeros(n, dtype=bool)
-    clusters = []
-    for idx in order:
-        if single[idx]:
-            members = np.zeros(n, dtype=bool)
-            members[idx] = True
-            clusters.append(_Cluster(complex(eig[idx]), members))
-        elif not taken[idx]:
-            members = (np.abs(eig - eig[idx]) <= delta) & ~taken
-            taken |= members
-            clusters.append(_Cluster(complex(np.mean(eig[members])), members))
-    return radius, clusters
-
-
-def _isolated(x: np.ndarray, delta: float) -> np.ndarray:
-    """Whether each entry of the real ``x`` is farther than ``delta`` from every other one."""
-    order = np.argsort(x, kind="stable")
-    apart = np.diff(x[order]) > delta
-    out = np.empty(x.size, dtype=bool)
-    out[order] = np.concatenate([[True], apart]) & np.concatenate([apart, [True]])
-    return out
-
-
-def _degeneracy(t: np.ndarray, cluster: _Cluster, rank_tol: float) -> int:
-    """Degeneracy index of a cluster of the Schur form ``t``: the rank-plateau index of
-    ``t11 - value``, ``t11`` the cluster's block moved to the lead by :func:`reorder_schur`.
-
-    ``t11`` holds the ``mult`` eigenvalues of the cluster, and in a real form
-    also their conjugates when ``value`` is not real; ``t11 - value`` is
-    invertible on those, so they do not move the plateau.  The block is
-    divided by ``||t||_2 = ||H||_2``, so the index does not depend on the
-    map's scale.
-    """
-    mult = int(cluster.members.sum())
-    if mult == 1:  # the index never exceeds the multiplicity
-        return 1
-    t, _, sdim = reorder_schur(t, None, cluster.members)
-    base = (t[:sdim, :sdim] - cluster.value * np.eye(sdim)) / (op_norm(t) or 1.0)
-
-    def rank(x):
-        return numerical_rank(x, rank_tol) if op_norm(x) > rank_tol else 0
-
-    cur, prev_rank = base, rank(base)
-    for k in range(1, mult):
-        cur = cur @ base
-        cur_rank = rank(cur)
-        if cur_rank == prev_rank:
-            return k
-        prev_rank = cur_rank
-    return mult
+    return (idx, h, t, q, *schur_clusters(t))
 
 
 def _spectral_projector(t: np.ndarray, q: np.ndarray, sdim: int) -> np.ndarray:
@@ -298,9 +217,8 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     ``_REAL_TOL = 1e-12`` relative to its largest entry, as for every CpMap
     and positive map, and on the map's own complex entries otherwise.
 
-    Eigenvalues within ``CLUSTER_TOL * r`` (``CLUSTER_TOL = 1e-8``) form one
-    cluster; the clusters, their degeneracy indices (see
-    :func:`spectral_structure`) and ``P_r`` come from one Schur form of ``H``.
+    The clusters, their degeneracy indices (see :func:`spectral_structure`) and
+    ``P_r`` come from one Schur form of ``H``.
     The projection ``(H - r)^(d-1) P_r`` and the second route (see the module
     docstring) must agree within ``_ROUTE_TOL = 1e-6``, relative to the
     result's largest entry once that exceeds 1, since an ill-conditioned
@@ -336,9 +254,9 @@ def _maximal_part(phi, rank_tol: float) -> tuple[MaximalPart, np.ndarray]:
         raise PreconditionError(
             "spectral radius is not an eigenvalue; the map cannot be positive"
         )
-    d = _degeneracy(t, target, rank_tol)
+    d = degeneracy(t, target, rank_tol)
     if any(
-        _degeneracy(t, c, rank_tol) > d
+        degeneracy(t, c, rank_tol) > d
         for c in clusters
         if c is not target and abs(c.value) >= r - delta
     ):

@@ -4,7 +4,7 @@ Covers the plain spectral radius of a map, the outer spectral radius of a
 tuple (square root of the spectral radius of the associated CP map), brute
 force and tensor-power bounds for the joint spectral radius, scaled-norm and
 eigenvalue-quotient evaluators, resolvent witnesses and similarity balancing,
-which runs on the Schur kernel of :mod:`cpspectra.mats`.
+which runs on the Schur and Jordan-block kernel of :mod:`cpspectra.mats`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .mats import (
     RANK_TOL,
     as_matrices,
     as_matrix,
+    degeneracy,
     frobenius_norm,
     inverse,
     kron,
@@ -34,6 +35,7 @@ from .mats import (
     psd_sqrt,
     reorder_schur,
     schur,
+    schur_clusters,
     schur_sylvester,
     side_of,
     spectral_radius,
@@ -68,10 +70,6 @@ _CHECK_EVERY = 5  # power steps between two brackets
 _BRACKET_TOL = 1e-12  # relative width at which a bracket counts as closed
 _POSITIVE_FLOOR = 1e-10  # lambda_min(w) / lambda_max(w) below which w is not strictly positive
 _TENSOR_SIDE = 4096  # largest superoperator side C(m+k-1, k)^2 of jsr_tensor_approx
-_BALANCE_HORIZON = 256  # normalized powers screened by balance_similarity
-_POWER_CHUNK = 32  # powers per batched SVD of the screen (divides _BALANCE_HORIZON)
-_POWER_BOUND = 1e3  # largest norm of a normalized power that counts as bounded
-_GROWTH_RATIO = 1.5  # largest late-to-early growth of the normalized powers
 _BALANCE_SLACK = 1e-6  # relative excess of the balanced norm over r
 
 
@@ -544,36 +542,17 @@ class BalanceResult:
     radius: float
 
 
-def _power_norms(b: np.ndarray) -> np.ndarray:
-    """Operator norms of ``b, b^2, ..., b^_BALANCE_HORIZON``, one batched SVD
-    per ``_POWER_CHUNK`` powers, so memory stays O(n^2)."""
-    n = b.shape[0]
-    norms = np.empty(_BALANCE_HORIZON)
-    chunk = np.empty((_POWER_CHUNK, n, n), dtype=complex)
-    cur = np.eye(n, dtype=complex)
-    for start in range(0, _BALANCE_HORIZON, _POWER_CHUNK):
-        for i in range(_POWER_CHUNK):
-            cur = cur @ b
-            chunk[i] = cur
-        norms[start : start + _POWER_CHUNK] = np.linalg.svd(chunk, compute_uv=False)[:, 0]
-    return norms
-
-
 def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     """Invertible P with ``||P a P^-1|| <= r(a) * (1 + _BALANCE_SLACK)``, slack ``1e-6``.
 
-    Exists exactly when the normalized powers ``(a/r)^n`` stay bounded, which
-    is screened empirically up to ``n = _BALANCE_HORIZON = 256``: every norm
-    must stay at most ``_POWER_BOUND = 1e3``, and the last quarter may exceed
-    the second quarter by at most the factor ``_GROWTH_RATIO = 1.5``.
-    Construction, on the Schur kernel of :mod:`cpspectra.mats`: one complex
-    Schur form, reordered so the peripheral eigenvalues (``|z| >= 1 - 10 *
-    CLUSTER_TOL`` after scaling by ``r``) lead, decoupling of the interior
-    block by the Sylvester solve on the triangular blocks, eigenvector
-    diagonalization of the (semisimple) peripheral block, and a geometric
-    diagonal scaling of the interior block, halving ``epsilon`` (default 1; it
-    must be finite and positive) until the norm fits.  No Jordan form and no
-    second Schur form is ever computed.
+    Exists exactly when the normalized powers ``(a/r)^n`` stay bounded, that is when no
+    peripheral eigenvalue carries a Jordan block.  On one complex Schur form of ``a/r``, the
+    :func:`~cpspectra.mats.schur_clusters` with ``|value| >= r_t (1 - 10 CLUSTER_TOL)``,
+    ``r_t`` the form's radius, are peripheral; a :func:`~cpspectra.mats.degeneracy` above 1
+    raises :class:`PreconditionError`.  They are moved to lead and diagonalized by their
+    eigenvectors; the interior block is decoupled by the Sylvester solve and scaled by
+    ``diag(eps^(k-1), ..., eps, 1)``, halving ``epsilon`` (default 1; finite and positive)
+    until the norm fits.  No Jordan form and no second Schur form is computed.
     """
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         raise PreconditionError(f"epsilon must be finite and positive (got {epsilon})")
@@ -582,26 +561,16 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     r = spectral_radius(a)
     if r <= 1e-300:
         raise PreconditionError("balance_similarity requires a positive spectral radius")
-    b = a / r
-
-    norms = _power_norms(b)
-    early = float(norms[_BALANCE_HORIZON // 4 : _BALANCE_HORIZON // 2].max())
-    late = float(norms[3 * _BALANCE_HORIZON // 4 :].max())
-    if norms.max() > _POWER_BOUND or late > _GROWTH_RATIO * max(early, 1.0):
+    t, q = schur(a / r)
+    radius, clusters = schur_clusters(t)
+    peripheral = [c for c in clusters if abs(c.value) >= radius * (1.0 - 10.0 * CLUSTER_TOL)]
+    if any(degeneracy(t, c) > 1 for c in peripheral):
         raise PreconditionError(
             "unbounded normalized powers (peripheral Jordan block detected)"
         )
+    t, q, p_count = reorder_schur(t, q, np.logical_or.reduce([c.members for c in peripheral]))
 
-    t, q = schur(b)
-    t, q, p_count = reorder_schur(t, q, np.abs(np.diag(t)) >= 1.0 - 10.0 * CLUSTER_TOL)
-    if p_count == 0:
-        raise ConvergenceError("no peripheral eigenvalue found at the spectral radius")
-
-    lam, vmat = np.linalg.eig(t[:p_count, :p_count])
-    if np.linalg.cond(vmat) > 1e8:
-        raise PreconditionError(
-            "unbounded normalized powers (peripheral Jordan block detected)"
-        )
+    vmat = np.linalg.eig(t[:p_count, :p_count])[1]
     vmat = vmat / np.linalg.norm(vmat, axis=0, keepdims=True)
     # P = f g_inv w_inv q*: w_inv decouples the interior block, g_inv diagonalizes the
     # peripheral one, and f scales the interior one
@@ -614,7 +583,7 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     eps = epsilon if epsilon is not None else 1.0
 
     for _ in range(80):
-        scale = eps ** np.arange(n - p_count, 0, -1)
+        scale = eps ** np.arange(n - p_count - 1, -1, -1)
         if not np.all(scale > 0.0):
             raise ConvergenceError("interior scaling underflowed")
         c = np.diag(scale)

@@ -265,6 +265,18 @@ def test_exit_code_malformed_json(capsys, files):
     assert code == 3
 
 
+def test_exit_code_wrong_side(capsys, files, tmp_path):
+    # a matrix of another side than the map's is a format error for every command
+    wrong = tmp_path / "ones2.json"
+    wrong.write_text(json.dumps(matrix_to_json(np.ones((2, 2)))))
+    for argv in (["member", "--matrix", str(wrong)], ["friedland", "--w", str(wrong)]):
+        code, report = run(capsys, [argv[0], "--map", files["golden.json"], *argv[1:]])
+        assert code == 3 and report["error"] == {
+            "code": "format",
+            "message": "input of shape (2, 2) does not match the map's side 3",
+        }
+
+
 def test_exit_code_precondition(capsys, files):
     # witness below the spectral radius is a precondition violation
     code, report = run(capsys, ["witness", "--map", files["corner.json"], "--s", "0.5"])

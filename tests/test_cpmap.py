@@ -20,6 +20,8 @@ from cpspectra import (
     compress,
     compose,
     dominates,
+    friedland_value,
+    in_algebra,
     irreducible_cp,
     is_cp,
     kraus_of_choi,
@@ -295,6 +297,18 @@ class TestWrongSide:
                 f(np.ones((3, 3)))
             with pytest.raises(FormatError, match=r"shape \(2, 8\) does not match the map's side 4"):
                 f(np.ones((2, 8)))
+
+    def test_every_reader_raises_the_same_error(self):
+        tau, x = golden_ratio_map(), np.ones((2, 2))
+        calls = (
+            lambda: tau(x),
+            lambda: in_algebra(x, tau.shape),
+            lambda: friedland_value(tau, x),
+            lambda: membership(x, tau),
+        )
+        for call in calls:
+            with pytest.raises(FormatError, match=r"^input of shape \(2, 2\) does not match the map's side 3$"):
+                call()
 
 
 class TestKrausMixing:

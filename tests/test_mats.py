@@ -19,6 +19,7 @@ from cpspectra import (
     unvec,
     vec,
 )
+from cpspectra import mats, perron, spectra
 from cpspectra.mats import frobenius_norm, side_of
 from helpers import random_matrix, random_normal_matrix, random_unitary
 
@@ -186,6 +187,40 @@ class TestMatrixFunctions:
     def test_inverse_rejects_singular(self):
         with pytest.raises(PreconditionError):
             inverse(np.diag([1.0, 0.0]))
+
+
+class TestOneJordanDecision:
+    def test_balance_and_the_maximal_part_read_one_degeneracy(self, monkeypatch):
+        calls = []
+
+        def counted(module):
+            def degeneracy(*args):
+                calls.append(module.__name__)
+                return mats.degeneracy(*args)
+
+            return degeneracy
+
+        for module in (perron, spectra):
+            assert module.degeneracy is mats.degeneracy
+            monkeypatch.setattr(module, "degeneracy", counted(module))
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(PreconditionError, match="peripheral Jordan block"):
+            spectra.balance_similarity(jordan)
+        assert perron.maximal_part(np.kron(np.eye(2), jordan)).degeneracy == 2
+        assert calls == ["cpspectra.spectra", "cpspectra.perron"]
+
+    def test_a_normal_cluster_does_not_merge(self):
+        # distinct eigenvalues 1e-6 apart with orthogonal eigenvectors stay two clusters
+        t = np.diag([1.0, 1.0 - 1e-6, 0.5]).astype(complex)
+        radius, clusters = mats.schur_clusters(t)
+        assert radius == 1.0 and [c.value for c in clusters] == [1.0, 1.0 - 1e-6, 0.5]
+
+    def test_a_split_jordan_pair_merges(self):
+        # rounding of ||T|| ~ 1e2 splits a Jordan pair by about 1e-7: one cluster, d = 2
+        t = np.array([[1.0 + 1e-7, 100.0, 0.0], [0.0, 1.0 - 1e-7, 0.0], [0.0, 0.0, 0.5]], dtype=complex)
+        radius, clusters = mats.schur_clusters(t)
+        assert radius == 1.0 and [int(c.members.sum()) for c in clusters] == [2, 1]
+        assert mats.degeneracy(t, clusters[0]) == 2
 
 
 class TestMatrixJson:

@@ -119,7 +119,7 @@ class TestSpectralStructure:
         def forbidden(*args, **kwargs):
             raise AssertionError("rank test run for a cluster of multiplicity 1")
 
-        monkeypatch.setattr(perron, "numerical_rank", forbidden)
+        monkeypatch.setattr(mats, "numerical_rank", forbidden)
         rng = np.random.default_rng(4)
         tau = CpMap(tuple(random_matrix(rng, 3) for _ in range(3)), AlgebraShape.full(3))
         struct = spectral_structure(tau)
@@ -886,14 +886,59 @@ class TestBatchedProbes:
 
 
 class TestCesaroOverflow:
-    def test_overflowing_powers_are_a_convergence_error(self):
-        # a Jordan block at 1.5 with coupling 150, rotated by 0.3: rounding splits the
-        # defective eigenvalue, the map reads as d = 1, and the doubled powers overflow
-        u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
-        tau = full_map(u.T @ (np.sqrt(1.5) * np.eye(2)) @ u, u.T @ (np.sqrt(150.0) * unit(2, 1, 0)) @ u)
+    # a Jordan block at 1.5 with coupling 150, rotated by 0.3: rounding splits the defective
+    # eigenvalue by about 1e-6 relative, and the clusters near the circle merge back
+    u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    tau = full_map(u.T @ (np.sqrt(1.5) * np.eye(2)) @ u, u.T @ (np.sqrt(150.0) * unit(2, 1, 0)) @ u)
+
+    def test_the_split_jordan_block_is_read_whole(self):
+        structure, mp = spectral_structure(self.tau), maximal_part(self.tau)
+        assert [(c.multiplicity, c.degeneracy) for c in structure.clusters] == [(4, 2)]
+        assert mp.degeneracy == structure.d_max == 2 and not mp.idempotent
+        assert mp.radius == pytest.approx(1.5, rel=1e-12)
+        with pytest.raises(PreconditionError, match=r"degeneracy index 2 != 1"):
+            maximal_factorization(self.tau)
+
+    def test_overflowing_powers_are_a_convergence_error(self, monkeypatch):
+        # read as d = 1, the doubled powers of the Jordan block overflow
+        monkeypatch.setattr(perron, "degeneracy", lambda *args: 1)
         for call in (maximal_part, perron_vector, maximal_factorization):
             with pytest.raises(ConvergenceError, match="Cesaro partial sums overflow"):
-                call(tau)
+                call(self.tau)
+
+
+class TestRotatedJordanMaps:
+    """``X -> 1.5 X + 1.5 c S'* X S'`` with ``S' = U* S U`` for a nilpotent ``S``: one
+    eigenvalue 1.5 whose largest Jordan block has the size of that of ``S``, at every ``U``."""
+
+    @staticmethod
+    def rotated(u, c):
+        n = u.shape[0]
+        s = np.eye(n, k=-1)  # the lower shift; E_21 at n = 2
+        return full_map(u.T @ (np.sqrt(1.5) * np.eye(n)) @ u, u.T @ (np.sqrt(1.5 * c) * s) @ u)
+
+    def check(self, u, c, d):
+        n = u.shape[0]
+        tau, plain = self.rotated(u, c), self.rotated(np.eye(n), c)
+        assert spectral_structure(plain).d_max == spectral_structure(tau).d_max == d
+        # the rotated map is X -> U* tau(U X U*) U
+        k = np.kron(u, u)
+        want = k.T @ maximal_part(plain).superop.matrix @ k
+        got = maximal_part(tau)
+        assert got.degeneracy == d
+        assert np.abs(got.superop.matrix - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("theta", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("c", [4.0, 100.0])
+    def test_degeneracy_two(self, theta, c):
+        u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        self.check(u, c, 2)
+
+    @pytest.mark.parametrize("c", [1.0, 4.0, 100.0])
+    def test_degeneracy_three(self, c):
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            self.check(np.linalg.qr(rng.normal(size=(3, 3)))[0], c, 3)
 
 
 class TestSuperOperatorInput:
@@ -1093,7 +1138,7 @@ class TestScaleFreeClusters:
         pairs = rng.normal(size=4) + 1j * rng.normal(size=4)
         arrays += [np.concatenate([chain, -chain, pairs, pairs.conj(), np.zeros(3)]).astype(complex)]
         for eig in arrays:
-            radius, got = perron._clusters(eig)
+            radius, got = mats._distance_clusters(eig)
             want = reference_clusters(eig, mats.CLUSTER_TOL * radius)
             assert radius == float(np.abs(eig).max())
             assert [c.value for c in got] == [v for v, _ in want]

@@ -619,18 +619,40 @@ class TestBalanceSimilarity:
         with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
             balance_similarity(a, epsilon=epsilon)
 
-    def test_power_norms_equal_the_op_norm_loop(self):
-        # the screen's batched SVDs, chunk by chunk, against one op_norm per power
-        from cpspectra.spectra import _BALANCE_HORIZON, _power_norms
+    @staticmethod
+    def rotated(a, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            u = random_unitary(rng, a.shape[0])
+            yield u @ a @ u.conj().T
 
-        rng = np.random.default_rng(14)
-        for side in (4, 12, 16, 24, 32):
-            b = random_normal_matrix(rng, side)
-            loop, cur = [], np.eye(side, dtype=complex)
-            for _ in range(_BALANCE_HORIZON):
-                cur = cur @ b
-                loop.append(op_norm(cur))
-            assert np.array_equal(_power_norms(b), loop)
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e2, 1e3])
+    def test_rotated_peripheral_jordan_blocks_are_rejected(self, c):
+        # a Jordan block at 1, at i and of size 3 at 1: rounding splits it, by far more than
+        # CLUSTER_TOL once c >= 1, and the clusters near the circle merge back
+        for diag, size in (([1, 1, 0.5, 0.2], 2), ([1j, 1j, 0.5, 0.2], 2), ([1, 1, 1, 0.5, 0.2], 3)):
+            a = np.diag(diag).astype(complex)
+            a[range(size - 1), range(1, size)] = c
+            for b in self.rotated(a, 7):
+                with pytest.raises(PreconditionError, match="peripheral Jordan block"):
+                    balance_similarity(b)
+
+    @pytest.mark.parametrize("c", [1e3, 3e3, 1e4])
+    def test_rotated_interior_jordan_blocks_are_balanced(self, c):
+        # bounded powers with a strongly coupled interior block
+        a = np.diag([1.0, 0.5, 0.5, 0.2]).astype(complex)
+        a[1, 2] = c
+        for b in self.rotated(a, 0):
+            result = balance_similarity(b)
+            assert result.radius == pytest.approx(1.0, rel=1e-9)  # rounding of ||b|| ~ c
+            assert result.norm <= result.radius * (1 + 1e-6)
+            assert op_norm(result.p @ b @ np.linalg.inv(result.p)) == pytest.approx(result.norm)
+
+    def test_coupling_below_rank_tol_is_no_jordan_block(self):
+        a = np.diag([1.0, 1.0, 0.5, 0.2]).astype(complex)
+        a[0, 1] = 1e-12
+        for b in self.rotated(a, 7):
+            assert balance_similarity(b).norm <= 1.0 + 1e-6
 
 
 class TestSingularPsdCombination:
