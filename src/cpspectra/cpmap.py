@@ -15,12 +15,12 @@ A map on ``M_{n1} + ... + M_{nd}`` is read as ``iota o tau o E``: ``E``
 compresses to the block diagonal and ``iota`` embeds back into M_m, so the
 off-block inputs of a Kraus list never count.  :func:`map_matrix` is the one
 coercion from a map to its matrix under this reading and to its algebra;
-spectral radii, norms, powers and maximal parts all go through it.  Its
+spectral radii, powers, maximal parts and :func:`algebra_map` go through it.  Its
 matrix equals the superoperator of :func:`canonical_extension` up to round-off.
 Only it, which masks the off-block columns, and :func:`preserves_algebra`
 read the raw Kraus superoperator.  Calling a :class:`CpMap` applies ``iota o tau o E``
-through its Kraus list (:meth:`CpMap.step`, which every matrix-free route of
-:mod:`cpspectra.spectra` iterates) and builds no matrix.  Input verdicts compare
+through its Kraus list (:meth:`CpMap.step`) and builds no matrix; :mod:`cpspectra.spectra`
+applies every map by its ``step``, :meth:`AlgebraMap.step` for the others.  Input verdicts compare
 each residual with a tolerance times the norm of what it checks, at any scale.
 """
 
@@ -175,7 +175,7 @@ class AlgebraMap:
 
     The superoperator is canonical in the sense that it annihilates the
     off-block complement (it represents ``iota o phi o compress``); use
-    :func:`algebra_map` to construct one.
+    :func:`algebra_map` to construct one, and :meth:`step` to apply it unvalidated.
     """
 
     superop: SuperOperator
@@ -185,31 +185,28 @@ class AlgebraMap:
     def m(self) -> int:
         return self.shape.m
 
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """``x -> phi(x)`` on a complex m x m array, unvalidated, for iterations: ``O(m^4)``."""
+        return unvec(self.superop.matrix @ x.ravel(order="F"), self.m)
+
     def __call__(self, x) -> np.ndarray:
-        return self.superop(x)
+        return self.step(of_side(x, self.m))
 
 
 def algebra_map(op, shape: AlgebraShape | None = None) -> AlgebraMap:
-    """Build an :class:`AlgebraMap` from a CpMap, SuperOperator or raw matrix.
+    """An :class:`AlgebraMap` as it is, or the :func:`map_matrix` reading of any other map.
 
-    The superoperator is right-composed with the block compression (its
-    off-block columns are zeroed) so the map never sees off-block input
-    components.
+    A CpMap keeps its own algebra; a SuperOperator or a raw matrix of side m^2 acts
+    on ``shape``, by default M_m.  The matrix must have side ``shape.m^2``, and its
+    off-block columns are zeroed, so the map never sees off-block input components.
     """
     if isinstance(op, AlgebraMap):
         return op
-    if isinstance(op, CpMap):
-        return AlgebraMap(SuperOperator(op.m, map_matrix(op)[0]), op.shape)
-    if isinstance(op, SuperOperator):
-        mat, shape = op.matrix, shape or AlgebraShape.full(op.m)
-    else:
-        mat = as_matrix(op)
-        if shape is None:
-            raise PreconditionError("a shape is required for a raw superoperator")
-        if mat.shape != (shape.m**2, shape.m**2):
-            raise FormatError(
-                f"superoperator {mat.shape} does not match algebra side {shape.m}"
-            )
+    mat, own = map_matrix(op)
+    if shape is None or isinstance(op, CpMap):
+        shape = own or AlgebraShape.full(side_of(mat.shape[0]))
+    if mat.shape != (shape.m**2, shape.m**2):
+        raise FormatError(f"superoperator {mat.shape} does not match algebra side {shape.m}")
     if not shape.is_full:
         mat = np.where(shape.vec_mask(), mat, 0)
     return AlgebraMap(SuperOperator(shape.m, mat), shape)
@@ -357,9 +354,16 @@ class CoefficientSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        v = _vec_stack(self.basis) if self.basis else np.zeros((self.m**2, 0), dtype=complex)
+        v.flags.writeable = False
+        return v
+
     def stacked(self) -> np.ndarray:
-        """m^2 x dimension matrix with the vec of each basis element as a column."""
-        return _vec_stack(self.basis) if self.basis else np.zeros((self.m**2, 0), dtype=complex)
+        """m^2 x dimension matrix with the vec of each basis element as a column, built once
+        per space and read-only."""
+        return self._stack
 
     def projector(self) -> np.ndarray:
         """m^2 x m^2 orthogonal projector onto vec of the space."""

@@ -37,7 +37,6 @@ from .mats import (
     schur,
     schur_clusters,
     schur_sylvester,
-    side_of,
     spectral_radius,
     unvec,
     vec,
@@ -81,9 +80,25 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def _action(phi) -> CpMap | AlgebraMap:
-    """The map object that applies ``phi``: a CpMap itself, applied through its
-    Kraus list, else the masked superoperator."""
+    """The map object that applies ``phi`` by its ``step``: a CpMap, else :func:`algebra_map`."""
     return phi if isinstance(phi, CpMap) else algebra_map(phi)
+
+
+def _image(step, x: np.ndarray, what: str) -> np.ndarray:
+    """``step(x)``; :class:`ConvergenceError` when an entry overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        image = step(x)
+    return _finite(image, what)
+
+
+def _positive_element(w, shape: AlgebraShape, psd_tol: float, name: str) -> np.ndarray:
+    """``w`` as a matrix; :class:`PreconditionError` unless strictly positive in the algebra."""
+    w = as_matrix(w)
+    if not in_algebra(w, shape, psd_tol):
+        raise PreconditionError(f"{name} must belong to the block algebra")
+    if not psd_report(w, psd_tol).is_strictly_positive:
+        raise PreconditionError(f"{name} must be strictly positive")
+    return w
 
 
 @dataclass(frozen=True)
@@ -116,33 +131,34 @@ def spectral_radius_bounds(tau: CpMap) -> RadiusBounds:
 
     Raises :class:`ConvergenceError` when an iterate loses strict
     positivity (``lambda_min(w) <= 1e-10 * lambda_max(w)``, as on reducible
-    maps), when ``tau(x)`` is 0 or overflows, or when 400 steps do not close
-    the bracket.
+    maps), when ``tau(x)`` is 0, overflows or is NaN, or when 400 steps do
+    not close the bracket.
     """
     if not isinstance(tau, CpMap):
         raise PreconditionError("spectral_radius_bounds requires a CpMap")
     x = np.eye(tau.m, dtype=complex)
-    for n in range(_KRAUS_STEPS):
-        y = tau.step(x)
-        if not tau.shape.is_full:
-            y = compress(y, tau.shape)
-        y = (y + y.conj().T) / 2.0
-        size = float(np.linalg.norm(y))
-        if not 0.0 < size < math.inf:
-            raise ConvergenceError(f"the map sends its iterate to {size} at step {n + 1}")
-        if n % _CHECK_EVERY == 0:
-            lam, u = np.linalg.eigh(x)
-            if not lam[0] > _POSITIVE_FLOOR * lam[-1]:
-                raise ConvergenceError(
-                    f"power iterate lost strict positivity at step {n}"
-                    f" (eigenvalue ratio {lam[0] / lam[-1]:.3e})"
-                )
-            root_inv = u / np.sqrt(lam)
-            quotient = np.linalg.eigvalsh(root_inv.conj().T @ y @ root_inv)
-            lower, upper = float(quotient[0]), float(quotient[-1])
-            if upper - lower <= _BRACKET_TOL * upper:
-                return RadiusBounds(lower, upper, n + 1, x)
-        x = y / size
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for n in range(_KRAUS_STEPS):
+            y = tau.step(x)
+            if not tau.shape.is_full:
+                y = compress(y, tau.shape)
+            y = (y + y.conj().T) / 2.0
+            size = float(np.linalg.norm(y))
+            if not 0.0 < size < math.inf:
+                raise ConvergenceError(f"the map sends its iterate to {size} at step {n + 1}")
+            if n % _CHECK_EVERY == 0:
+                lam, u = np.linalg.eigh(x)
+                if not lam[0] > _POSITIVE_FLOOR * lam[-1]:
+                    raise ConvergenceError(
+                        f"power iterate lost strict positivity at step {n}"
+                        f" (eigenvalue ratio {lam[0] / lam[-1]:.3e})"
+                    )
+                root_inv = u / np.sqrt(lam)
+                quotient = np.linalg.eigvalsh(root_inv.conj().T @ y @ root_inv)
+                lower, upper = float(quotient[0]), float(quotient[-1])
+                if upper - lower <= _BRACKET_TOL * upper:
+                    return RadiusBounds(lower, upper, n + 1, x)
+            x = y / size
     raise ConvergenceError(
         f"radius bracket did not close within {_KRAUS_STEPS} steps"
         f" (last width {upper - lower:.3e} at {upper:.6e})"
@@ -173,14 +189,9 @@ def spectral_radius_of(op) -> float:
 
 
 def positive_map_norm(op) -> float:
-    """Norm of a positive map, ``||phi|| = ||phi(1)||``; a CpMap applies its Kraus list."""
-    if isinstance(op, CpMap):
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            image = op.step(np.eye(op.m, dtype=complex))
-        return op_norm(_finite(image, "the image of 1"))
-    mat = superop_matrix(op)
-    m = side_of(mat.shape[0])
-    return op_norm(unvec(mat @ vec(np.eye(m, dtype=complex)), m))
+    """Norm of a positive map, ``||phi|| = ||phi(1)||``, applied by the map object's ``step``."""
+    act = _action(op)
+    return op_norm(_image(act.step, np.eye(act.m, dtype=complex), "the image of 1"))
 
 
 def _tuple_map(mats) -> CpMap:
@@ -417,14 +428,8 @@ def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
     at a Perron eigenvector.
     """
     act = _action(phi)
-    w = as_matrix(w)
-    if not in_algebra(w, act.shape, psd_tol):
-        raise PreconditionError("w must belong to the block algebra")
-    if not psd_report(w, psd_tol).is_strictly_positive:
-        raise PreconditionError("w must be strictly positive")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        image = act(w)
-    return spectral_radius(inverse(w) @ _finite(image, "phi(w)"))
+    w = _positive_element(w, act.shape, psd_tol, "w")
+    return spectral_radius(inverse(w) @ _image(act.step, w, "phi(w)"))
 
 
 def neumann_witness(phi, s: float, conv_tol: float = CONV_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
@@ -432,9 +437,9 @@ def neumann_witness(phi, s: float, conv_tol: float = CONV_TOL, psd_tol: float = 
 
     Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on an infinite
     ``s``, on ``s <= r`` (and on NaN ``s``) and on near-singular solves whose
-    residual exceeds ``conv_tol``.  A CpMap is solved by the fixed point
-    ``w <- 1 + phi(w)/s`` through its Kraus list, at any side, and by the
-    dense solve when that stalls; other maps take the dense solve.
+    residual exceeds ``conv_tol``.  Every map is solved by the fixed point
+    ``w <- 1 + phi(w)/s`` through its ``step`` (a CpMap's Kraus list, any other
+    map's superoperator), at any side, and by the dense solve only when that stalls.
     """
     if math.isinf(s):
         raise PreconditionError(f"neumann_witness requires a finite s (got {s})")
@@ -448,10 +453,9 @@ def neumann_witness(phi, s: float, conv_tol: float = CONV_TOL, psd_tol: float = 
         )
     m = act.m
     one = np.eye(m, dtype=complex)
-    w = _neumann_iterate(act.step, s, one, 1e-2 * conv_tol) if isinstance(act, CpMap) else None
+    w = _neumann_iterate(act.step, s, one, 1e-2 * conv_tol)
     if w is None:
-        ident = np.eye(m * m, dtype=complex)
-        w = unvec(np.linalg.solve(ident - superop_matrix(act) / s, vec(one)), m)
+        w = unvec(np.linalg.solve(np.eye(m * m) - superop_matrix(act) / s, vec(one)), m)
     w = (w + w.conj().T) / 2.0
     residual = float(np.linalg.norm(act(w) - s * (w - one)))
     if residual >= conv_tol:
@@ -485,11 +489,7 @@ def conjugate_map(phi, v, psd_tol: float = PSD_TOL) -> AlgebraMap:
     Preserves the spectral radius; its norm is ``||v^-1 phi(v^2) v^-1||``.
     """
     phi = algebra_map(phi)
-    v = as_matrix(v)
-    if not in_algebra(v, phi.shape, psd_tol):
-        raise PreconditionError("v must belong to the block algebra")
-    if not psd_report(v, psd_tol).is_strictly_positive:
-        raise PreconditionError("v must be strictly positive")
+    v = _positive_element(v, phi.shape, psd_tol, "v")
     vi = inverse(v)
     outer_k = kron(v.T, v.conj().T)
     inner_k = kron(vi.T, vi.conj().T)
@@ -510,17 +510,12 @@ def norm_achieving_check(phi, w, psd_tol: float = PSD_TOL) -> NormAchievingResul
     Requires ``phi(w) <= r w``: ``r w - phi(w)`` must be Hermitian and PSD within
     ``psd_tol * r * ||w||``, its rounding scale, else its violating eigenvalue is
     reported.  The conjugated norm, ``||v^-1 phi(w) v^-1||`` for a positive map,
-    must meet ``r`` within ``CHECK_TOL * r``.  A CpMap is applied through its Kraus list.
+    must meet ``r`` within ``CHECK_TOL * r``.  The map applies itself by its ``step``.
     """
     act = _action(phi)
-    w = as_matrix(w)
-    if not in_algebra(w, act.shape, psd_tol):
-        raise PreconditionError("w must belong to the block algebra")
-    if not psd_report(w, psd_tol).is_strictly_positive:
-        raise PreconditionError("w must be strictly positive")
+    w = _positive_element(w, act.shape, psd_tol, "w")
     r = spectral_radius_of(act)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        image = _finite(act(w), "phi(w)")
+    image = _image(act.step, w, "phi(w)")
     slack, scale = r * w - image, psd_tol * r * frobenius_norm(w)
     low = float(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0).min())
     if frobenius_norm(slack - slack.conj().T) > scale or low < -scale:

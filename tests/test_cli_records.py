@@ -20,6 +20,7 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,6 +60,19 @@ def test_report_matches_record(record, monkeypatch):
     code, out = run_cli(record["argv"])
     assert code == record["exit"]
     assert_matches(json.loads(out), json.loads(record["stdout"]))
+
+
+@pytest.mark.parametrize("name", ["golden_ratio_map", "trace_corner_map", "path_adjacency_map", "double_trace_map"])
+def test_demo_data_files_hold_the_bundled_maps(name):
+    # the records run on these files; `cpspectra check` and the acceptance suite on reference_maps
+    from cpspectra import CpMap, reference_maps
+
+    tau = CpMap.from_json(json.loads((ROOT / "demos" / "data" / f"{name}.json").read_text()))
+    want = getattr(reference_maps, name)()
+    assert tau.shape == want.shape
+    assert len(tau.kraus) == len(want.kraus)
+    for a, b in zip(tau.kraus, want.kraus):
+        assert np.array_equal(a, b)
 
 
 def differs(record) -> bool:

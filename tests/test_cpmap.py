@@ -430,6 +430,29 @@ class TestCoefficientSpace:
         assert np.abs(p @ p - p).max() < 1e-12
         assert np.abs(p - p.conj().T).max() < 1e-14
 
+    def test_the_stack_is_built_once_per_space(self, monkeypatch):
+        # maximal_ideal_check takes hundreds of residuals from one space
+        rng = np.random.default_rng(29)
+        space = coefficient_space(full_map(*(random_matrix(rng, 4) for _ in range(3))))
+        xs = [random_matrix(rng, 4) for _ in range(20)]
+        fresh = cpmap._vec_stack(space.basis)
+        want = [
+            float(np.linalg.norm(x - unvec(fresh @ (fresh.conj().T @ vec(x)), 4))) for x in xs
+        ]
+        calls = []
+        original = cpmap._vec_stack
+
+        def counted(kraus):
+            calls.append(len(kraus))
+            return original(kraus)
+
+        monkeypatch.setattr(cpmap, "_vec_stack", counted)
+        assert [space.residual(x) for x in xs] == want
+        space.project(xs[0])
+        space.projector()
+        assert calls == [3]
+        assert not space.stacked().flags.writeable
+
     def test_empty_space(self):
         space = coefficient_space(full_map(np.zeros((2, 2))))
         assert space.dimension == 0
@@ -575,6 +598,21 @@ class TestOneCoercion:
         assert cpmap.map_matrix(np.eye(5))[1] is None
         with pytest.raises(PreconditionError, match="square"):
             cpmap.map_matrix(np.ones((2, 3)))
+
+    def test_algebra_map_reads_through_it(self):
+        tau = random_cpmap(np.random.default_rng(22), (2, 1))
+        phi = algebra_map(tau)
+        raw = superop_of(tau).matrix
+        assert algebra_map(phi) is phi
+        assert algebra_map(tau, AlgebraShape.full(3)).shape == tau.shape  # a CpMap keeps its own
+        assert algebra_map(raw).shape == algebra_map(SuperOperator(3, raw)).shape == AlgebraShape.full(3)
+        assert np.array_equal(algebra_map(raw, tau.shape).superop.matrix, phi.superop.matrix)
+        x = random_matrix(np.random.default_rng(23), 3)
+        assert np.array_equal(phi.step(x), phi(x))
+        with pytest.raises(FormatError, match="perfect square"):
+            algebra_map(np.eye(5))
+        with pytest.raises(FormatError, match="does not match algebra side 2"):
+            algebra_map(raw, AlgebraShape.full(2))
 
     def test_superop_matrix_of_a_cpmap_builds_no_algebra_map(self, monkeypatch):
         def forbidden(*args, **kwargs):

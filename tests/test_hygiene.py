@@ -159,6 +159,58 @@ def test_detects_a_unit_floor():
     ]
 
 
+MAP_TYPES = ("CpMap", "SuperOperator", "AlgebraMap")
+
+
+def map_type_tests(source: str) -> list[str]:
+    """``function: Type`` for each ``isinstance`` call of a module on one of the map types."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+                kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) else [child.args[1]]
+                found.extend(f"{where}: {k.id}" for k in kinds if getattr(k, "id", None) in MAP_TYPES)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# map_matrix is the one reader of a map's type and algebra_map the one builder of a map
+# object on top of it; spectra forks only to choose the Kraus route.  A second reader or
+# a fork on the map type elsewhere changes this table.
+MAP_TYPE_TESTS = {
+    "cpmap.py": [
+        "algebra_map: AlgebraMap",
+        "algebra_map: CpMap",
+        "map_matrix: AlgebraMap",
+        "map_matrix: CpMap",
+        "map_matrix: SuperOperator",
+    ],
+    "spectra.py": [
+        "_action: CpMap",
+        "spectral_radius_bounds: CpMap",
+        "_bracket_midpoint: CpMap",
+    ],
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_reader_of_the_map_type(path):
+    assert map_type_tests(path.read_text(encoding="utf-8")) == MAP_TYPE_TESTS.get(path.name, [])
+
+
+def test_detects_a_map_type_test():
+    source = (
+        "def norm(op):\n"
+        "    if isinstance(op, (CpMap, SuperOperator)):\n"
+        "        return isinstance(op.shape, AlgebraShape) or isinstance(op, dict)\n"
+        "    return isinstance(op, AlgebraMap)\n"
+    )
+    assert map_type_tests(source) == ["norm: CpMap", "norm: SuperOperator", "norm: AlgebraMap"]
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is most of the import time; the package imports it where it is used
     probe = "import sys, cpspectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

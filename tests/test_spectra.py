@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -11,6 +12,7 @@ from cpspectra import (
     AlgebraShape,
     BudgetExceededError,
     ConvergenceError,
+    AlgebraMap,
     CpMap,
     FormatError,
     PreconditionError,
@@ -24,6 +26,7 @@ from cpspectra import (
     jsr_tensor_approx,
     kron,
     matrix_from_json,
+    maximal_part,
     neumann_witness,
     norm_achieving_check,
     op_norm,
@@ -41,7 +44,7 @@ from cpspectra import (
     unvec,
     vec,
 )
-from cpspectra.cpmap import superop_matrix
+from cpspectra.cpmap import SuperOperator, superop_matrix
 from cpspectra.reference_maps import (
     double_trace_map,
     golden_ratio_map,
@@ -454,8 +457,8 @@ class TestNeumannWitness:
         s = 1.01 * spectral_radius_of(tau)
         w = neumann_witness(tau, s)
         assert returned == [None]
-        dense = neumann_witness(algebra_map(tau), s)  # an AlgebraMap takes the dense solve only
-        assert len(returned) == 1
+        dense = neumann_witness(algebra_map(tau), s)  # an AlgebraMap stalls alike, then solves densely
+        assert returned == [None, None]
         assert np.abs(w - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.linalg.norm(tau(w) - s * (w - np.eye(3))) < 1e-10
 
@@ -981,3 +984,68 @@ class TestOverflowIsAConvergenceError:
         assert jsr_tensor_approx(pair, 2).upper > 0
         assert scaled_outer_radius(pair, np.eye(3)) > 0
         assert jsr_brute(pair, 4).upper > 0
+
+    def test_an_overflowing_radius_bracket_raises_a_typed_error(self):
+        # the matmul overflows to inf and inf - inf gives nan: neither may escape as a warning
+        tau = CpMap((1e160 * np.eye(2), 1e150 * np.ones((2, 2))), AlgebraShape.full(2))
+        with pytest.raises(ConvergenceError, match="sends its iterate to nan at step 1"):
+            spectral_radius_bounds(tau)
+        for call in (lambda: spectral_radius_of(tau), lambda: neumann_witness(tau, 1e300)):
+            with pytest.raises(ConvergenceError, match="superoperator entries overflow"):
+                call()
+
+
+def form_maps():
+    """The bundled maps and seeded full-algebra maps, so that each form is one map."""
+    out = {f.__name__: f() for f in (trace_corner_map, golden_ratio_map, double_trace_map, path_adjacency_map)}
+    for seed, m in ((3, 3), (4, 4), (5, 6)):
+        kraus = rect_kraus(np.random.default_rng(seed), (m,), ring_pairs(1))
+        out[f"rect-{seed}-{m}"] = CpMap(tuple(kraus), AlgebraShape.full(m))
+    return out
+
+
+FORM_MAPS = form_maps()
+FORM_ENTRIES = {
+    "spectral_radius_of": lambda phi, tau: spectral_radius_of(phi),
+    "positive_map_norm": lambda phi, tau: positive_map_norm(phi),
+    "friedland_value": lambda phi, tau: friedland_value(phi, np.eye(tau.m)),
+    "neumann_witness": lambda phi, tau: neumann_witness(phi, 2.0 * positive_map_norm(tau)),
+    "norm_achieving_check": lambda phi, tau: norm_achieving_check(phi, perron_vector(tau)),
+    "conjugate_map": lambda phi, tau: conjugate_map(phi, 2.0 * np.eye(tau.m)),
+    "maximal_part": lambda phi, tau: maximal_part(phi),
+}
+
+
+def form_answer(entry, phi, tau) -> list:
+    """The answer as a list of numbers and arrays (a map as its matrix, a result as its
+    fields), or the error's type and message."""
+    try:
+        out = FORM_ENTRIES[entry](phi, tau)
+    except Exception as exc:  # noqa: BLE001 - the error is the answer
+        return [type(exc).__name__, str(exc)]
+    out = out.superop if isinstance(out, AlgebraMap) else out
+    values = [getattr(out, f.name) for f in dataclasses.fields(out)] if dataclasses.is_dataclass(out) else [out]
+    return [v.matrix if isinstance(v, SuperOperator) else v for v in values]
+
+
+class TestEveryMapFormReadsAlike:
+    """An AlgebraMap, its SuperOperator and its raw side-m^2 matrix are one map at every
+    entry point: bitwise-equal answers or the same error, each near the CpMap's answer."""
+
+    @pytest.mark.parametrize("entry", sorted(FORM_ENTRIES))
+    @pytest.mark.parametrize("name", sorted(FORM_MAPS))
+    def test_forms_agree(self, name, entry):
+        tau = FORM_MAPS[name]
+        phi = algebra_map(tau)
+        forms = (phi, phi.superop, phi.superop.matrix)
+        answers = [form_answer(entry, form, tau) for form in forms]
+        want = form_answer(entry, tau, tau)
+        for got in answers:
+            assert len(got) == len(want)
+            for x, y, ref in zip(got, answers[0], want):
+                if isinstance(ref, (str, bool, np.bool_)):
+                    assert x == ref
+                    continue
+                assert np.array_equal(x, y)
+                size = np.abs(np.asarray(ref)).max(initial=0.0)
+                assert np.abs(np.asarray(x) - np.asarray(ref)).max(initial=0.0) <= 1e-12 * size
