@@ -7,7 +7,7 @@ and are byte-stable for identical inputs, flags and seed; wall-clock time is
 reported only under ``--timing`` (otherwise ``elapsed`` is 0.0).
 
 Exit codes: 0 success, 2 precondition violation (machine-readable error
-object), 3 malformed JSON, 4 budget exceeded.
+object), 3 malformed JSON or a matrix of the wrong side, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -104,27 +105,6 @@ def _load_json(path: str):
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_matrix(path: str):
-    raw = _load_json(path)
-    return matrix_from_json(raw), raw
-
-
-def _load_tuple(path: str):
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "matrices" not in obj or not isinstance(obj["matrices"], list):
-        raise FormatError('tuple JSON must be {"matrices": [matrix, ...]}')
-    mats = [matrix_from_json(m) for m in obj["matrices"]]
-    if not mats:
-        raise FormatError("tuple JSON contains no matrices")
-    return mats, obj
-
-
-def _load_map(path: str, shape_text: str | None):
-    obj = _load_json(path)
-    shape = AlgebraShape.parse(shape_text) if shape_text else None
-    return CpMap.from_json(obj, shape), obj
-
-
 def _env_default(name: str, cast, fallback, warnings: list[str]):
     """The value of ``CPSPECTRA_<name>``; a malformed one falls back with a warning."""
     raw = os.environ.get(ENV_PREFIX + name)
@@ -137,226 +117,154 @@ def _env_default(name: str, cast, fallback, warnings: list[str]):
         return fallback
 
 
-def _build_parser(env_warnings: list[str]) -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="cpspectra",
-        description="Spectral invariants of positive maps on block-diagonal algebras.",
-    )
-    ap.add_argument("--tol-rank", type=float, default=_env_default("TOL_RANK", float, RANK_TOL, env_warnings))
-    ap.add_argument("--tol-psd", type=float, default=_env_default("TOL_PSD", float, PSD_TOL, env_warnings))
-    ap.add_argument("--tol-conv", type=float, default=_env_default("TOL_CONV", float, CONV_TOL, env_warnings))
-    budget = _env_default("BUDGET", int, 10**6, env_warnings)
-    ap.add_argument("--budget", type=int, default=budget, help="word budget of jsr --method brute")
-    ap.add_argument("--seed", type=int, default=_env_default("SEED", int, 0, env_warnings))
-    ap.add_argument("--timing", action="store_true", help="report measured wall time")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    map_args = argparse.ArgumentParser(add_help=False)
-    map_args.add_argument("--map", required=True, dest="map_file")
-    map_args.add_argument("--shape", default=None)
-
-    p = sub.add_parser("outer-radius", help="outer spectral radius of a matrix tuple")
-    p.add_argument("--tuple", required=True, dest="tuple_file")
-
-    p = sub.add_parser("jsr", help="joint spectral radius bounds")
-    p.add_argument("--tuple", required=True, dest="tuple_file")
-    p.add_argument("--method", choices=["brute", "tensor"], required=True)
-    p.add_argument("--n", type=int, default=10, help="max word length (brute)")
-    p.add_argument("--k", type=int, default=1, help="symmetric tensor power (tensor)")
-
-    p = sub.add_parser("friedland", parents=[map_args], help="eigenvalue-quotient evaluator r(w^-1 phi(w))")
-    p.add_argument("--w", required=True, dest="w_file")
-
-    p = sub.add_parser("witness", parents=[map_args], help="resolvent witness of r(phi) < s")
-    p.add_argument("--s", type=float, required=True)
-
-    p = sub.add_parser("balance", help="similarity achieving norm = spectral radius")
-    p.add_argument("--matrix", required=True, dest="matrix_file")
-    p.add_argument("--epsilon", type=float, default=None)
-
-    sub.add_parser("choi", parents=[map_args], help="Choi matrix of a CP map")
-
-    p = sub.add_parser("kraus", help="Kraus operators of a PSD Choi matrix")
-    p.add_argument("--choi", required=True, dest="choi_file")
-
-    sub.add_parser("coeff-space", parents=[map_args], help="orthonormal basis of the coefficient space")
-
-    p = sub.add_parser("member", parents=[map_args], help="membership of a matrix in a coefficient space")
-    p.add_argument("--matrix", required=True, dest="matrix_file")
-
-    sub.add_parser("maximal-part", parents=[map_args], help="maximal part of a positive map")
-
-    sub.add_parser("perron", parents=[map_args], help="Perron eigenvector and spectral radius")
-
-    sub.add_parser("irreducible", parents=[map_args], help="irreducibility via the canonical extension")
-
-    p = sub.add_parser("algebra-dim", help="dimension of the generated algebra")
-    p.add_argument("--tuple", required=True, dest="tuple_file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--unital", action="store_true", default=True)
-    group.add_argument("--non-unital", dest="unital", action="store_false")
-
-    sub.add_parser("factorize", parents=[map_args], help="rank-one factorization of the maximal part")
-
-    sub.add_parser("check", help="run the bundled reference maps through the invariants")
-    return ap
+def _read_map(raw, args) -> CpMap:
+    return CpMap.from_json(raw, AlgebraShape.parse(args.shape) if args.shape else None)
 
 
-def _run_command(args, tol: Tolerance):
-    values: dict = {}
-    residuals: dict = {}
-    inputs: dict = {}
-
-    cmd = args.command
-    if hasattr(args, "map_file"):
-        tau, inputs["map"] = _load_map(args.map_file, args.shape)
-        if args.shape:  # the parsed blocks, so "2,1" and " 2, 1" hash alike
-            inputs["shape"] = list(tau.shape.blocks)
-
-    if cmd == "outer-radius":
-        mats, raw = _load_tuple(args.tuple_file)
-        inputs["tuple"] = raw
-        values["value"] = outer_radius(mats)
-
-    elif cmd == "jsr":
-        mats, raw = _load_tuple(args.tuple_file)
-        inputs["tuple"] = raw
-        if args.method == "brute":
-            est = jsr_brute(mats, args.n, budget=args.budget)
-        else:
-            est = jsr_tensor_approx(mats, args.k)
-        inputs["method"], inputs["parameter"] = est.method, est.parameter
-        values.update(
-            {"lower": est.lower, "upper": est.upper, "method": est.method, "parameter": est.parameter}
-        )
-        residuals["bound_gap"] = est.upper - est.lower
-
-    elif cmd == "friedland":
-        w, inputs["w"] = _load_matrix(args.w_file)
-        value = friedland_value(tau, w, psd_tol=tol.psd_tol)
-        values["value"] = value
-        values["radius"] = spectral_radius_of(tau)
-        residuals["above_radius"] = value - values["radius"]
-
-    elif cmd == "witness":
-        inputs["s"] = args.s
-        w = neumann_witness(tau, args.s, conv_tol=tol.conv_tol, psd_tol=tol.psd_tol)
-        values["witness"] = matrix_to_json(w)
-        values["s"] = args.s
-        residuals["equation"] = float(np.linalg.norm(tau(w) - args.s * (w - np.eye(tau.m))))
-
-    elif cmd == "balance":
-        mat, inputs["matrix"] = _load_matrix(args.matrix_file)
-        if args.epsilon is not None:
-            inputs["epsilon"] = args.epsilon
-        result = balance_similarity(mat, epsilon=args.epsilon)
-        values["p"] = matrix_to_json(result.p)
-        values["norm"] = result.norm
-        values["radius"] = result.radius
-        residuals["norm_excess"] = result.norm - result.radius
-
-    elif cmd == "choi":
-        c = choi_of(tau)
-        values["choi"] = matrix_to_json(c)
-        values["rank"] = numerical_rank(c, tol.rank_tol)
-        residuals["hermitian_gap"] = float(np.linalg.norm(c - c.conj().T))
-
-    elif cmd == "kraus":
-        c, raw = _load_matrix(args.choi_file)
-        inputs["choi"] = raw
-        ops = kraus_of_choi(c, rank_tol=tol.rank_tol, psd_tol=tol.psd_tol)
-        values["kraus"] = [matrix_to_json(a) for a in ops]
-        rebuilt = choi_of(CpMap(tuple(ops), AlgebraShape.full(ops[0].shape[0])))
-        residuals["reassembly"] = float(np.linalg.norm(rebuilt - c))
-
-    elif cmd == "coeff-space":
-        space = coefficient_space(tau, rank_tol=tol.rank_tol)
-        values["dimension"] = space.dimension
-        values["basis"] = [matrix_to_json(b) for b in space.basis]
-        gram = np.array(
-            [[np.vdot(a, b) for b in space.basis] for a in space.basis], dtype=complex
-        )
-        residuals["orthonormality"] = float(
-            np.linalg.norm(gram - np.eye(space.dimension))
-        )
-
-    elif cmd == "member":
-        mat, inputs["matrix"] = _load_matrix(args.matrix_file)
-        result = membership(mat, tau, rank_tol=tol.rank_tol)
-        values["member"] = result.member
-        if result.q is not None:
-            values["q"] = result.q
-        residuals["projection"] = result.residual
-
-    elif cmd == "maximal-part":
-        mp = maximal_part(tau, rank_tol=tol.rank_tol)
-        values["superop"] = matrix_to_json(mp.superop.matrix)
-        values["radius"] = mp.radius
-        values["degeneracy"] = mp.degeneracy
-        values["idempotent"] = mp.idempotent
-        residuals["route_gap"] = mp.route_gap
-
-    elif cmd == "perron":
-        ell = perron_vector(tau, psd_tol=tol.psd_tol, rank_tol=tol.rank_tol)
-        r = spectral_radius_of(tau)
-        values["radius"] = r
-        values["eigenvector"] = matrix_to_json(ell)
-        residuals["eigen_equation"] = float(
-            np.linalg.norm(tau(ell) - r * ell) / np.linalg.norm(ell)
-        )
-
-    elif cmd == "irreducible":
-        rep = irreducible_cp(
-            tau,
-            rank_tol=tol.rank_tol,
-            psd_tol=tol.psd_tol,
-            rng=np.random.default_rng(args.seed),
-        )
-        values["irreducible"] = rep.irreducible
-        values["dimension"] = rep.dimension
-        values["strict_probes"] = rep.strict_probes
-        values["probes"] = rep.probes
-        if rep.witness is not None:
-            values["witness"] = matrix_to_json(rep.witness)
-        residuals["dimension_gap"] = float(tau.m**2 - rep.dimension)
-
-    elif cmd == "algebra-dim":
-        mats, raw = _load_tuple(args.tuple_file)
-        inputs["tuple"], inputs["unital"] = raw, bool(args.unital)
-        gen = algebra_basis(mats, unital=args.unital, rank_tol=tol.rank_tol)
-        values["dimension"] = gen.dimension
-        values["stabilization_index"] = gen.stabilization_index
-        values["unital"] = bool(args.unital)
-        residuals["stabilization_margin"] = float(
-            mats[0].shape[0] ** 2 - gen.stabilization_index
-        )
-
-    elif cmd == "factorize":
-        fact = maximal_factorization(tau, rank_tol=tol.rank_tol, psd_tol=tol.psd_tol)
-        values["radius"] = fact.radius
-        values["eigenvector"] = matrix_to_json(fact.eigenvector)
-        values["state"] = matrix_to_json(fact.state)
-        residuals.update(fact.residuals)
-
-    elif cmd == "check":
-        cases = _run_check(tol)
-        values["cases"] = cases
-        values["passed"] = sum(1 for c in cases if c["ok"])
-        values["failed"] = sum(1 for c in cases if not c["ok"])
-        residuals["max_residual"] = max(c["residual"] for c in cases)
-        if values["failed"]:
-            raise PreconditionError(f"{values['failed']} bundled checks failed")
-
-    else:  # pragma: no cover - argparse enforces the choices
-        raise FormatError(f"unknown command {cmd}")
-
-    return inputs, values, residuals
+def _read_tuple(raw, args) -> list[np.ndarray]:
+    if not isinstance(raw, dict) or not isinstance(raw.get("matrices"), list):
+        raise FormatError('tuple JSON must be {"matrices": [matrix, ...]}')
+    mats = [matrix_from_json(m) for m in raw["matrices"]]
+    if not mats:
+        raise FormatError("tuple JSON contains no matrices")
+    return mats
 
 
-def _run_check(tol: Tolerance) -> list[dict]:
+def _read_matrix(raw, args) -> np.ndarray:
+    return matrix_from_json(raw)
+
+
+# input file flag -> the reader of its JSON; --map comes with --shape
+_READERS = {"map": _read_map, "tuple": _read_tuple, **dict.fromkeys(("matrix", "w", "choi"), _read_matrix)}
+
+# global flag -> (type, default, help): "tol_rank" is --tol-rank, CPSPECTRA_TOL_RANK and digest key tol_rank
+_GLOBAL_FLAGS = {
+    "tol_rank": (float, RANK_TOL, None),
+    "tol_psd": (float, PSD_TOL, None),
+    "tol_conv": (float, CONV_TOL, None),
+    "budget": (int, 10**6, "word budget of jsr --method brute"),
+    "seed": (int, 0, None),
+}
+
+
+def _outer_radius(args, tol, inputs):
+    return {"value": outer_radius(args.tuple)}, {}
+
+
+def _jsr(args, tol, inputs):
+    if args.method == "brute":
+        est = jsr_brute(args.tuple, args.n, budget=args.budget)
+    else:
+        est = jsr_tensor_approx(args.tuple, args.k)
+    inputs["method"], inputs["parameter"] = est.method, est.parameter
+    values = {"lower": est.lower, "upper": est.upper, "method": est.method, "parameter": est.parameter}
+    return values, {"bound_gap": est.upper - est.lower}
+
+
+def _friedland(args, tol, inputs):
+    value = friedland_value(args.map, args.w, psd_tol=tol.psd_tol)
+    radius = spectral_radius_of(args.map)
+    return {"value": value, "radius": radius}, {"above_radius": value - radius}
+
+
+def _witness(args, tol, inputs):
+    tau, s = args.map, args.s
+    inputs["s"] = s
+    w = neumann_witness(tau, s, conv_tol=tol.conv_tol, psd_tol=tol.psd_tol)
+    residual = float(np.linalg.norm(tau(w) - s * (w - np.eye(tau.m))))
+    return {"witness": matrix_to_json(w), "s": s}, {"equation": residual}
+
+
+def _balance(args, tol, inputs):
+    if args.epsilon is not None:
+        inputs["epsilon"] = args.epsilon
+    result = balance_similarity(args.matrix, epsilon=args.epsilon)
+    values = {"p": matrix_to_json(result.p), "norm": result.norm, "radius": result.radius}
+    return values, {"norm_excess": result.norm - result.radius}
+
+
+def _choi(args, tol, inputs):
+    c = choi_of(args.map)
+    values = {"choi": matrix_to_json(c), "rank": numerical_rank(c, tol.rank_tol)}
+    return values, {"hermitian_gap": float(np.linalg.norm(c - c.conj().T))}
+
+
+def _kraus(args, tol, inputs):
+    ops = kraus_of_choi(args.choi, rank_tol=tol.rank_tol, psd_tol=tol.psd_tol)
+    rebuilt = choi_of(CpMap(tuple(ops), AlgebraShape.full(ops[0].shape[0])))
+    residual = float(np.linalg.norm(rebuilt - args.choi))
+    return {"kraus": [matrix_to_json(a) for a in ops]}, {"reassembly": residual}
+
+
+def _coeff_space(args, tol, inputs):
+    space = coefficient_space(args.map, rank_tol=tol.rank_tol)
+    gram = np.array([[np.vdot(a, b) for b in space.basis] for a in space.basis], dtype=complex)
+    values = {"dimension": space.dimension, "basis": [matrix_to_json(b) for b in space.basis]}
+    return values, {"orthonormality": float(np.linalg.norm(gram - np.eye(space.dimension)))}
+
+
+def _member(args, tol, inputs):
+    result = membership(args.matrix, args.map, rank_tol=tol.rank_tol)
+    values = {"member": result.member}
+    if result.q is not None:
+        values["q"] = result.q
+    return values, {"projection": result.residual}
+
+
+def _maximal_part(args, tol, inputs):
+    mp = maximal_part(args.map, rank_tol=tol.rank_tol)
+    values = {
+        "superop": matrix_to_json(mp.superop.matrix),
+        "radius": mp.radius,
+        "degeneracy": mp.degeneracy,
+        "idempotent": mp.idempotent,
+    }
+    return values, {"route_gap": mp.route_gap}
+
+
+def _perron(args, tol, inputs):
+    tau = args.map
+    ell = perron_vector(tau, psd_tol=tol.psd_tol, rank_tol=tol.rank_tol)
+    r = spectral_radius_of(tau)
+    residual = float(np.linalg.norm(tau(ell) - r * ell) / np.linalg.norm(ell))
+    return {"radius": r, "eigenvector": matrix_to_json(ell)}, {"eigen_equation": residual}
+
+
+def _irreducible(args, tol, inputs):
+    tau = args.map
+    rng = np.random.default_rng(args.seed)
+    rep = irreducible_cp(tau, rank_tol=tol.rank_tol, psd_tol=tol.psd_tol, rng=rng)
+    values = {
+        "irreducible": rep.irreducible,
+        "dimension": rep.dimension,
+        "strict_probes": rep.strict_probes,
+        "probes": rep.probes,
+    }
+    if rep.witness is not None:
+        values["witness"] = matrix_to_json(rep.witness)
+    return values, {"dimension_gap": float(tau.m**2 - rep.dimension)}
+
+
+def _algebra_dim(args, tol, inputs):
+    mats, unital = args.tuple, bool(args.unital)
+    inputs["unital"] = unital
+    gen = algebra_basis(mats, unital=unital, rank_tol=tol.rank_tol)
+    values = {"dimension": gen.dimension, "stabilization_index": gen.stabilization_index, "unital": unital}
+    return values, {"stabilization_margin": float(mats[0].shape[0] ** 2 - gen.stabilization_index)}
+
+
+def _factorize(args, tol, inputs):
+    fact = maximal_factorization(args.map, rank_tol=tol.rank_tol, psd_tol=tol.psd_tol)
+    values = {
+        "radius": fact.radius,
+        "eigenvector": matrix_to_json(fact.eigenvector),
+        "state": matrix_to_json(fact.state),
+    }
+    return values, dict(fact.residuals)
+
+
+def _check(args, tol, inputs):
     """Key invariants on the bundled reference maps, one case per line item."""
-    import math
-
     cases = []
 
     def case(name: str, residual: float, bound: float = 1e-8):
@@ -388,25 +296,108 @@ def _run_check(tol: Tolerance) -> list[dict]:
     case("double_trace.irreducible_dimension", abs(rep.dimension - 4))
     ideal = maximal_ideal_check(tau, rank_tol=tol.rank_tol)
     case("double_trace.ideal", max(ideal.subalgebra_residual, ideal.ideal_residual))
-    return cases
+
+    failed = sum(1 for c in cases if not c["ok"])
+    if failed:
+        raise PreconditionError(f"{failed} bundled checks failed")
+    values = {"cases": cases, "passed": len(cases) - failed, "failed": failed}
+    return values, {"max_residual": max(c["residual"] for c in cases)}
+
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+# subcommand -> (help, input file flags, other argument specs, runner), in --help order.  The runner
+# returns (values, residuals); main reads the files into args.<flag> and inputs[<flag>] first, and
+# the runner adds to inputs what else changes its result.  A list of specs is a mutually exclusive group.
+_COMMANDS = {
+    "outer-radius": ("outer spectral radius of a matrix tuple", ("tuple",), (), _outer_radius),
+    "jsr": (
+        "joint spectral radius bounds",
+        ("tuple",),
+        (
+            _arg("--method", choices=["brute", "tensor"], required=True),
+            _arg("--n", type=int, default=10, help="max word length (brute)"),
+            _arg("--k", type=int, default=1, help="symmetric tensor power (tensor)"),
+        ),
+        _jsr,
+    ),
+    "friedland": ("eigenvalue-quotient evaluator r(w^-1 phi(w))", ("map", "w"), (), _friedland),
+    "witness": (
+        "resolvent witness of r(phi) < s", ("map",), (_arg("--s", type=float, required=True),), _witness
+    ),
+    "balance": (
+        "similarity achieving norm = spectral radius", ("matrix",), (_arg("--epsilon", type=float),), _balance
+    ),
+    "choi": ("Choi matrix of a CP map", ("map",), (), _choi),
+    "kraus": ("Kraus operators of a PSD Choi matrix", ("choi",), (), _kraus),
+    "coeff-space": ("orthonormal basis of the coefficient space", ("map",), (), _coeff_space),
+    "member": ("membership of a matrix in a coefficient space", ("map", "matrix"), (), _member),
+    "maximal-part": ("maximal part of a positive map", ("map",), (), _maximal_part),
+    "perron": ("Perron eigenvector and spectral radius", ("map",), (), _perron),
+    "irreducible": ("irreducibility via the canonical extension", ("map",), (), _irreducible),
+    "algebra-dim": (
+        "dimension of the generated algebra",
+        ("tuple",),
+        (
+            [
+                _arg("--unital", action="store_true", default=True),
+                _arg("--non-unital", dest="unital", action="store_false"),
+            ],
+        ),
+        _algebra_dim,
+    ),
+    "factorize": ("rank-one factorization of the maximal part", ("map",), (), _factorize),
+    "check": ("run the bundled reference maps through the invariants", (), (), _check),
+}
+
+
+def _add_arguments(target, specs) -> None:
+    for spec in specs:
+        if isinstance(spec, list):
+            _add_arguments(target.add_mutually_exclusive_group(), spec)
+        else:
+            target.add_argument(*spec[0], **spec[1])
+
+
+def _build_parser(env_warnings: list[str]) -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="cpspectra",
+        description="Spectral invariants of positive maps on block-diagonal algebras.",
+    )
+    for name, (cast, fallback, help_text) in _GLOBAL_FLAGS.items():
+        default = _env_default(name.upper(), cast, fallback, env_warnings)
+        ap.add_argument("--" + name.replace("_", "-"), type=cast, default=default, help=help_text)
+    ap.add_argument("--timing", action="store_true", help="report measured wall time")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (help_text, files, specs, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in files:
+            p.add_argument("--" + name, required=True, dest=name + "_file")
+            if name == "map":
+                p.add_argument("--shape")
+        _add_arguments(p, specs)
+    return ap
 
 
 def main(argv=None) -> int:
     env_warnings: list[str] = []
     args = _build_parser(env_warnings).parse_args(argv)
-    flags = {
-        "tol_rank": args.tol_rank,
-        "tol_psd": args.tol_psd,
-        "tol_conv": args.tol_conv,
-        "budget": args.budget,
-        "seed": args.seed,
-    }
+    flags = {name: getattr(args, name) for name in _GLOBAL_FLAGS}
+    _, files, _, run = _COMMANDS[args.command]
+    inputs: dict = {}
     start = time.perf_counter()
     try:
         tol = Tolerance(rank_tol=args.tol_rank, psd_tol=args.tol_psd, conv_tol=args.tol_conv)
         if args.seed < 0:
             raise PreconditionError(f"--seed must be non-negative (got {args.seed})")
-        inputs, values, residuals = _run_command(args, tol)
+        for name in files:
+            inputs[name] = _load_json(getattr(args, name + "_file"))
+            setattr(args, name, _READERS[name](inputs[name], args))
+            if name == "map" and args.shape:  # the parsed blocks, so "2,1" and " 2, 1" hash alike
+                inputs["shape"] = list(args.map.shape.blocks)
+        values, residuals = run(args, tol, inputs)
     except tuple(_ERROR_EXITS) as exc:
         code, status = next(v for cls, v in _ERROR_EXITS.items() if isinstance(exc, cls))
         print(_render_json({"command": args.command, "error": {"code": code, "message": str(exc)}}))

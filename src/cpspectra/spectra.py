@@ -439,7 +439,8 @@ def neumann_witness(phi, s: float, conv_tol: float = CONV_TOL, psd_tol: float = 
     ``s``, on ``s <= r`` (and on NaN ``s``) and on near-singular solves whose
     residual exceeds ``conv_tol``.  Every map is solved by the fixed point
     ``w <- 1 + phi(w)/s`` through its ``step`` (a CpMap's Kraus list, any other
-    map's superoperator), at any side, and by the dense solve only when that stalls.
+    map's superoperator), at any side, and by the dense solve when it stalls or when
+    its contraction rate ``r/s`` shows before the loop that it cannot converge in time.
     """
     if math.isinf(s):
         raise PreconditionError(f"neumann_witness requires a finite s (got {s})")
@@ -453,7 +454,9 @@ def neumann_witness(phi, s: float, conv_tol: float = CONV_TOL, psd_tol: float = 
         )
     m = act.m
     one = np.eye(m, dtype=complex)
-    w = _neumann_iterate(act.step, s, one, 1e-2 * conv_tol)
+    tol = 1e-2 * conv_tol
+    # iterate n leaves s ||(phi/s)^(n+1)(1)|| >= s (r/s)^(n+1) for a positive map: hopeless within the cap?
+    w = None if s * (r / s) ** _KRAUS_STEPS >= tol else _neumann_iterate(act.step, s, one, tol)
     if w is None:
         w = unvec(np.linalg.solve(np.eye(m * m) - superop_matrix(act) / s, vec(one)), m)
     w = (w + w.conj().T) / 2.0

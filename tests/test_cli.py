@@ -456,3 +456,43 @@ def test_digest_covers_the_epsilon_flag(capsys):
     reports = [run(capsys, argv + extra)[1] for extra in ([], ["--epsilon", "1"], ["--epsilon", "0.001"])]
     assert reports[1]["values"]["p"] != reports[2]["values"]["p"]
     assert len({report["inputs_digest"] for report in reports}) == 3
+
+
+@pytest.mark.parametrize(
+    "flag, env_value, default, argv, env_exit",
+    [
+        ("--tol-rank", "1e-3", "1e-09", ["kraus", "--choi", "{tmp}/small_tail_choi.json"], 0),
+        ("--tol-psd", "-1", "1e-09", ["perron", "--map", str(DATA / "golden_ratio_map.json")], 2),
+        ("--tol-conv", "0.1", "1e-10", ["witness", "--map", str(DATA / "trace_corner_map.json"), "--s", "1.5"], 2),
+        ("--budget", "10", "1000000", ["jsr", "--method", "brute", "--tuple", str(DATA / "golden_pair.json")], 4),
+        ("--seed", "7", "0", ["irreducible", "--map", str(DATA / "golden_ratio_map.json")], 0),
+    ],
+    ids=["tol-rank", "tol-psd", "tol-conv", "budget", "seed"],
+)
+def test_global_env_var_sets_the_default_and_its_flag_overrides_it(
+    capsys, monkeypatch, tmp_path, flag, env_value, default, argv, env_exit
+):
+    # --tol-rank is CPSPECTRA_TOL_RANK: the variable acts as the flag with its value, and the flag beats it
+    (tmp_path / "small_tail_choi.json").write_text(json.dumps(matrix_to_json(np.diag([1.0, 0.5, 1e-6, 0.25]))))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+
+    def printed(args):
+        code = main(args)
+        return code, capsys.readouterr().out
+
+    plain = printed(argv)
+    monkeypatch.setenv("CPSPECTRA_" + flag[2:].replace("-", "_").upper(), env_value)
+    from_env = printed(argv)
+    overridden = printed([flag, default] + argv)
+    monkeypatch.undo()
+    assert from_env[0] == env_exit
+    assert from_env == printed([flag, env_value] + argv)
+    assert from_env != plain
+    assert overridden == plain
+
+
+def test_unital_and_non_unital_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra-dim", "--tuple", str(DATA / "golden_pair.json"), "--unital", "--non-unital"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err

@@ -441,10 +441,9 @@ class TestNeumannWitness:
         with pytest.raises((PreconditionError, ConvergenceError)):
             neumann_witness(phi, 1.0 + 1e-12)
 
-    def test_stalled_iteration_falls_back_to_the_dense_solve(self, monkeypatch):
-        # at s = 1.01 r the fixed point contracts by 1/1.01 a step: 400 steps do not reach it
-        from cpspectra import spectra
-
+    @pytest.fixture
+    def returned(self, monkeypatch):
+        """What each call of the fixed-point iteration returned."""
         returned = []
         real = spectra._neumann_iterate
 
@@ -453,12 +452,26 @@ class TestNeumannWitness:
             return returned[-1]
 
         monkeypatch.setattr(spectra, "_neumann_iterate", spy)
+        return returned
+
+    def test_stalled_iteration_falls_back_to_the_dense_solve(self, returned):
+        # at s = 1.01 r the fixed point contracts by 1/1.01 a step: 400 steps cannot reach it,
+        # which the rate r/s shows before the loop, so the dense solve runs without the iterate
         tau = golden_ratio_map()
         s = 1.01 * spectral_radius_of(tau)
         w = neumann_witness(tau, s)
-        assert returned == [None]
-        dense = neumann_witness(algebra_map(tau), s)  # an AlgebraMap stalls alike, then solves densely
-        assert returned == [None, None]
+        dense = neumann_witness(algebra_map(tau), s)  # an AlgebraMap alike
+        assert returned == []
+        assert np.abs(w - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.linalg.norm(tau(w) - s * (w - np.eye(3))) < 1e-10
+
+    def test_contracting_iteration_converges(self, returned):
+        # at s = 2 r the fixed point halves its residual a step and meets its tolerance
+        tau = golden_ratio_map()
+        s = 2.0 * spectral_radius_of(tau)
+        w = neumann_witness(tau, s)
+        assert len(returned) == 1 and returned[0] is not None  # so no dense solve ran
+        dense = unvec(np.linalg.solve(np.eye(9) - algebra_map(tau).superop.matrix / s, vec(np.eye(3))))
         assert np.abs(w - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.linalg.norm(tau(w) - s * (w - np.eye(3))) < 1e-10
 

@@ -2,16 +2,23 @@
 
 Runs one pass of each named ``perfbench/workloads.py`` schedule at each seed against the
 ``src/`` of a checkout (default: this one) and prints ``workload seed index kind input
-digest`` per op, over every array, dataclass field and error type and message, then a
-total.  ``perfbench/`` is only imported.  Compare two checkouts with ``diff``:
+digest`` per op, over every array, dataclass field and error type and message.  Then it
+runs the argv of every ``tests/data/cli_reports.json`` record of this checkout through that
+``src/``'s ``cpspectra.cli.main``, in-process from this checkout's root, and prints ``cli
+index exit argv digest`` over the exit code and the exact stdout bytes; the records
+themselves match floats only within 1e-10.  Last comes a total.  ``perfbench/`` is only
+imported.  Compare two checkouts with ``diff``:
 
     python tools/op_digest.py --root ../parent > parent.txt
     python tools/op_digest.py > change.txt && diff parent.txt change.txt
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import os
 import pathlib
 import sys
@@ -67,6 +74,16 @@ def main(argv=None) -> int:
                     feed(h, (type(exc).__name__, str(exc)))
                 total.update(h.digest())
                 print(name, seed, idx, op.kind, op.input_id, h.hexdigest())
+    from cpspectra.cli import main as cli_main
+
+    os.chdir(here)  # the records' file paths are relative to the repository root
+    for idx, record in enumerate(json.loads((here / "tests" / "data" / "cli_reports.json").read_text())):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(record["argv"])
+        h = hashlib.sha256(f"{code}\n{out.getvalue()}".encode())
+        total.update(h.digest())
+        print("cli", idx, code, " ".join(record["argv"]), h.hexdigest())
     print("total", total.hexdigest())
     return 0
 
