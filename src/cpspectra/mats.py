@@ -12,8 +12,11 @@ Conventions used across the whole package:
 Rank decisions are relative to the largest singular value so that scaling a
 matrix never changes its reported rank; :func:`frobenius_norm` squares no
 entry past the float range.  The one Schur kernel of the package, which the
-maximal part and ``balance_similarity`` share, is :func:`schur`,
-:func:`reorder_schur` (``trsen``) and :func:`schur_sylvester` (``trsyl``).  On
+maximal part and ``balance_similarity`` share, is :func:`schur` (LAPACK ``gees``),
+:func:`reorder_schur` (``trsen``) and :func:`schur_sylvester` (``trsyl``).  It
+calls LAPACK through ``ctypes`` in the build numpy bundles and has loaded
+(:func:`_numpy_lapack`), so it imports no scipy; where numpy's build does not
+export those routines it calls them through ``scipy.linalg.lapack``.  On
 it sits the one Jordan-block decision: :func:`schur_clusters`, which clusters by
 distance and, near the spectral circle, by conditioning, and :func:`degeneracy`,
 the size of a cluster's largest Jordan block.
@@ -21,6 +24,7 @@ the size of a cluster's largest Jordan block.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -214,23 +218,141 @@ def inverse(a, rank_tol: float = RANK_TOL) -> np.ndarray:
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
 
 
-def _lapack(name: str, a: np.ndarray):
-    """The LAPACK routine ``name`` for the dtype of ``a``: ``d...`` if real, ``z...`` if complex."""
-    from scipy.linalg import lapack  # deferred: scipy is most of the package's import time
+def _numpy_lapack() -> dict | None:
+    """``gees``, ``trsen`` and ``trsyl``, real (``d``) and complex (``z``), bound once from the
+    LAPACK that numpy's wheel bundles and has already loaded (the ILP64 ``scipy_<name>_64_``
+    symbols of ``libscipy_openblas64_``); None where numpy's build does not export them.  Every
+    argument is a raw address, INTEGER and LOGICAL ones of int64, and the hidden lengths of the
+    two character arguments come last."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _ARGS}
+    except (AttributeError, OSError):
+        return None
+    for name, routine in routines.items():
+        routine.argtypes = [ctypes.c_void_p] * _ARGS[name] + [ctypes.c_size_t] * 2
+        routine.restype = None
+    return routines
 
-    return getattr(lapack, ("z" if np.iscomplexobj(a) else "d") + name)
+
+_ARGS = {"dgees": 15, "zgees": 15, "dtrsen": 18, "ztrsen": 15, "dtrsyl": 13, "ztrsyl": 13}
+_LAPACK = _numpy_lapack()  # None: the same routines through scipy.linalg.lapack
+_GEES_LWORK: dict[tuple[str, int], int] = {}  # the queried workspace, per routine and side
+
+
+def _address(x: np.ndarray) -> int:
+    """The data address of a contiguous writable array (so ``ravel`` is a view), at a third of
+    the cost of ``x.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(x.ravel(order="K")))
+
+
+def _scratch(ints: list[int], words: int) -> tuple[np.ndarray, int]:
+    """One int64 array for a LAPACK call: the integer arguments ``ints``, then ``words`` 8-byte
+    words of scratch space that LAPACK fills with floats, starting 16-byte aligned; returns it
+    with the index of that start."""
+    start = len(ints) + len(ints) % 2
+    iv = np.zeros(start + words, np.int64)
+    iv[: len(ints)] = ints
+    return iv, start
+
+
+def _gees(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(t, q, info)`` of LAPACK ``gees`` on a float64 or complex128 ``a`` of side at least 1
+    (left unchanged), with the queried optimal workspace, as ``scipy.linalg.schur`` runs it."""
+    cplx = a.dtype == np.complex128
+    if _LAPACK is None:
+        from scipy.linalg import lapack
+
+        gees = lapack.zgees if cplx else lapack.dgees
+        lwork = gees(lambda *x: None, a, lwork=-1)[-2][0].real.astype(np.int_)
+        out = gees(lambda *x: None, a, lwork=lwork)
+        return out[0], out[-3], out[-1]
+    name, n = ("zgees" if cplx else "dgees"), a.shape[0]
+    t, q = np.array(a, order="F"), np.empty(a.shape, a.dtype, order="F")
+    lwork = _GEES_LWORK.get((name, n))
+    if lwork is None:
+        lwork = _GEES_LWORK[name, n] = int(_run_gees(name, t, q, -1)[1])
+    return t, q, _run_gees(name, t, q, lwork)[0]
+
+
+def _run_gees(name: str, t: np.ndarray, q: np.ndarray, lwork: int) -> tuple[int, float]:
+    """Run ``gees`` on ``t`` in place, the Schur vectors into ``q``; returns ``info`` and
+    ``work[0]``, which after a workspace query (``lwork = -1``) is the optimal ``lwork``."""
+    n, size, work = t.shape[0], 1 + (name == "zgees"), abs(lwork)  # one work entry for a query
+    # n, ld, sdim, lwork, info, bwork; the eigenvalues, work and (complex) rwork
+    iv, w0 = _scratch([n, n, 0, lwork, 0] + [0] * n, 2 * n + work * size + n)
+    p, pt, pq = _address(iv), _address(t), _address(q)
+    pe = p + 8 * w0
+    pw = pe + 16 * n
+    if size == 2:
+        _LAPACK[name](b"V", b"N", None, p, pt, p + 8, p + 16, pe, pq, p + 8, pw, p + 24,
+                      pw + 16 * work, p + 40, p + 32, 1, 1)
+    else:
+        _LAPACK[name](b"V", b"N", None, p, pt, p + 8, p + 16, pe, pe + 8 * n, pq, p + 8, pw,
+                      p + 24, p + 40, p + 32, 1, 1)
+    return int(iv[4]), iv[w0 + 2 * n : w0 + 2 * n + 1].view(np.float64).item()
+
+
+def _trsen(select: np.ndarray, t: np.ndarray, q: np.ndarray | None):
+    """``(t, q, m, info)`` of LAPACK ``trsen`` (``job = 'N'``) moving the ``select``ed diagonal
+    of the Schur form ``t`` to the lead; ``q`` is updated when given, else returned as None."""
+    cplx = t.dtype == np.complex128
+    if _LAPACK is None:
+        from scipy.linalg import lapack
+
+        out = (lapack.ztrsen if cplx else lapack.dtrsen)(  # q is a required argument even unused
+            select.astype(np.int32), t, t if q is None else q, job="N", wantq=int(q is not None)
+        )
+        return out[0], None if q is None else out[1], out[-4], out[-1]
+    n, size = t.shape[0], 1 + cplx
+    ts = np.array(t, order="F")
+    qs = None if q is None else np.array(q, order="F")
+    # n, ld, m, lwork, liwork, info, iwork, select; the eigenvalues, s and sep, and work, of
+    # the size scipy's wrapper passes for job 'N'
+    iv, w0 = _scratch([n, n, 0, n, 1, 0, 0] + select.tolist(), 2 * n + 2 + n * size)
+    p, pt = _address(iv), _address(ts)
+    pq, compq = (pt, b"N") if qs is None else (_address(qs), b"V")  # an unused q: any address
+    pe = p + 8 * w0
+    ps = pe + 16 * n
+    if cplx:
+        _LAPACK["ztrsen"](b"N", compq, p + 56, p, pt, p + 8, pq, p + 8, pe, p + 16, ps, ps + 8,
+                          ps + 16, p + 24, p + 40, 1, 1)
+    else:
+        _LAPACK["dtrsen"](b"N", compq, p + 56, p, pt, p + 8, pq, p + 8, pe, pe + 8 * n, p + 16,
+                          ps, ps + 8, ps + 16, p + 24, p + 48, p + 32, p + 40, 1, 1)
+    return ts, qs, int(iv[2]), int(iv[5])
+
+
+def _trsyl(t: np.ndarray, sdim: int) -> tuple[np.ndarray, float, int]:
+    """``(y, scale, info)`` of LAPACK ``trsyl`` on the blocks of a Schur form ``t`` split at
+    ``0 < sdim < n``: ``t11 y - y t22 = -scale t12``; ``t11`` and ``t22`` are read in place."""
+    cplx = t.dtype == np.complex128
+    if _LAPACK is None:
+        from scipy.linalg import lapack
+
+        trsyl = lapack.ztrsyl if cplx else lapack.dtrsyl
+        return trsyl(t[:sdim, :sdim], t[sdim:, sdim:], -t[:sdim, sdim:], isgn=-1)
+    n = t.shape[0]
+    t = np.asfortranarray(t)
+    y = np.negative(t[:sdim, sdim:], order="F")
+    iv = np.array([-1, sdim, n - sdim, n, 0, 0], np.int64)  # isgn, m, n, ld, info, scale
+    p, pt = _address(iv), _address(t)
+    _LAPACK["ztrsyl" if cplx else "dtrsyl"](b"N", b"N", p, p + 8, p + 16, pt, p + 24,
+                                            pt + t.itemsize * sdim * (n + 1), p + 24, _address(y),
+                                            p + 8, p + 40, p + 32, 1, 1)
+    return y, iv[5:].view(np.float64).item(), int(iv[4])
 
 
 def schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Schur form ``mat = q t q*``: real quasi-triangular for a real ``mat``, whose
     2 x 2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(|b c|)``; triangular for a complex one."""
-    import scipy.linalg  # deferred: scipy is most of the package's import time
-
-    output = "complex" if np.iscomplexobj(mat) else "real"
-    try:
-        return scipy.linalg.schur(mat, output=output, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
+    a = np.asarray(mat, complex if np.iscomplexobj(mat) else float)
+    if not a.size:
+        return a.copy(), a.copy()
+    t, q, info = _gees(a)
+    if info != 0:
+        raise ConvergenceError(f"Schur decomposition failed (gees info {info})")
+    return t, q
 
 
 def schur_pairs(t: np.ndarray) -> np.ndarray:
@@ -248,23 +370,19 @@ def reorder_schur(t: np.ndarray, q: np.ndarray | None, members: np.ndarray):
     select = members.copy()
     k = schur_pairs(t)
     select[k] = select[k + 1] = select[k] | select[k + 1]
-    out = _lapack("trsen", t)(  # q is a required argument even unused
-        select.astype(np.int32), t, t if q is None else q, job="N", wantq=int(q is not None)
-    )
-    ts, qs, sdim, info = out[0], out[1], out[-4], out[-1]
+    ts, qs, sdim, info = _trsen(select, t, q)
     if info != 0 or sdim != int(select.sum()):
         raise ConvergenceError(f"Schur reordering failed (trsen info {info})")
-    return ts, None if q is None else qs, sdim
+    return ts, qs, sdim
 
 
 def schur_sylvester(t: np.ndarray, sdim: int) -> np.ndarray:
     """The ``sdim x (n - sdim)`` block ``y`` with ``t11 y - y t22 = -t12`` that decouples the
     leading block of a Schur form ``t`` from the rest (LAPACK ``trsyl`` on the blocks, which
     are already (quasi-)triangular); empty when ``sdim`` is the side."""
-    t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
     if sdim == t.shape[0]:
-        return t12
-    y, scale, info = _lapack("trsyl", t)(t11, t22, -t12, isgn=-1)
+        return t[:sdim, sdim:]
+    y, scale, info = _trsyl(t, sdim)
     if info < 0:
         raise ConvergenceError(f"Sylvester solve failed (trsyl info {info})")
     return y / scale

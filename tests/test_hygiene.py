@@ -225,6 +225,40 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(
+    importlib.import_module("cpspectra.mats")._LAPACK is None,
+    reason="numpy's build exports no scipy_<name>_64_ LAPACK symbols, so the Schur kernel uses scipy",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perron", "--map", "demos/data/golden_ratio_map.json"],
+        ["balance", "--matrix", "demos/data/interior_jordan.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_schur_commands_leave_scipy_out(argv):
+    # the Schur kernel runs on the LAPACK that numpy bundles, so a command that reaches it
+    # imports no scipy module either
+    probe = (
+        "import contextlib, io, sys\n"
+        "from cpspectra.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        cwd=SRC.parent.parent,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "0 []"
+
+
 # The tuning thresholds are module constants; each entry point takes only its
 # inputs and the --tol-* tolerances, so a re-added knob changes this table.
 ENTRY_POINTS = {

@@ -223,6 +223,79 @@ class TestOneJordanDecision:
         assert mats.degeneracy(t, clusters[0]) == 2
 
 
+NUMPY_LAPACK = pytest.mark.skipif(
+    mats._LAPACK is None, reason="numpy's build exports no scipy_<name>_64_ LAPACK symbols"
+)
+
+
+def schur_kernel_outputs(a, rng):
+    """``schur``, ``reorder_schur`` with and without ``q`` on a seeded selection, and
+    ``schur_sylvester`` at the reordered split, beside the same LAPACK calls made through
+    scipy: ``(ours, scipy's, name)`` triples."""
+    import scipy.linalg
+
+    lapack = scipy.linalg.lapack
+    prefix = "z" if np.iscomplexobj(a) else "d"
+    t, q = mats.schur(a)
+    want_t, want_q = scipy.linalg.schur(a, output="complex" if prefix == "z" else "real")
+    out = [(t, want_t, "t"), (q, want_q, "q")]
+    if not a.size:  # LAPACK trsen and trsyl take no empty matrix
+        return out
+    members = rng.random(a.shape[0]) < 0.5
+    members[-1] = True
+    select = members.copy()
+    k = mats.schur_pairs(want_t)
+    select[k] = select[k + 1] = select[k] | select[k + 1]
+    trsen = getattr(lapack, prefix + "trsen")
+    ts, qs, sdim = mats.reorder_schur(t, q, members)
+    want = trsen(select.astype(np.int32), want_t, want_q, job="N", wantq=1)
+    out += [(ts, want[0], "trsen t"), (qs, want[1], "trsen q"), (sdim, want[-4], "trsen m")]
+    alone, none, _ = mats.reorder_schur(t, None, members)
+    out += [(alone, want[0], "trsen t without q"), (none is None, True, "no q returned")]
+    if sdim < a.shape[0]:
+        x, scale, _ = getattr(lapack, prefix + "trsyl")(
+            want[0][:sdim, :sdim], want[0][sdim:, sdim:], -want[0][:sdim, sdim:], isgn=-1
+        )
+        out.append((mats.schur_sylvester(ts, sdim), x / scale, "trsyl"))
+    return out
+
+
+class TestSchurKernel:
+    """The Schur kernel runs LAPACK from numpy's own build where it exports the routines, and
+    the same routines through scipy otherwise; both give scipy's arrays."""
+
+    SIDES = (0, 1, 2, 4, 13, 48, 144)  # 144: the minimal gees workspace rounds differently there
+
+    def kernel_cases(self):
+        for side in self.SIDES:
+            rng = np.random.default_rng(side)
+            real = rng.standard_normal((side, side))
+            yield real, rng
+            yield real + 1j * rng.standard_normal((side, side)), rng
+
+    @NUMPY_LAPACK
+    def test_numpy_lapack_matches_scipy(self):
+        blocks = 0
+        for a, rng in self.kernel_cases():
+            for got, want, name in schur_kernel_outputs(a, rng):
+                if name == "trsyl" and not np.iscomplexobj(a):
+                    # OpenBLAS 0.3.31 (numpy's) and 0.3.30 (scipy's) round a strided ddot
+                    # differently, and real trsyl reads t11 by rows: rounding of the solution
+                    bound = 8 * a.shape[0] * np.finfo(float).eps * np.abs(want).max()
+                    assert np.abs(got - want).max() <= bound, (a.shape, name)
+                else:
+                    assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype, (a.shape, name)
+            blocks += mats.schur_pairs(mats.schur(a)[0]).size
+        assert blocks > 0  # real forms with 2 x 2 blocks among them
+
+    @NUMPY_LAPACK
+    def test_the_scipy_fallback_matches_scipy(self, monkeypatch):
+        monkeypatch.setattr(mats, "_LAPACK", None)  # numpy's build without the symbols
+        for a, rng in self.kernel_cases():
+            for got, want, name in schur_kernel_outputs(a, rng):
+                assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype, (a.shape, name)
+
+
 class TestMatrixJson:
     def test_round_trip(self):
         a = random_matrix(np.random.default_rng(7), 3)

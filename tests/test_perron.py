@@ -224,7 +224,7 @@ class TestMaximalPart:
 
     def test_rejects_non_square_size_before_eigen_work(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(mats, "_gees", lambda *a, **k: calls.append(a))
         for call in (maximal_part, perron_vector):
             with pytest.raises(FormatError, match="perfect square"):
                 call(np.diag([2.0, 1.0, 0.5]))
@@ -436,6 +436,20 @@ class TestMaximalFactorization:
             fact = maximal_factorization(tau, rank_tol=1e-7)
             ell = perron_vector(tau, rank_tol=1e-7)
             assert np.array_equal(fact.eigenvector, ell)
+
+    @pytest.mark.parametrize("blocks", [(4,), (3, 3), (6,)])
+    def test_the_adjoint_swaps_the_eigenvector_and_the_state(self, blocks):
+        # tau* has the Kraus list {K_i*}: the same radius, with L and R trading places
+        tau = CpMap(tuple(rect_kraus(np.random.default_rng(3), blocks, ring_pairs(len(blocks)))), AlgebraShape(blocks))
+        adjoint = CpMap(tuple(k.conj().T for k in tau.kraus), tau.shape)
+        fact, dual = maximal_factorization(tau), maximal_factorization(adjoint)
+        assert abs(dual.radius - fact.radius) <= 1e-12 * fact.radius
+
+        def normed(x):
+            return x / np.trace(x)
+
+        assert np.abs(normed(dual.eigenvector) - normed(fact.state)).max() <= 1e-12
+        assert np.abs(normed(dual.state) - normed(fact.eigenvector)).max() <= 1e-12
 
 
 class TestIrreducibility:
@@ -703,8 +717,9 @@ DENSE_MAPS = [
 ]
 
 
-def schur_fails(*args, **kwargs):
-    raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+def schur_fails(a):
+    """A LAPACK ``gees`` that does not converge: ``info > 0``."""
+    return a, a, 1
 
 
 def dense_maps(seed):
@@ -727,16 +742,17 @@ class TestOneSchurForm:
 
     def test_one_schur_form_per_call(self, monkeypatch):
         calls = []
-        real_schur = scipy.linalg.schur
+        real_gees = mats._gees
 
-        def counted(*args, **kwargs):
-            calls.append((args[0].shape, args[0].dtype))
-            return real_schur(*args, **kwargs)
+        def counted(a):
+            calls.append((a.shape, a.dtype))
+            return real_gees(a)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a second factorisation ran")
 
-        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        # every Schur factorisation of the package runs LAPACK gees through mats._gees
+        monkeypatch.setattr(mats, "_gees", counted)
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", forbidden)
         monkeypatch.setattr(mats, "eigenvalues", forbidden)
         for kind, tau in route_maps(11):  # leaking maps too
@@ -814,31 +830,38 @@ class TestOneSchurForm:
             assert mp.degeneracy == 1 and mp.idempotent
 
     def test_schur_failure_is_a_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "schur", schur_fails)
+        monkeypatch.setattr(mats, "_gees", schur_fails)
         for call in (maximal_part, spectral_structure):
             with pytest.raises(ConvergenceError, match="Schur decomposition failed"):
                 call(golden_ratio_map())
 
     def test_lapack_failures_are_convergence_errors(self, monkeypatch):
         # the real routines serve maps that preserve Hermitian matrices, the complex ones the rest
-        lapack = scipy.linalg.lapack
+        real_trsen, real_trsyl = mats._trsen, mats._trsyl
         complex_map = np.kron(np.eye(3), np.diag([2.0, 1.0, 0.5]) + np.eye(3, k=1))
-        for prefix, phi in (("d", golden_ratio_map()), ("z", complex_map)):
-            real_trsen, real_trsyl = getattr(lapack, prefix + "trsen"), getattr(lapack, prefix + "trsyl")
-            monkeypatch.setattr(lapack, prefix + "trsen", lambda *a, **k: real_trsen(*a, **k)[:-1] + (1,))
+        for dtype, phi in ((np.float64, golden_ratio_map()), (np.complex128, complex_map)):
+            def trsen_fails(select, t, q, dtype=dtype):
+                assert t.dtype == dtype
+                return real_trsen(select, t, q)[:-1] + (1,)
+
+            def trsyl_fails(t, sdim, dtype=dtype):
+                assert t.dtype == dtype
+                return real_trsyl(t, sdim)[:-1] + (-3,)
+
+            monkeypatch.setattr(mats, "_trsen", trsen_fails)
             with pytest.raises(ConvergenceError, match="trsen info 1"):
                 maximal_part(phi)
-            if prefix == "z":
+            if dtype == np.complex128:
                 with pytest.raises(ConvergenceError, match="trsen info 1"):
                     spectral_structure(np.array([[1.0, 1.0], [0.0, 1.0]]))
-            monkeypatch.setattr(lapack, prefix + "trsen", real_trsen)
-            monkeypatch.setattr(lapack, prefix + "trsyl", lambda *a, **k: real_trsyl(*a, **k)[:-1] + (-3,))
+            monkeypatch.setattr(mats, "_trsen", real_trsen)
+            monkeypatch.setattr(mats, "_trsyl", trsyl_fails)
             with pytest.raises(ConvergenceError, match="trsyl info -3"):
                 maximal_part(phi)
-            monkeypatch.setattr(lapack, prefix + "trsyl", real_trsyl)
+            monkeypatch.setattr(mats, "_trsyl", real_trsyl)
 
     def test_schur_failure_exits_2_from_the_cli(self, monkeypatch, capsys):
-        monkeypatch.setattr(scipy.linalg, "schur", schur_fails)
+        monkeypatch.setattr(mats, "_gees", schur_fails)
         data = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
         code = main(["maximal-part", "--map", str(data / "golden_ratio_map.json")])
         report = json.loads(capsys.readouterr().out)
@@ -1180,13 +1203,13 @@ class TestOnePipeline:
 
     def test_raw_arrays_of_another_side_run_on_their_own_entries(self, monkeypatch):
         calls = []
-        real_schur = scipy.linalg.schur
+        real_gees = mats._gees
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].copy())
-            return real_schur(*args, **kwargs)
+        def counted(a):
+            calls.append(a.copy())
+            return real_gees(a)
 
-        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        monkeypatch.setattr(mats, "_gees", counted)
         for n in (2, 3, 5):
             a = random_matrix(np.random.default_rng(n), n)
             calls.clear()

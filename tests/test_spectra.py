@@ -595,17 +595,20 @@ class TestBalanceSimilarity:
     def test_one_schur_form_per_call(self, monkeypatch):
         import scipy.linalg
 
+        from cpspectra import mats
+
         calls = []
-        real_schur = scipy.linalg.schur
+        real_gees = mats._gees
 
         def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return real_schur(*args, **kwargs)
+            calls.append((args, kwargs))
+            return real_gees(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a second factorisation ran")
 
-        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        # every Schur factorisation of the package runs LAPACK gees through mats._gees
+        monkeypatch.setattr(mats, "_gees", counted)
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", forbidden)
         rng = np.random.default_rng(16)
         inputs = [np.array([[1.0, 0, 0], [0, 0.5, 100.0], [0, 0, 0.5]])]
@@ -614,7 +617,9 @@ class TestBalanceSimilarity:
         for a in inputs:
             calls.clear()
             balance_similarity(a)
-            assert len(calls) == 1 and "sort" not in calls[0]
+            # one unsorted form of a / r: the kernel's gees takes the matrix and nothing else
+            (args, kwargs), = calls
+            assert not kwargs and len(args) == 1 and np.array_equal(args[0], a / spectral_radius(a))
 
     def test_peripheral_jordan_rejected(self):
         with pytest.raises(PreconditionError):
