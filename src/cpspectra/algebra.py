@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .mats import PSD_TOL, frobenius_norm, of_side
+from .mats import PSD_TOL, as_integer, frobenius_norm, of_side
 
 __all__ = [
     "AlgebraShape",
@@ -29,7 +29,7 @@ class AlgebraShape:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(int(n) for n in self.blocks)
+        blocks = tuple(as_integer(n, "a block size") for n in self.blocks)
         if len(blocks) < 1 or any(n < 1 for n in blocks):
             raise FormatError(f"invalid block sizes {self.blocks}")
         object.__setattr__(self, "blocks", blocks)
@@ -84,7 +84,7 @@ class AlgebraShape:
 
     @classmethod
     def from_json(cls, obj) -> "AlgebraShape":
-        if not isinstance(obj, dict) or "blocks" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
             raise FormatError('shape JSON must be {"blocks": [n1, ...]}')
         return cls(tuple(obj["blocks"]))
 

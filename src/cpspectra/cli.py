@@ -101,7 +101,7 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -152,7 +152,7 @@ class CpMap:
     def from_json(cls, obj, shape: AlgebraShape | None = None) -> "CpMap":
         from .mats import matrix_from_json
 
-        if not isinstance(obj, dict) or "kraus" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("kraus"), list):
             raise FormatError('CP map JSON must contain a "kraus" list')
         if "shape" in obj:
             parsed = AlgebraShape.from_json(obj["shape"])
@@ -337,10 +337,8 @@ def choi_rank(tau: CpMap, rank_tol: float = RANK_TOL) -> int:
 
 
 def is_cp(s: SuperOperator, psd_tol: float = PSD_TOL) -> bool:
-    """Whether a superoperator represents a CP map (Choi matrix PSD within ``psd_tol * ||c||``)."""
-    c = choi_of_superop(s)
-    rep = psd_report(c, psd_tol)
-    return rep.is_hermitian and rep.min_eigenvalue >= -psd_tol * frobenius_norm(c)
+    """Whether a superoperator represents a CP map: its Choi matrix is PSD by :func:`psd_report`."""
+    return psd_report(choi_of_superop(s), psd_tol).is_psd
 
 
 @dataclass(frozen=True)
@@ -389,12 +387,10 @@ def coefficient_space(tau: CpMap, rank_tol: float = RANK_TOL) -> CoefficientSpac
 
 
 def dominates(tau: CpMap, eta: CpMap, psd_tol: float = PSD_TOL) -> bool:
-    """Whether ``tau - eta`` is CP: ``c = Choi(tau) - Choi(eta)`` PSD within ``psd_tol * ||c||``."""
+    """Whether ``tau - eta`` is CP: ``Choi(tau) - Choi(eta)`` is PSD by :func:`psd_report`."""
     if tau.m != eta.m:
         raise PreconditionError("maps act on different sides")
-    diff = choi_of(tau) - choi_of(eta)
-    rep = psd_report(diff, psd_tol)
-    return rep.is_hermitian and rep.min_eigenvalue >= -psd_tol * frobenius_norm(diff)
+    return psd_report(choi_of(tau) - choi_of(eta), psd_tol).is_psd
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,7 +46,8 @@ class Tolerance:
     """Bundle of the three tolerances used throughout.
 
     ``rank_tol`` is relative to the largest singular value, ``psd_tol`` is an
-    eigenvalue floor, ``conv_tol`` stops iterations and bounds residuals.
+    eigenvalue floor relative to the largest eigenvalue modulus (:func:`psd_report`),
+    ``conv_tol`` stops iterations and bounds residuals.
     """
 
     rank_tol: float = RANK_TOL
@@ -170,6 +172,9 @@ def numerical_rank(a, rank_tol: float = RANK_TOL) -> int:
 
 @dataclass(frozen=True)
 class PsdReport:
+    """The three verdicts of :func:`psd_report`, each unchanged by scaling the matrix by any
+    ``c > 0``, and the least eigenvalue of the symmetrized part, which scales with it."""
+
     is_hermitian: bool
     is_psd: bool
     is_strictly_positive: bool
@@ -177,27 +182,35 @@ class PsdReport:
 
 
 def psd_report(a, psd_tol: float = PSD_TOL) -> PsdReport:
-    """Hermiticity / positivity report for a square matrix.
+    """Hermiticity / positivity report for a square matrix: the package's one positivity rule.
 
     The matrix counts as Hermitian when ``||M - M*|| <= psd_tol * ||M||``
     (:func:`frobenius_norm`).  Eigenvalue floors are taken on the symmetrized part
-    ``(M + M*) / 2`` to suppress round-off asymmetry: PSD means minimum
-    eigenvalue ``>= -psd_tol``, strictly positive means ``> psd_tol``.
+    ``(M + M*) / 2`` to suppress round-off asymmetry, at its own scale ``rho = max |lambda|``
+    (``lambda_max`` for a PSD matrix): PSD means ``lambda_min >= -psd_tol * rho``, strictly
+    positive means ``lambda_min > psd_tol * rho``.  So a verdict on ``c M`` is the verdict on
+    ``M`` for every ``c > 0``; the zero matrix is PSD and not strictly positive.
     """
     m = _square(a)
     hermitian = frobenius_norm(m - m.conj().T) <= psd_tol * frobenius_norm(m)
-    sym = (m + m.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym).min()) if m.shape[0] else 0.0
+    eig = np.linalg.eigvalsh((m + m.conj().T) / 2.0) if m.shape[0] else np.zeros(1)
+    min_eig = float(eig[0])
+    floor = psd_tol * max(-min_eig, float(eig[-1]))  # psd_tol * rho
     return PsdReport(
         is_hermitian=hermitian,
-        is_psd=hermitian and min_eig >= -psd_tol,
-        is_strictly_positive=hermitian and min_eig > psd_tol,
+        is_psd=hermitian and min_eig >= -floor,
+        is_strictly_positive=hermitian and min_eig > floor,
         min_eigenvalue=min_eig,
     )
 
 
 def psd_sqrt(a, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (negative dust clipped to 0)."""
+    """Hermitian square root of a PSD matrix (by :func:`psd_report`, so at any scale).
+
+    Eigenvalues at most ``n eps max |lambda|``, the rounding of ``eigh`` at side ``n``, are
+    taken as 0: the root of such dust is noise of relative size ``sqrt(eps)``, which would
+    differ between ``M`` and ``c M``.
+    """
     m = _square(a)
     rep = psd_report(m, psd_tol)
     if not rep.is_psd:
@@ -205,7 +218,8 @@ def psd_sqrt(a, psd_tol: float = PSD_TOL) -> np.ndarray:
             f"psd_sqrt requires a PSD input (min eigenvalue {rep.min_eigenvalue:.3e})"
         )
     w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
+    dust = m.shape[0] * np.finfo(float).eps * float(np.abs(w).max(initial=0.0))
+    w = np.where(w > dust, w, 0.0)
     return (u * np.sqrt(w)) @ u.conj().T
 
 
@@ -516,14 +530,38 @@ def matrix_to_json(a) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def as_integer(x, what: str) -> int:
+    """``x`` as an int: an integer, numpy's included, or an integral float; anything else,
+    a bool, a string or null included, is a :class:`FormatError` naming ``what``."""
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            if isinstance(x, (float, np.floating)) and float(x).is_integer():
+                return int(x)
+    raise FormatError(f"{what} must be an integer, got {x!r}")
+
+
+def _real(x) -> float:
+    """A JSON number as a float; a :class:`FormatError` for anything else (a string, null,
+    a bool) and for an integer beyond the float range."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise FormatError(f"matrix entries must be numbers, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise FormatError(f"matrix entry of {x.bit_length()} bits is beyond the float range") from exc
+
+
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the matrix JSON schema, rejecting shape/length mismatches."""
+    """Parse the matrix JSON schema, rejecting shape/length mismatches and non-numeric entries."""
     if not isinstance(obj, dict):
         raise FormatError("matrix JSON must be an object")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
         raise FormatError(f"matrix JSON missing or invalid field: {exc}") from exc
+    rows, cols = as_integer(rows, "matrix rows"), as_integer(cols, "matrix cols")
     if rows <= 0 or cols <= 0:
         raise FormatError("matrix dimensions must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -535,5 +573,5 @@ def matrix_from_json(obj) -> np.ndarray:
     for k, entry in enumerate(data):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise FormatError("matrix entries must be [re, im] pairs")
-        flat[k] = complex(float(entry[0]), float(entry[1]))
+        flat[k] = complex(_real(entry[0]), _real(entry[1]))
     return as_matrix(flat.reshape((rows, cols), order="C"))

@@ -48,8 +48,10 @@ from .mats import (
     CLUSTER_TOL,
     PSD_TOL,
     RANK_TOL,
+    PsdReport,
     as_matrices,
     degeneracy,
+    frobenius_norm,
     op_norm,
     psd_report,
     reorder_schur,
@@ -415,8 +417,8 @@ def perron_vector(phi, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> 
     return _perron_of(*_maximal_part(phi, rank_tol), psd_tol)[0]
 
 
-def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.ndarray, float, float]:
-    """``(L, ||mat L - r L||, lambda_min(L))`` for ``L = mp(1)`` made Hermitian; raises unless ``L``
+def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.ndarray, float, PsdReport]:
+    """``(L, ||mat L - r L||, psd_report(L))`` for ``L = mp(1)`` made Hermitian; raises unless ``L``
     is non-zero, PSD and that residual at most ``CHECK_TOL * r * ||L||``, its rounding scale."""
     m = mp.superop.m
     ell = mp.superop(np.eye(m, dtype=complex))
@@ -424,7 +426,7 @@ def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.nda
     norm = float(np.linalg.norm(ell))
     if norm <= psd_tol:
         raise ConvergenceError("maximal part annihilates the identity")
-    rep = psd_report(ell, psd_tol * max(1.0, norm))
+    rep = psd_report(ell, psd_tol)
     if not rep.is_psd:
         raise ConvergenceError("computed Perron vector is not PSD")
     residual = float(np.linalg.norm(unvec(mat @ vec(ell), m) - mp.radius * ell))
@@ -432,7 +434,7 @@ def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.nda
         raise ConvergenceError(
             f"Perron eigenvector residual {residual:.3e} exceeds {CHECK_TOL} * r * ||L||"
         )
-    return ell, residual, rep.min_eigenvalue
+    return ell, residual, rep
 
 
 @dataclass(frozen=True)
@@ -455,9 +457,11 @@ def maximal_factorization(
     the invariant faithful state (``trace(R L) = 1``; the adjoint superoperator
     fixes ``vec(R)`` up to the factor ``r``).  The map is irreducible iff ``d = 1``, the
     maximal part is rank one and ``L, R > 0`` (Evans & Hoegh-Krohn 1978; Arias, Gheondea &
-    Gudder 2002); the first that fails raises :class:`PreconditionError` "map is reducible
-    (...)" with its margin.  :class:`ConvergenceError` is a failed route check, Hermitian gap
-    of ``R`` or residual (``CHECK_TOL`` times ``r ||L||``, ``r ||R||``, or 1 for ``trace(R L)``).
+    Gudder 2002), strictly positive by :func:`~cpspectra.mats.psd_report`, at every scale
+    ``lambda_min > psd_tol lambda_max``; the first that fails raises
+    :class:`PreconditionError` "map is reducible (...)" with its margin.
+    :class:`ConvergenceError` is a failed route check, Hermitian gap of ``R`` or residual
+    (``CHECK_TOL`` times ``r ||L||``, ``r ||R||``, or 1 for ``trace(R L)``).
     """
     mp, mat = _maximal_part(tau, rank_tol=rank_tol)  # mat: iota o tau o E, the extension's matrix
     hat, r = mp.superop.matrix, mp.radius
@@ -469,9 +473,9 @@ def maximal_factorization(
     if rank_gap > rank_tol:
         raise PreconditionError(f"map is reducible (sigma2/sigma1 = {rank_gap:.3e} > rank_tol)")
 
-    ell, resid_eig, low = _perron_of(mp, mat, psd_tol)
-    if not low > psd_tol:
-        raise PreconditionError(f"map is reducible (lambda_min(L) = {low:.3e} <= psd_tol)")
+    ell, resid_eig, rep = _perron_of(mp, mat, psd_tol)
+    if not rep.is_strictly_positive:
+        raise PreconditionError(f"map is reducible (lambda_min(L) = {rep.min_eigenvalue:.3e} <= psd_tol)")
     vl = vec(ell)
     raw_state = unvec(hat.conj().T @ vl / float(np.vdot(vl, vl).real), tau.m)
     herm_gap = float(np.linalg.norm(raw_state - raw_state.conj().T))
@@ -482,9 +486,9 @@ def maximal_factorization(
     state = (raw_state + raw_state.conj().T) / 2.0
     trace_raw = float(np.trace(state @ ell).real)
     state = state / trace_raw
-    low = psd_report(state, psd_tol).min_eigenvalue  # of R, made exactly Hermitian
-    if not low > psd_tol:
-        raise PreconditionError(f"map is reducible (lambda_min(R) = {low:.3e} <= psd_tol)")
+    rep = psd_report(state, psd_tol)  # of R, made exactly Hermitian
+    if not rep.is_strictly_positive:
+        raise PreconditionError(f"map is reducible (lambda_min(R) = {rep.min_eigenvalue:.3e} <= psd_tol)")
 
     resid_adj = float(np.linalg.norm(mat.conj().T @ vec(state) - r * vec(state)))
     resid_trace = abs(trace_raw - 1.0)
@@ -718,16 +722,23 @@ def maximal_ideal_check(tau: CpMap, rank_tol: float = RANK_TOL) -> IdealCheck:
     With ``A_i`` a Kraus list of the canonical extension and ``B_j`` a Kraus
     list of its maximal part, span{B_j} must be closed under multiplication
     (a subalgebra) and under left/right multiplication by the ``A_i`` (an
-    ideal in the generated algebra).  Residuals are HS projection gaps, and
-    each closure holds when its residual is at most ``CHECK_TOL``.
-    ``rank_tol`` reaches ``maximal_part``, ``kraus_of_choi`` and the cut of
+    ideal in the generated algebra).  Each residual is the HS projection gap of
+    a product relative to its norm, as in ``membership``, so a verdict on a scaled
+    map is the verdict on the map; each closure holds when its largest relative
+    residual, the one reported, is at most ``CHECK_TOL``.  A zero product has
+    residual 0.  ``rank_tol`` reaches ``maximal_part``, ``kraus_of_choi`` and the cut of
     span{B_j}.
     """
     ext = canonical_extension(tau)
     mp = maximal_part(ext, rank_tol=rank_tol)
     b_list = kraus_of_choi(choi_of_superop(mp.superop), rank_tol=rank_tol)
     a_list = ext.kraus
-    residual = coefficient_space(CpMap(tuple(b_list), ext.shape), rank_tol).residual
+    space = coefficient_space(CpMap(tuple(b_list), ext.shape), rank_tol)
+
+    def residual(x: np.ndarray) -> float:
+        size = frobenius_norm(x)
+        return space.residual(x) / size if size else 0.0
+
     sub_res = max(residual(bi @ bj) for bi in b_list for bj in b_list)
     ideal_res = max(
         max(residual(a @ b) for a in a_list for b in b_list),

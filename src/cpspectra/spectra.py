@@ -252,13 +252,20 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     lower = max over enumerated words of ``r(product)^(1/|word|)``, where the
     eigenvalues are taken for one word per necklace, since cyclic rotations
     of a word share its spectrum.  The enumeration size
-    ``d + d^2 + ... + d^n_max`` must fit the budget.
+    ``d + d^2 + ... + d^n_max`` must fit the budget; it is summed only when its leading
+    power ``d^n_max`` is at most ``2^64 (|budget| + 1)``, so a huge ``n_max`` is refused at
+    once, naming that power.
     """
     mats = as_matrices(mats_list)
     if n_max < 1:
         raise PreconditionError("jsr_brute requires n_max >= 1")
     d = len(mats)
-    total = sum(d**n for n in range(1, n_max + 1))
+    # d^n_max > 2^64 (|budget| + 1), decided in logs; an int n_max past the float range compares exactly
+    if d > 1 and n_max > (64.0 + math.log2(abs(budget) + 1)) / math.log2(d):
+        raise BudgetExceededError(
+            f"word enumeration size of at least {d}^{n_max} exceeds the budget {budget}"
+        )
+    total = n_max if d == 1 else (d ** (n_max + 1) - d) // (d - 1)
     if total > budget:
         raise BudgetExceededError(
             f"word enumeration size {total} exceeds the budget {budget}"
@@ -435,12 +442,15 @@ def friedland_value(phi, w, psd_tol: float = PSD_TOL) -> float:
 def neumann_witness(phi, s: float, conv_tol: float = CONV_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Witness ``w = (id - phi/s)^(-1)(1)`` of ``r(phi) < s``.
 
-    Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``.  Raises on an infinite
-    ``s``, on ``s <= r`` (and on NaN ``s``) and on near-singular solves whose
-    residual exceeds ``conv_tol``.  Every map is solved by the fixed point
-    ``w <- 1 + phi(w)/s`` through its ``step`` (a CpMap's Kraus list, any other
-    map's superoperator), at any side, and by the dense solve when it stalls or when
-    its contraction rate ``r/s`` shows before the loop that it cannot converge in time.
+    Satisfies ``phi(w) = s (w - 1)`` and ``w >= 1``, and is the same matrix for ``(c phi, c s)``
+    at every ``c > 0``: each gate compares with ``conv_tol * s``, the scale of ``s (w - 1)``.
+    Raises on an infinite ``s``, on ``s <= r`` (and on NaN ``s``), on ``s - r <= 10 conv_tol s``
+    and on near-singular solves whose residual ``||phi(w) - s (w - 1)||`` reaches ``conv_tol s``.
+    ``w >= 1`` has unit scale, so ``lambda_min(w - 1) >= -psd_tol`` is absolute.  Every map is
+    solved by the fixed point ``w <- 1 + phi(w)/s`` through its ``step`` (a CpMap's Kraus list,
+    any other map's superoperator), at any side, to a residual below ``1e-2 conv_tol s``, and by
+    the dense solve when it stalls or when its contraction rate ``r/s`` shows before the loop
+    that it cannot converge in time.
     """
     if math.isinf(s):
         raise PreconditionError(f"neumann_witness requires a finite s (got {s})")
@@ -448,28 +458,26 @@ def neumann_witness(phi, s: float, conv_tol: float = CONV_TOL, psd_tol: float = 
     r = spectral_radius_of(act)
     if not s > r:
         raise PreconditionError(f"neumann_witness requires s > r(phi) = {r}")
-    if s <= r + 10.0 * conv_tol * max(s, 1.0):
+    if s - r <= 10.0 * conv_tol * s:
         raise ConvergenceError(
             f"resolvent at s = {s} is near-singular (spectral radius {r})"
         )
     m = act.m
     one = np.eye(m, dtype=complex)
-    tol = 1e-2 * conv_tol
+    tol = 1e-2 * conv_tol * s
     # iterate n leaves s ||(phi/s)^(n+1)(1)|| >= s (r/s)^(n+1) for a positive map: hopeless within the cap?
     w = None if s * (r / s) ** _KRAUS_STEPS >= tol else _neumann_iterate(act.step, s, one, tol)
     if w is None:
         w = unvec(np.linalg.solve(np.eye(m * m) - superop_matrix(act) / s, vec(one)), m)
     w = (w + w.conj().T) / 2.0
     residual = float(np.linalg.norm(act(w) - s * (w - one)))
-    if residual >= conv_tol:
+    if residual >= conv_tol * s:
         raise ConvergenceError(
-            f"resolvent solve is near-singular (residual {residual:.3e} >= {conv_tol})"
+            f"resolvent solve is near-singular (residual {residual:.3e} >= {conv_tol} * s)"
         )
-    gap = psd_report(w - np.eye(m), psd_tol)
-    if not gap.is_psd:
-        raise ConvergenceError(
-            f"negative witness: min eigenvalue of w - 1 is {gap.min_eigenvalue:.3e}"
-        )
+    low = psd_report(w - one, psd_tol).min_eigenvalue  # w is Hermitian
+    if low < -psd_tol:
+        raise ConvergenceError(f"negative witness: min eigenvalue of w - 1 is {low:.3e}")
     return w
 
 
@@ -519,9 +527,9 @@ def norm_achieving_check(phi, w, psd_tol: float = PSD_TOL) -> NormAchievingResul
     w = _positive_element(w, act.shape, psd_tol, "w")
     r = spectral_radius_of(act)
     image = _image(act.step, w, "phi(w)")
-    slack, scale = r * w - image, psd_tol * r * frobenius_norm(w)
+    slack, scale = r * w - image, r * frobenius_norm(w)
     low = float(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0).min())
-    if frobenius_norm(slack - slack.conj().T) > scale or low < -scale:
+    if frobenius_norm(slack - slack.conj().T) > psd_tol * scale or low < -psd_tol * scale:
         raise PreconditionError(f"phi(w) <= r*w fails: violating eigenvalue {low:.6e}")
     v = psd_sqrt(w, psd_tol)
     vi = inverse(v)
@@ -545,9 +553,10 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
 
     Exists exactly when the normalized powers ``(a/r)^n`` stay bounded, that is when no
     peripheral eigenvalue carries a Jordan block.  On one complex Schur form of ``a/r``, the
-    :func:`~cpspectra.mats.schur_clusters` with ``|value| >= r_t (1 - 10 CLUSTER_TOL)``,
-    ``r_t`` the form's radius, are peripheral; a :func:`~cpspectra.mats.degeneracy` above 1
-    raises :class:`PreconditionError`.  They are moved to lead and diagonalized by their
+    :func:`~cpspectra.mats.schur_clusters` with ``|value| >= r_t (1 - CLUSTER_TOL)``, ``r_t``
+    the form's radius, are peripheral, the window of :func:`~cpspectra.perron.spectral_structure`
+    and ``maximal_part``; a :func:`~cpspectra.mats.degeneracy` above 1 raises
+    :class:`PreconditionError`.  They are moved to lead and diagonalized by their
     eigenvectors; the interior block is decoupled by the Sylvester solve and scaled by
     ``diag(eps^(k-1), ..., eps, 1)``, halving ``epsilon`` (default 1; finite and positive)
     until the norm fits.  No Jordan form and no second Schur form is computed.
@@ -561,7 +570,7 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
         raise PreconditionError("balance_similarity requires a positive spectral radius")
     t, q = schur(a / r)
     radius, clusters = schur_clusters(t)
-    peripheral = [c for c in clusters if abs(c.value) >= radius * (1.0 - 10.0 * CLUSTER_TOL)]
+    peripheral = [c for c in clusters if abs(c.value) >= radius * (1.0 - CLUSTER_TOL)]
     if any(degeneracy(t, c) > 1 for c in peripheral):
         raise PreconditionError(
             "unbounded normalized powers (peripheral Jordan block detected)"

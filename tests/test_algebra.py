@@ -36,6 +36,20 @@ class TestShape:
         shape = AlgebraShape((1, 3, 2))
         assert AlgebraShape.from_json(shape.to_json()) == shape
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"blocks": ["x"]}, {"blocks": 2}, {"blocks": [1.5, 1.7]}, {"blocks": [None]}, {"blocks": [True]},
+         {}],
+        ids=["string", "number", "fractional", "null", "bool", "missing"],
+    )
+    def test_rejects_malformed_json_blocks(self, obj):
+        with pytest.raises(FormatError):
+            AlgebraShape.from_json(obj)
+
+    def test_integral_blocks_of_any_integer_type(self):
+        assert AlgebraShape.from_json({"blocks": [2.0, np.int64(1)]}).blocks == (2, 1)
+        assert AlgebraShape((np.int32(3),)).blocks == (3,)
+
 
 def block_diagonal(x, shape):
     """The diagonal blocks of ``x`` copied into a zero matrix, one slice at a time."""

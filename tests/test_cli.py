@@ -265,6 +265,32 @@ def test_exit_code_malformed_json(capsys, files):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("map", '{"kraus": [{"rows": 1, "cols": 2, "data": [[null, 0], [1, 0]]}]}'),
+        ("map", '{"kraus": [{"rows": 1, "cols": 2, "data": [["a", 0], [1, 0]]}]}'),
+        ("map", '{"kraus": [{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}]}'),
+        ("map", '{"kraus": [{"rows": 1.9, "cols": 1, "data": [[1, 0]]}]}'),
+        ("map", '{"kraus": [{"rows": 1, "cols": 1, "data": [[1' + "0" * 5000 + ', 0]]}]}'),
+        ("map", '{"shape": {"blocks": ["x"]}, "kraus": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]}'),
+        ("map", '{"shape": {"blocks": 2}, "kraus": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]}'),
+        ("map", '{"shape": {"blocks": [1.5, 1.7]}, "kraus": [' + json.dumps(matrix_to_json(np.eye(2))) + "]}"),
+        ("tuple", '{"matrices": [{"rows": 1, "cols": 1, "data": [[true, 0]]}]}'),
+        ("map", '{"kraus": 2}'),
+    ],
+    ids=["null", "string", "400-digit", "fractional-rows", "5000-digit", "string-block", "blocks-number",
+         "fractional-blocks", "bool", "kraus-number"],
+)
+def test_malformed_json_numbers_exit_3(capsys, tmp_path, command, text):
+    # a malformed number is a format error, never a traceback or a silent truncation
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = {"map": ["choi", "--map", str(path)], "tuple": ["outer-radius", "--tuple", str(path)]}[command]
+    code, report = run(capsys, argv)
+    assert code == 3 and report["error"]["code"] == "format", report
+
+
 def test_exit_code_wrong_side(capsys, files, tmp_path):
     # a matrix of another side than the map's is a format error for every command
     wrong = tmp_path / "ones2.json"

@@ -550,6 +550,36 @@ class TestIsCp:
         assert is_cp(SuperOperator(2, s))
 
 
+class TestVerdictsAtAnyScale:
+    """is_cp and dominates read psd_report's verdict, which is decided at the Choi matrix's
+    own scale, so scaling every map by c changes none."""
+
+    @staticmethod
+    def verdicts(c):
+        rng = np.random.default_rng(14)
+        a1, a2 = random_matrix(rng, 3), random_matrix(rng, 3)
+        k = np.sqrt(c)
+        tau, eta = full_map(k * a1, k * a2), full_map(k * a1)
+        rank_one = full_map(k * (a1 + a2))
+        s = superop_of(tau).matrix - superop_of(eta).matrix
+        return [
+            is_cp(superop_of(tau)),
+            is_cp(SuperOperator(3, s)),
+            is_cp(SuperOperator(3, c * transpose_superop(3).matrix)),
+            is_cp(SuperOperator(3, -s)),
+            dominates(tau, eta),
+            dominates(eta, tau),
+            dominates(full_map(np.sqrt(2.0) * k * a1, np.sqrt(2.0) * k * a2), rank_one),
+            dominates(tau, rank_one),
+        ]
+
+    @pytest.mark.parametrize("c", [1e-12, 1e12])
+    def test_same_verdicts_as_at_unit_scale(self, c):
+        want = self.verdicts(1.0)
+        assert want == [True, True, False, False, True, False, True, False]
+        assert self.verdicts(c) == want
+
+
 class TestPreservesAlgebra:
     def test_block_supported_kraus(self):
         rng = np.random.default_rng(14)

@@ -127,12 +127,8 @@ UNIT_FLOORS = {
     "perron.py": [
         "_cesaro_limit: max(1.0, size)",  # the Cesaro stop rule
         "_maximal_part: max(1.0, size)",  # the route gap
-        "_perron_of: max(1.0, norm)",  # the PSD tolerance of L
         "maximal_factorization: max(1.0, float(np.linalg.norm(raw_state)))",  # the Hermitian gap of R
         "resolvent_gamma: max(1.0, r)",  # the default b, not a gate
-    ],
-    "spectra.py": [
-        "neumann_witness: max(s, 1.0)",  # the near-singular guard
     ],
 }
 
@@ -156,6 +152,71 @@ def test_detects_a_unit_floor():
         "gate: max(1.0, x)",
         "gate: max(x, 1.0)",
         "inner: np.maximum(1.0, z)",
+    ]
+
+
+def psd_tol_gates(source: str) -> list[str]:
+    """``function: comparison`` for each comparison of a module that reads ``psd_tol``,
+    outside ``psd_report``, the one positivity rule."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and where != "psd_report" and any(
+                isinstance(n, ast.Name) and n.id == "psd_tol" for n in ast.walk(child)
+            ):
+                found.append(f"{where}: {ast.unparse(child)}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# PSD and strict-positivity verdicts read psd_report, which decides them at the matrix's own
+# scale.  The gates below compare with psd_tol themselves, each for the reason given; a
+# verdict that re-derives its own floor after psd_report changes this table.
+PSD_TOL_GATES = {
+    "algebra.py": [
+        # a relative membership gap, not a positivity verdict
+        "in_algebra: frobenius_norm(x - compress(x, shape)) <= psd_tol * frobenius_norm(x)",
+    ],
+    "cpmap.py": [
+        # psd_report's own Hermitian gate and PSD rule, on the eigenpairs kraus_of_choi keeps
+        "kraus_of_choi: frobenius_norm(c - c.conj().T) > psd_tol * frobenius_norm(c)",
+        "kraus_of_choi: float(w.min(initial=0.0)) < -psd_tol * top",
+    ],
+    "perron.py": [
+        # L = hat(1) is at unit scale for d = 1, where hat is a projector; not a PSD verdict
+        "_perron_of: norm <= psd_tol",
+        # psd_report's strict rule lambda_min > psd_tol lambda_max, on the probe eigenvalues
+        "irreducible_cp: _probe_ratios(superop_matrix(ext), rng) > psd_tol",
+    ],
+    "spectra.py": [
+        # w >= 1 compares w with 1, so its scale is 1, not that of the difference
+        "neumann_witness: low < -psd_tol",
+        # phi(w) <= r w compares two matrices at the scale r ||w|| of the operands
+        "norm_achieving_check: frobenius_norm(slack - slack.conj().T) > psd_tol * scale",
+        "norm_achieving_check: low < -psd_tol * scale",
+    ],
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_psd_tol_gates_are_listed(path):
+    assert psd_tol_gates(path.read_text(encoding="utf-8")) == PSD_TOL_GATES.get(path.name, [])
+
+
+def test_detects_a_psd_tol_gate():
+    source = (
+        "def psd_report(m, psd_tol):\n"
+        "    return m >= -psd_tol\n"
+        "def is_cp(c, psd_tol):\n"
+        "    rep = psd_report(c, psd_tol)\n"
+        "    return rep.is_psd and rep.min_eigenvalue >= -psd_tol * norm(c) or psd_tol < 1\n"
+    )
+    assert psd_tol_gates(source) == [
+        "is_cp: rep.min_eigenvalue >= -psd_tol * norm(c)",
+        "is_cp: psd_tol < 1",
     ]
 
 

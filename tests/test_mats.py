@@ -152,6 +152,37 @@ class TestPsdReport:
         assert not rep.is_hermitian and not rep.is_psd and not rep.is_strictly_positive
 
 
+    @staticmethod
+    def kinds():
+        rng = np.random.default_rng(31)
+        g = random_matrix(rng, 5)
+        low = random_matrix(rng, 5)[:, :3]
+        indefinite = g + g.conj().T
+        return {
+            "psd": g @ g.conj().T + 0.1 * np.eye(5),
+            "singular psd": low @ low.conj().T,
+            "indefinite": indefinite,
+            "non-hermitian": g @ g.conj().T + 1e-3 * g,
+        }
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-12, 1e12, 1e150])
+    def test_verdicts_do_not_depend_on_scale(self, c):
+        # the floors are psd_tol times max |lambda| of the symmetric part, so c M reads as M
+        for name, m in self.kinds().items():
+            want, got = psd_report(m), psd_report(c * m)
+            verdicts = (want.is_hermitian, want.is_psd, want.is_strictly_positive)
+            assert (got.is_hermitian, got.is_psd, got.is_strictly_positive) == verdicts, name
+            assert got.min_eigenvalue == pytest.approx(c * want.min_eigenvalue, rel=1e-6, abs=1e-9 * c)
+        verdicts = {name: psd_report(m) for name, m in self.kinds().items()}
+        assert [(r.is_psd, r.is_strictly_positive) for r in verdicts.values()] == [
+            (True, True), (True, False), (False, False), (False, False)
+        ]
+
+    def test_zero_matrix_is_psd_and_not_strictly_positive(self):
+        rep = psd_report(np.zeros((3, 3)))
+        assert rep.is_hermitian and rep.is_psd and not rep.is_strictly_positive
+
+
 class TestFrobeniusNorm:
     def test_matches_numpy_in_range(self):
         rng = np.random.default_rng(17)
@@ -173,6 +204,15 @@ class TestFrobeniusNorm:
 class TestMatrixFunctions:
     def test_psd_sqrt(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+
+    @pytest.mark.parametrize("c", [1e-12, 1e12])
+    def test_psd_sqrt_of_a_scaled_singular_matrix(self, c):
+        # rank 3 of side 5: at c = 1e12 rounding leaves eigenvalues near -1e-4, which an
+        # absolute floor refuses
+        low = random_matrix(np.random.default_rng(32), 5)[:, :3]
+        m = low @ low.conj().T
+        want = np.sqrt(c) * psd_sqrt(m)
+        assert np.abs(psd_sqrt(c * m) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_psd_sqrt_rejects_indefinite(self):
         with pytest.raises(PreconditionError):
@@ -308,3 +348,24 @@ class TestMatrixJson:
     def test_rejects_bad_entries(self):
         with pytest.raises(FormatError):
             matrix_from_json({"rows": 1, "cols": 1, "data": [[1.0]]})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"rows": 1, "cols": 2, "data": [[None, 0], [1, 0]]}, "must be numbers, got None"),
+            ({"rows": 1, "cols": 2, "data": [["a", 0], [1, 0]]}, "must be numbers, got 'a'"),
+            ({"rows": 1, "cols": 2, "data": [[True, 0], [1, 0]]}, "must be numbers, got True"),
+            ({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, "of 1329 bits is beyond the float range"),
+            ({"rows": 1.9, "cols": 1, "data": [[1, 0]]}, "matrix rows must be an integer, got 1.9"),
+            ({"rows": 1, "cols": "1", "data": [[1, 0]]}, "matrix cols must be an integer, got '1'"),
+            ({"rows": None, "cols": 1, "data": [[1, 0]]}, "matrix rows must be an integer, got None"),
+            ({"cols": 1, "data": [[1, 0]]}, "missing or invalid field"),
+        ],
+    )
+    def test_rejects_non_numbers_and_non_integral_sizes(self, obj, message):
+        with pytest.raises(FormatError, match=message.replace("(", r"\(").replace(".", r"\.")):
+            matrix_from_json(obj)
+
+    def test_integral_sizes_of_any_integer_type(self):
+        obj = {"rows": np.int64(1), "cols": 2.0, "data": [[np.int32(3), 0.5], [np.float32(1.5), -1]]}
+        assert np.array_equal(matrix_from_json(obj), np.array([[3 + 0.5j, 1.5 - 1j]]))

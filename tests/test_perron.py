@@ -670,6 +670,17 @@ class TestMaximalIdealCheck:
             assert check.is_subalgebra and check.is_ideal
             assert max(check.subalgebra_residual, check.ideal_residual) < 1e-8
 
+    @pytest.mark.parametrize("c", [1e-16, 1e-8, 1e8, 1e16, 1e24])
+    def test_verdicts_do_not_depend_on_scale(self, c):
+        # each residual is relative to its product, as in membership: at 1e16 an absolute
+        # CHECK_TOL refused the ideal of double_trace_map (7.7e-8), and at 1e-16 let any pass
+        for make in (golden_ratio_map, double_trace_map, path_adjacency_map, trace_corner_map):
+            tau = make()
+            want = maximal_ideal_check(tau)
+            got = maximal_ideal_check(CpMap(tuple(np.sqrt(c) * a for a in tau.kraus), tau.shape))
+            assert (got.is_subalgebra, got.is_ideal, got.dimension) == (True, True, want.dimension)
+            assert max(got.subalgebra_residual, got.ideal_residual) <= 1e-14
+
     def test_identity_channel(self):
         check = maximal_ideal_check(full_map(np.eye(2)))
         assert check.is_subalgebra and check.is_ideal and check.dimension == 1
@@ -1291,6 +1302,26 @@ class TestVerdictFromTheMaximalPart:
         fact = maximal_factorization(cycle_map())
         assert np.abs(fact.eigenvector - np.eye(3)).max() < 1e-12
         assert np.abs(fact.state - np.eye(3) / 3).max() < 1e-12
+
+    @pytest.mark.parametrize("c", [1e-12, 1e12])
+    def test_strict_positivity_of_l_and_r_at_any_scale(self, c):
+        # L > 0 and R > 0 are psd_report's lambda_min > psd_tol lambda_max, so a scaled map
+        # fails on the same condition (its margin is rounding), and a scaled irreducible map
+        # factors alike
+        kraus = (unit(2, 0, 0), unit(2, 0, 1), np.sqrt(0.5) * unit(2, 1, 1))
+        cases = [
+            (trace_corner_map(), r"\(lambda_min\(L\) = \S+ <= psd_tol\)$"),
+            (CpMap(kraus, AlgebraShape((1, 1))), r"\(lambda_min\(R\) = \S+ <= psd_tol\)$"),
+        ]
+        for tau, message in cases:
+            with pytest.raises(PreconditionError, match="^map is reducible " + message):
+                maximal_factorization(CpMap(tuple(np.sqrt(c) * a for a in tau.kraus), tau.shape))
+        tau = golden_ratio_map()
+        want = maximal_factorization(tau)
+        got = maximal_factorization(CpMap(tuple(np.sqrt(c) * a for a in tau.kraus), tau.shape))
+        assert got.radius == pytest.approx(c * want.radius, rel=1e-12)
+        assert rel_max(got.eigenvector, want.eigenvector) <= 1e-12
+        assert rel_max(got.state, want.state) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_one_generic_kraus_operator_at_m_24_is_reducible(self, seed):

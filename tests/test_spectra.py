@@ -41,9 +41,11 @@ from cpspectra import (
     spectral_radius_bounds,
     spectral_radius_of,
     singular_psd_combination,
+    spectral_structure,
     unvec,
     vec,
 )
+from cpspectra.mats import CLUSTER_TOL
 from cpspectra.cpmap import SuperOperator, superop_matrix
 from cpspectra.reference_maps import (
     double_trace_map,
@@ -190,6 +192,23 @@ class TestJsrBrute:
             est = jsr_brute(mats, n_max)
             assert est.upper == pytest.approx(upper, rel=1e-13)
             assert est.lower == pytest.approx(lower, rel=1e-13)
+
+    def test_a_huge_word_length_is_refused_at_once(self):
+        # the enumeration size is not summed past 2^64 (|budget| + 1): 2^(10^9) is refused at once
+        pair = [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])]
+        start = time.perf_counter()
+        message = r"^word enumeration size of at least 2\^1000000000 exceeds the budget 10$"
+        with pytest.raises(BudgetExceededError, match=message) as info:
+            jsr_brute(pair, 10**9, budget=10)
+        assert time.perf_counter() - start < 1.0 and len(str(info.value)) < 100
+        with pytest.raises(BudgetExceededError, match=r"at least 2\^10{400} exceeds"):
+            jsr_brute(pair, 10**400, budget=10)  # past the float range: compared as an int
+        with pytest.raises(BudgetExceededError, match=r"^word enumeration size 8190 exceeds the budget 10$"):
+            jsr_brute(pair, 12, budget=10)
+        one = jsr_brute(pair[:1], 5, budget=5)  # d = 1: n_max words
+        assert one.lower == pytest.approx(1.0) and one.parameter == 5
+        with pytest.raises(BudgetExceededError, match=r"^word enumeration size 6 exceeds the budget 5$"):
+            jsr_brute(pair[:1], 6, budget=5)
 
     def test_necklace_representatives(self):
         from cpspectra.spectra import _necklaces
@@ -476,6 +495,27 @@ class TestNeumannWitness:
         assert np.linalg.norm(tau(w) - s * (w - np.eye(3))) < 1e-10
 
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e6, 1e12])
+    def test_the_witness_of_a_scaled_map_is_the_same_matrix(self, c):
+        # (c phi, c s) has the witness of (phi, s): every gate compares with conv_tol * s
+        tau = golden_ratio_map()
+        s = 2.0 * spectral_radius_of(tau)
+        want = neumann_witness(tau, s)
+        scaled = CpMap(tuple(np.sqrt(c) * a for a in tau.kraus), tau.shape)
+        got = neumann_witness(scaled, c * s)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("s", [1e6, 1e10])
+    def test_rank_one_map_far_from_its_radius(self, s):
+        # X -> tr(X) v v* has r = 1 and the witness 1 + 2 v v* / (s - 1); the residual of
+        # s (w - 1) is rounding of size eps s, far above an absolute conv_tol
+        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        tau = CpMap(tuple(np.outer(e, v) for e in np.eye(2)), AlgebraShape.full(2))
+        w = neumann_witness(tau, s)
+        want = np.eye(2) + 2.0 / (s - 1.0) * np.outer(v, v)
+        assert np.abs(w - want).max() <= 1e-12
+
+
 class TestConjugateMap:
     def test_identity_scaling_is_noop(self):
         phi = algebra_map(golden_ratio_map())
@@ -669,6 +709,16 @@ class TestBalanceSimilarity:
             assert result.norm <= result.radius * (1 + 1e-6)
             assert op_norm(result.p @ b @ np.linalg.inv(result.p)) == pytest.approx(result.norm)
 
+    def test_peripheral_window_is_that_of_spectral_structure(self):
+        # a Jordan block at 1 - 5 CLUSTER_TOL is interior for spectral_structure (d_max = 1),
+        # so balancing scales it rather than refusing it
+        lam = 1.0 - 5.0 * CLUSTER_TOL
+        a = np.array([[1.0, 0.0, 0.0], [0.0, lam, 1.0], [0.0, 0.0, lam]])
+        assert spectral_structure(a).d_max == 1
+        res = balance_similarity(a)
+        assert res.radius == pytest.approx(1.0) and res.norm <= 1.0 + 1e-6
+        assert op_norm(res.p @ a @ np.linalg.inv(res.p)) <= 1.0 + 1e-6
+
     def test_coupling_below_rank_tol_is_no_jordan_block(self):
         a = np.diag([1.0, 1.0, 0.5, 0.2]).astype(complex)
         a[0, 1] = 1e-12
@@ -704,6 +754,51 @@ class TestSingularPsdCombination:
     def test_rejects_indefinite(self):
         with pytest.raises(PreconditionError):
             singular_psd_combination(np.diag([1.0, -1.0]), np.eye(2))
+
+
+class TestStrictlyPositiveInputsAtAnyScale:
+    """The strictly positive w and v of the evaluators are judged by psd_report at their own
+    scale, so c w reads as w and each value is unchanged (or scales with its inputs)."""
+
+    SCALES = [1e-12, 1e12]
+
+    @staticmethod
+    def golden():
+        tau = golden_ratio_map()
+        return tau, perron_vector(tau)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_friedland_value(self, c):
+        tau, ell = self.golden()
+        w = compress(random_strictly_positive(np.random.default_rng(41), 3), tau.shape)
+        for x in (ell, w):
+            want = friedland_value(tau, x)
+            assert friedland_value(tau, c * x) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_norm_achieving_check(self, c):
+        tau, ell = self.golden()
+        want = norm_achieving_check(tau, ell).norm
+        assert norm_achieving_check(tau, c * ell).norm == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_scaled_outer_radius_and_conjugate_map(self, c):
+        tau, ell = self.golden()
+        v = psd_sqrt(ell)
+        want = scaled_outer_radius(list(tau.kraus), v)
+        assert scaled_outer_radius(list(tau.kraus), c * v) == pytest.approx(want, rel=1e-12, abs=0)
+        mat = conjugate_map(tau, v).superop.matrix
+        got = conjugate_map(tau, c * v).superop.matrix
+        assert np.abs(got - mat).max() <= 1e-12 * np.abs(mat).max()
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_singular_psd_combination_scales_with_its_inputs(self, c):
+        rng = np.random.default_rng(42)
+        w1, w2 = random_strictly_positive(rng, 4), random_strictly_positive(rng, 4)
+        want = singular_psd_combination(w1, w2)
+        got = singular_psd_combination(c * w1, c * w2)
+        assert np.abs(got - c * want).max() <= 1e-12 * c * np.abs(want).max()
+        assert psd_report(got).is_psd and not psd_report(got).is_strictly_positive
 
 
 class TestSandwichProperty:
