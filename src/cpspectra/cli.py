@@ -26,12 +26,13 @@ from .algebra import AlgebraShape
 from .cpmap import (
     CpMap,
     choi_of,
+    choi_rank,
     coefficient_space,
     kraus_of_choi,
     membership,
 )
 from .errors import BudgetExceededError, ConvergenceError, FormatError, PreconditionError
-from .mats import CONV_TOL, PSD_TOL, RANK_TOL, Tolerance, matrix_from_json, matrix_to_json, numerical_rank
+from .mats import CONV_TOL, PSD_TOL, RANK_TOL, Tolerance, matrix_from_json, matrix_to_json
 from .perron import (
     algebra_basis,
     irreducible_cp,
@@ -185,7 +186,7 @@ def _balance(args, tol, inputs):
 
 def _choi(args, tol, inputs):
     c = choi_of(args.map)
-    values = {"choi": matrix_to_json(c), "rank": numerical_rank(c, tol.rank_tol)}
+    values = {"choi": matrix_to_json(c), "rank": choi_rank(args.map, tol.rank_tol)}  # from the Kraus stack
     return values, {"hermitian_gap": float(np.linalg.norm(c - c.conj().T))}
 
 

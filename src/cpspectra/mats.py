@@ -18,8 +18,8 @@ calls LAPACK through ``ctypes`` in the build numpy bundles and has loaded
 (:func:`_numpy_lapack`), so it imports no scipy; where numpy's build does not
 export those routines it calls them through ``scipy.linalg.lapack``.  On
 it sits the one Jordan-block decision: :func:`schur_clusters`, which clusters by
-distance and, near the spectral circle, by conditioning, and :func:`degeneracy`,
-the size of a cluster's largest Jordan block.
+distance and, near the spectral circle, by conditioning, :func:`degeneracy`, the size
+of a cluster's largest Jordan block, and :func:`peripheral`, the one peripheral window.
 """
 
 from __future__ import annotations
@@ -192,32 +192,33 @@ def psd_report(a, psd_tol: float = PSD_TOL) -> PsdReport:
     ``M`` for every ``c > 0``; the zero matrix is PSD and not strictly positive.
     """
     m = _square(a)
+    return _psd_verdicts(m, np.linalg.eigvalsh((m + m.conj().T) / 2.0), psd_tol)
+
+
+def _psd_verdicts(m: np.ndarray, eig: np.ndarray, psd_tol: float) -> PsdReport:
+    """The :func:`psd_report` of ``m`` from the ascending eigenvalues ``eig`` of its
+    symmetrized part, for a caller that holds them already (none for an empty ``m``)."""
     hermitian = frobenius_norm(m - m.conj().T) <= psd_tol * frobenius_norm(m)
-    eig = np.linalg.eigvalsh((m + m.conj().T) / 2.0) if m.shape[0] else np.zeros(1)
-    min_eig = float(eig[0])
-    floor = psd_tol * max(-min_eig, float(eig[-1]))  # psd_tol * rho
-    return PsdReport(
-        is_hermitian=hermitian,
-        is_psd=hermitian and min_eig >= -floor,
-        is_strictly_positive=hermitian and min_eig > floor,
-        min_eigenvalue=min_eig,
-    )
+    low, high = (float(eig[0]), float(eig[-1])) if eig.size else (0.0, 0.0)
+    floor = psd_tol * max(-low, high)  # psd_tol * rho
+    return PsdReport(hermitian, hermitian and low >= -floor, hermitian and low > floor, low)
 
 
 def psd_sqrt(a, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (by :func:`psd_report`, so at any scale).
+    """Hermitian square root of a PSD matrix, by :func:`psd_report`'s rule (so at any scale)
+    on the eigenvalues of the one ``eigh`` it takes.
 
     Eigenvalues at most ``n eps max |lambda|``, the rounding of ``eigh`` at side ``n``, are
     taken as 0: the root of such dust is noise of relative size ``sqrt(eps)``, which would
     differ between ``M`` and ``c M``.
     """
     m = _square(a)
-    rep = psd_report(m, psd_tol)
+    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+    rep = _psd_verdicts(m, w, psd_tol)
     if not rep.is_psd:
         raise PreconditionError(
             f"psd_sqrt requires a PSD input (min eigenvalue {rep.min_eigenvalue:.3e})"
         )
-    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
     dust = m.shape[0] * np.finfo(float).eps * float(np.abs(w).max(initial=0.0))
     w = np.where(w > dust, w, 0.0)
     return (u * np.sqrt(w)) @ u.conj().T
@@ -502,8 +503,8 @@ def _isolated(x: np.ndarray, delta: float) -> np.ndarray:
 
 def degeneracy(t: np.ndarray, cluster: Cluster, rank_tol: float = RANK_TOL) -> int:
     """Size of the largest Jordan block of a cluster of ``t``: the least ``j`` with ``rank(N^j)
-    == rank(N^(j+1))``, ``N = (t11 - value) / ||t||_2`` on the cluster's block moved to the
-    lead, where a power of norm at most ``rank_tol`` has rank 0; 1 for a simple cluster."""
+    == rank(N^(j+1))``, ``N = (t11 - value) / ||t||_2`` on the cluster's block moved to the lead,
+    by one SVD per power (rank 0 at norm at most ``rank_tol``); 1 for a simple cluster."""
     mult = int(cluster.members.sum())
     if mult == 1:  # the index never exceeds the multiplicity
         return 1
@@ -511,7 +512,8 @@ def degeneracy(t: np.ndarray, cluster: Cluster, rank_tol: float = RANK_TOL) -> i
     base = (t[:sdim, :sdim] - cluster.value * np.eye(sdim)) / (op_norm(t) or 1.0)
 
     def rank(x):
-        return numerical_rank(x, rank_tol) if op_norm(x) > rank_tol else 0
+        s = np.linalg.svd(x, compute_uv=False)
+        return int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > rank_tol else 0
 
     cur, prev_rank = base, rank(base)
     for k in range(1, mult):
@@ -521,6 +523,24 @@ def degeneracy(t: np.ndarray, cluster: Cluster, rank_tol: float = RANK_TOL) -> i
             return k
         prev_rank = cur_rank
     return mult
+
+
+class Peripheral(NamedTuple):
+    radius: float
+    clusters: list[Cluster]  # as schur_clusters gives them
+    degeneracy: dict[int, int]  # index into clusters -> degeneracy, of the peripheral ones only
+    at_radius: int | None  # the index of the peripheral cluster at the radius, if one is
+
+
+def peripheral(t: np.ndarray, rank_tol: float = RANK_TOL) -> Peripheral:
+    """The one peripheral decision of a Schur form ``t``: its :func:`schur_clusters`, the
+    peripheral ones, ``|value| >= r (1 - CLUSTER_TOL)``, each with its :func:`degeneracy` at
+    ``rank_tol``, and the first of them within ``CLUSTER_TOL r`` of ``r``."""
+    radius, clusters = schur_clusters(t)
+    floor = radius * (1.0 - CLUSTER_TOL)
+    found = {k: degeneracy(t, c, rank_tol) for k, c in enumerate(clusters) if abs(c.value) >= floor}
+    at = next((k for k in found if abs(clusters[k].value - radius) <= CLUSTER_TOL * radius), None)
+    return Peripheral(radius, clusters, found, at)
 
 
 def matrix_to_json(a) -> dict:

@@ -4,10 +4,10 @@ Every spectral stage runs on one Schur form of the map's matrix ``H`` in the
 orthonormal Hermitian basis of its block algebra, of side ``n1^2 + ... + nd^2``
 and real for every positive map, taken per group of blocks that reach each
 other so a reducible map's block-triangular zeros stay exact.  Its eigenvalue
-clusters and their degeneracy indices come from the Jordan-block kernel of
-:mod:`cpspectra.mats` (:func:`~cpspectra.mats.schur_clusters`,
-:func:`~cpspectra.mats.degeneracy`), and :func:`spectral_structure` reports
-them.  The maximal part comes from the same form along two routes that must agree:
+clusters, the peripheral ones and their degeneracy indices come from the one
+peripheral decision of :mod:`cpspectra.mats` (:func:`~cpspectra.mats.peripheral`),
+and :func:`spectral_structure` reports them.  The maximal part comes from the
+same form along two routes that must agree:
 
 * the projection ``(H - r)^(d-1) P_r``, with ``P_r`` from the Schur kernel of
   :mod:`cpspectra.mats` (reordering and triangular Sylvester solve);
@@ -20,7 +20,8 @@ them.  The maximal part comes from the same form along two routes that must agre
 
 The same machinery yields Perron eigenvectors, the rank-one factorization of
 the maximal part of an irreducible CP map, irreducibility tests through
-canonical extensions, and bases of the algebra generated by a tuple.
+canonical extensions, and bases of the algebra generated by a tuple.  ``L`` and
+``R`` pass one gate sequence (:func:`_perron`), and every gate is relative.
 """
 
 from __future__ import annotations
@@ -45,18 +46,16 @@ from .cpmap import (
 from .errors import ConvergenceError, PreconditionError
 from .mats import (
     CHECK_TOL,
-    CLUSTER_TOL,
     PSD_TOL,
     RANK_TOL,
-    PsdReport,
     as_matrices,
     degeneracy,
     frobenius_norm,
     op_norm,
+    peripheral,
     psd_report,
     reorder_schur,
     schur,
-    schur_clusters,
     schur_sylvester,
     side_of,
     unvec,
@@ -117,31 +116,28 @@ def spectral_structure(op, rank_tol: float = RANK_TOL) -> SpectralStructure:
     raw square array of another side), so a block map lists no zero cluster for its off-block
     entries.  The clusters are :func:`~cpspectra.mats.schur_clusters`, which merges the
     pieces that rounding splits a peripheral Jordan block into, and each index is
-    :func:`~cpspectra.mats.degeneracy` at ``rank_tol``.
+    :func:`~cpspectra.mats.degeneracy` at ``rank_tol``; the maximal spectrum is read off the
+    peripheral clusters of :func:`~cpspectra.mats.peripheral`.
     """
-    _, _, t, _, radius, clusters = _schur_form(*map_matrix(op))
-    out = tuple(
-        EigenCluster(c.value, int(c.members.sum()), degeneracy(t, c, rank_tol))
-        for c in clusters
-    )
-    delta = CLUSTER_TOL * radius
-    peripheral = [c for c in out if abs(c.value) >= radius - delta]
-    d_max = max((c.degeneracy for c in peripheral), default=0)
-    maximal = tuple(c.value for c in peripheral if c.degeneracy == d_max)
-    return SpectralStructure(clusters=out, radius=radius, d_max=d_max, maximal_spectrum=maximal)
+    _, _, t, _, spec = _schur_form(*map_matrix(op), rank_tol)
+    degs = [spec.degeneracy.get(k) or degeneracy(t, c, rank_tol) for k, c in enumerate(spec.clusters)]
+    out = tuple(EigenCluster(c.value, int(c.members.sum()), d) for c, d in zip(spec.clusters, degs))
+    d_max = max(spec.degeneracy.values(), default=0)
+    maximal = tuple(spec.clusters[k].value for k, d in spec.degeneracy.items() if d == d_max)
+    return SpectralStructure(clusters=out, radius=spec.radius, d_max=d_max, maximal_spectrum=maximal)
 
 
-def _schur_form(mat: np.ndarray, shape: AlgebraShape | None) -> tuple:
-    """``(idx, h, t, q, radius, clusters)``: the :func:`_coordinates` ``h`` of ``mat`` in the
-    algebra ``shape`` and their ``vec`` indices ``idx`` (``mat`` itself and None when ``shape``
-    is None), the :func:`_block_schur` form ``h = q t q*``, and its :func:`schur_clusters`."""
+def _schur_form(mat: np.ndarray, shape: AlgebraShape | None, rank_tol: float) -> tuple:
+    """``(idx, h, t, q, spec)``: the :func:`_coordinates` ``h`` of ``mat`` in the algebra ``shape``
+    and their ``vec`` indices ``idx`` (``mat`` itself and None when ``shape`` is None), the
+    :func:`_block_schur` form ``h = q t q*``, and its :func:`~cpspectra.mats.peripheral` spec."""
     if shape is None:
         h, idx, owner = mat, None, np.zeros(mat.shape[0], dtype=int)
     else:
         h, idx = _coordinates(mat, shape)
         owner = np.repeat(np.arange(shape.d), shape.blocks)[idx % shape.m]
     t, q = _block_schur(h, owner)
-    return (idx, h, t, q, *schur_clusters(t))
+    return idx, h, t, q, peripheral(t, rank_tol)
 
 
 def _spectral_projector(t: np.ndarray, q: np.ndarray, sdim: int) -> np.ndarray:
@@ -164,7 +160,7 @@ def _cesaro_limit(mat: np.ndarray, radius: float) -> np.ndarray:
     The mean of ``N`` terms is ``P + K / N`` up to geometric decay (``K`` the
     reduced resolvent), so the Richardson value ``2 avg(2N) - avg(N)`` cancels
     the slow term.  Stops when two consecutive values agree within
-    ``_CESARO_TOL`` relative to ``max(1, largest entry)``; ``N`` never exceeds
+    ``_CESARO_TOL`` relative to the largest entry; ``N`` never exceeds
     ``_CESARO_TERMS``; an overflow raises :class:`ConvergenceError`.
     """
     power = partial = avg = mat / radius  # partial: the sum of the first ``count`` powers
@@ -179,7 +175,7 @@ def _cesaro_limit(mat: np.ndarray, radius: float) -> np.ndarray:
             size = float(np.abs(cur).max())
             if not size < np.inf:  # inf or nan
                 raise ConvergenceError(f"Cesaro partial sums overflow at {count} terms")
-            if prev is not None and float(np.abs(cur - prev).max()) <= _CESARO_TOL * max(1.0, size):
+            if prev is not None and float(np.abs(cur - prev).max()) <= _CESARO_TOL * size:
                 return cur
             prev = cur
     raise ConvergenceError(f"Cesaro mean did not converge within {_CESARO_TERMS} terms")
@@ -219,14 +215,14 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
     ``_REAL_TOL = 1e-12`` relative to its largest entry, as for every CpMap
     and positive map, and on the map's own complex entries otherwise.
 
-    The clusters, their degeneracy indices (see :func:`spectral_structure`) and
-    ``P_r`` come from one Schur form of ``H``.
-    The projection ``(H - r)^(d-1) P_r`` and the second route (see the module
-    docstring) must agree within ``_ROUTE_TOL = 1e-6``, relative to the
-    result's largest entry once that exceeds 1, since an ill-conditioned
-    spectral projector inflates both routes alike.  The Cesaro mean (``d = 1``)
+    The clusters, the peripheral ones with their degeneracy indices and the one at ``r``
+    (:func:`~cpspectra.mats.peripheral`, see :func:`spectral_structure`) and ``P_r`` come
+    from one Schur form of ``H``.  The projection ``(H - r)^(d-1) P_r`` and the second route
+    (see the module docstring) must agree within ``_ROUTE_TOL = 1e-6`` relative to the
+    result's largest entry, which scales with the map like ``c^(d-1)`` and grows with an
+    ill-conditioned spectral projector, as both routes do.  The Cesaro mean (``d = 1``)
     stops when two consecutive values agree within ``_CESARO_TOL = 2.5e-7``
-    relative to ``max(1, largest entry)``, and raises :class:`ConvergenceError`
+    relative to their largest entry, and raises :class:`ConvergenceError`
     past ``_CESARO_TERMS = 2**26`` terms or on overflow; the contour route
     (``d > 1``) takes ``_CONTOUR_NODES = 64`` nodes on the circle about ``r``
     of half the distance to the nearest other cluster.
@@ -245,26 +241,17 @@ def maximal_part(phi, rank_tol: float = RANK_TOL) -> MaximalPart:
 def _maximal_part(phi, rank_tol: float) -> tuple[MaximalPart, np.ndarray]:
     """:func:`maximal_part` of ``phi`` and the map's m^2 x m^2 matrix."""
     mat, shape = map_matrix(phi)
-    idx, h, t, q, r, clusters = _schur_form(mat, shape or AlgebraShape.full(side_of(mat.shape[0])))
+    idx, h, t, q, spec = _schur_form(mat, shape or AlgebraShape.full(side_of(mat.shape[0])), rank_tol)
+    r = spec.radius
     if r <= 1e-300:
+        raise PreconditionError("maximal part is undefined when the spectral radius is zero")
+    if spec.at_radius is None:
+        raise PreconditionError("spectral radius is not an eigenvalue; the map cannot be positive")
+    target, d = spec.clusters[spec.at_radius], spec.degeneracy[spec.at_radius]
+    if max(spec.degeneracy.values()) > d:
         raise PreconditionError(
-            "maximal part is undefined when the spectral radius is zero"
-        )
-    delta = CLUSTER_TOL * r
-    target = next((c for c in clusters if abs(c.value - r) <= delta), None)
-    if target is None:
-        raise PreconditionError(
-            "spectral radius is not an eigenvalue; the map cannot be positive"
-        )
-    d = degeneracy(t, target, rank_tol)
-    if any(
-        degeneracy(t, c, rank_tol) > d
-        for c in clusters
-        if c is not target and abs(c.value) >= r - delta
-    ):
-        raise PreconditionError(
-            "a peripheral eigenvalue away from the spectral radius has a larger "
-            "Jordan block; the map cannot be positive"
+            "a peripheral eigenvalue away from the spectral radius has a larger Jordan block; "
+            "the map cannot be positive"
         )
 
     proj = _spectral_projector(*reorder_schur(t, q, target.members))
@@ -273,16 +260,16 @@ def _maximal_part(phi, rank_tol: float) -> tuple[MaximalPart, np.ndarray]:
     else:
         hat = np.linalg.matrix_power(h - r * np.eye(h.shape[0]), d - 1) @ proj
         # half the distance to the nearest other cluster; with none, any circle will do
-        rho = min((abs(c.value - r) for c in clusters if c is not target), default=r) / 2
+        rho = min((abs(c.value - r) for c in spec.clusters if c is not target), default=r) / 2
         route, other = "contour", _contour_limit(h, r, d, rho)
 
-    # relative beyond unit scale: ill-conditioned eigenbases inflate both
-    # routes' entries by the same factor
+    # relative at every scale: scaling the map scales both routes by c^(d-1), and
+    # ill-conditioned eigenbases inflate both routes' entries by the same factor
     size = float(np.abs(hat).max())
     gap = float(np.abs(hat - other).max())
-    if gap > _ROUTE_TOL * max(1.0, size):
+    if gap > _ROUTE_TOL * size:
         raise ConvergenceError(
-            f"projection and {route} routes disagree by {gap:.3e} (> {_ROUTE_TOL})"
+            f"projection and {route} routes disagree by {gap:.3e} (> {_ROUTE_TOL} * {size:.3e})"
         )
 
     # d = 1 needs a projector and d > 1 a nilpotent part, relative at every scale:
@@ -292,13 +279,8 @@ def _maximal_part(phi, rank_tol: float) -> tuple[MaximalPart, np.ndarray]:
     if not float(np.abs(sq - hat if idempotent else sq).max()) < 1e-8 * size:
         kind = "idempotent" if idempotent else "nilpotent"
         raise ConvergenceError(f"maximal part is not {kind} within tolerance at degeneracy index {d}")
-    return MaximalPart(
-        superop=SuperOperator(side_of(mat.shape[0]), _embed(hat, idx, mat, r)),
-        radius=r,
-        degeneracy=d,
-        idempotent=idempotent,
-        route_gap=gap,
-    ), mat
+    superop = SuperOperator(side_of(mat.shape[0]), _embed(hat, idx, mat, r))
+    return MaximalPart(superop, radius=r, degeneracy=d, idempotent=idempotent, route_gap=gap), mat
 
 
 def _coordinates(mat: np.ndarray, shape: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
@@ -413,28 +395,45 @@ def _block_schur(h: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def perron_vector(phi, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Positive eigenvector ``L = maximal_part(phi)(1)`` at the spectral radius."""
-    return _perron_of(*_maximal_part(phi, rank_tol), psd_tol)[0]
+    """Positive eigenvector ``L = maximal_part(phi)(1)`` at the spectral radius, refused by
+    :class:`ConvergenceError` unless non-zero, Hermitian, PSD and an eigenvector (:func:`_perron`)."""
+    return _perron(*_maximal_part(phi, rank_tol), psd_tol)[0]
 
 
-def _perron_of(mp: MaximalPart, mat: np.ndarray, psd_tol: float) -> tuple[np.ndarray, float, PsdReport]:
-    """``(L, ||mat L - r L||, psd_report(L))`` for ``L = mp(1)`` made Hermitian; raises unless ``L``
-    is non-zero, PSD and that residual at most ``CHECK_TOL * r * ||L||``, its rounding scale."""
-    m = mp.superop.m
-    ell = mp.superop(np.eye(m, dtype=complex))
-    ell = (ell + ell.conj().T) / 2.0
-    norm = float(np.linalg.norm(ell))
-    if norm <= psd_tol:
-        raise ConvergenceError("maximal part annihilates the identity")
-    rep = psd_report(ell, psd_tol)
+def _perron(mp: MaximalPart, mat: np.ndarray, psd_tol: float, ell: np.ndarray | None = None) -> tuple:
+    """One gate sequence for both Perron elements of the maximal part ``mp`` of the map of
+    matrix ``mat``: ``L = hat(1)``, or, given ``ell = L``, ``R = hat*(L) / ||L||^2`` made
+    ``trace(R L) = 1``.  Returns ``(X, residual, psd_report(X), trace)``, ``trace`` the raw
+    ``trace(R L)`` (1 for ``L``).  :class:`ConvergenceError` refuses, in this order, a raw
+    element of norm at most ``psd_tol ||hat|| ||x||`` for its input ``x``, which scales like
+    ``c^(d-1)`` with the map; a Hermitian gap above ``CHECK_TOL`` times that norm (not
+    silently fixed); and, made Hermitian, an ``X`` that is not PSD or whose residual
+    ``||T X - r X||`` (``T*`` for ``R``) exceeds ``CHECK_TOL r ||X||``, its rounding scale."""
+    hat, m, r = mp.superop.matrix, mp.superop.m, mp.radius
+    if ell is None:  # L = hat(1)
+        raw, op, scale = mp.superop(np.eye(m, dtype=complex)), mat, np.sqrt(m)
+        source, name, label, sym = "the identity", "computed Perron vector", "Perron eigenvector", "L"
+    else:  # R = hat*(L) / ||L||^2
+        vl = vec(ell)
+        sq = float(np.vdot(vl, vl).real)
+        raw, op, scale = unvec(hat.conj().T @ vl / sq, m), mat.conj().T, 1.0 / np.sqrt(sq)
+        source, name, label, sym = "L through its adjoint", "recovered state", "invariant state", "R"
+    norm = frobenius_norm(raw)
+    if norm <= psd_tol * frobenius_norm(hat) * scale:
+        raise ConvergenceError(f"maximal part annihilates {source}")
+    gap = frobenius_norm(raw - raw.conj().T)
+    if gap > CHECK_TOL * norm:
+        raise ConvergenceError(f"{name} is not Hermitian (gap {gap:.3e}); not silently fixed")
+    x = (raw + raw.conj().T) / 2.0
+    trace = 1.0 if ell is None else float(np.trace(x @ ell).real)
+    x = x / trace
+    rep = psd_report(x, psd_tol)
     if not rep.is_psd:
-        raise ConvergenceError("computed Perron vector is not PSD")
-    residual = float(np.linalg.norm(unvec(mat @ vec(ell), m) - mp.radius * ell))
-    if residual > CHECK_TOL * mp.radius * norm:
-        raise ConvergenceError(
-            f"Perron eigenvector residual {residual:.3e} exceeds {CHECK_TOL} * r * ||L||"
-        )
-    return ell, residual, rep
+        raise ConvergenceError(f"{name} is not PSD")
+    residual = float(np.linalg.norm(op @ vec(x) - r * vec(x)))
+    if residual > CHECK_TOL * r * float(np.linalg.norm(x)):
+        raise ConvergenceError(f"{label} residual {residual:.3e} exceeds {CHECK_TOL} * r * ||{sym}||")
+    return x, residual, rep, trace
 
 
 @dataclass(frozen=True)
@@ -460,48 +459,29 @@ def maximal_factorization(
     Gudder 2002), strictly positive by :func:`~cpspectra.mats.psd_report`, at every scale
     ``lambda_min > psd_tol lambda_max``; the first that fails raises
     :class:`PreconditionError` "map is reducible (...)" with its margin.
-    :class:`ConvergenceError` is a failed route check, Hermitian gap of ``R`` or residual
-    (``CHECK_TOL`` times ``r ||L||``, ``r ||R||``, or 1 for ``trace(R L)``).
+    :class:`ConvergenceError` is a failed route check, a failed gate of :func:`_perron`, which
+    ``L`` and ``R`` pass alike, or ``|trace(R L) - 1| > CHECK_TOL``.
     """
     mp, mat = _maximal_part(tau, rank_tol=rank_tol)  # mat: iota o tau o E, the extension's matrix
-    hat, r = mp.superop.matrix, mp.radius
     if mp.degeneracy != 1:
         raise PreconditionError(f"map is reducible (degeneracy index {mp.degeneracy} != 1)")
 
-    svals = np.linalg.svd(hat[:, tau.shape.vec_mask()], compute_uv=False)  # other columns are zero
+    svals = np.linalg.svd(mp.superop.matrix[:, tau.shape.vec_mask()], compute_uv=False)  # others are zero
     rank_gap = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
     if rank_gap > rank_tol:
         raise PreconditionError(f"map is reducible (sigma2/sigma1 = {rank_gap:.3e} > rank_tol)")
 
-    ell, resid_eig, rep = _perron_of(mp, mat, psd_tol)
+    ell, resid_eig, rep, _ = _perron(mp, mat, psd_tol)
     if not rep.is_strictly_positive:
         raise PreconditionError(f"map is reducible (lambda_min(L) = {rep.min_eigenvalue:.3e} <= psd_tol)")
-    vl = vec(ell)
-    raw_state = unvec(hat.conj().T @ vl / float(np.vdot(vl, vl).real), tau.m)
-    herm_gap = float(np.linalg.norm(raw_state - raw_state.conj().T))
-    if herm_gap > CHECK_TOL * max(1.0, float(np.linalg.norm(raw_state))):
-        raise ConvergenceError(
-            f"recovered state is not Hermitian (gap {herm_gap:.3e}); not silently fixed"
-        )
-    state = (raw_state + raw_state.conj().T) / 2.0
-    trace_raw = float(np.trace(state @ ell).real)
-    state = state / trace_raw
-    rep = psd_report(state, psd_tol)  # of R, made exactly Hermitian
+    state, resid_adj, rep, trace = _perron(mp, mat, psd_tol, ell)
     if not rep.is_strictly_positive:
         raise PreconditionError(f"map is reducible (lambda_min(R) = {rep.min_eigenvalue:.3e} <= psd_tol)")
 
-    resid_adj = float(np.linalg.norm(mat.conj().T @ vec(state) - r * vec(state)))
-    resid_trace = abs(trace_raw - 1.0)
-    residuals = {
-        "eigenvector": resid_eig,
-        "adjoint": resid_adj,
-        "state_trace": resid_trace,
-        "rank_gap": rank_gap,
-    }
-    # _perron_of checked resid_eig
-    if resid_adj > CHECK_TOL * r * float(np.linalg.norm(state)) or resid_trace > CHECK_TOL:
+    residuals = dict(eigenvector=resid_eig, adjoint=resid_adj, state_trace=abs(trace - 1.0), rank_gap=rank_gap)
+    if residuals["state_trace"] > CHECK_TOL:  # _perron checked the other two
         raise ConvergenceError(f"factorization residuals too large: {residuals}")
-    return Factorization(radius=r, eigenvector=ell, state=state, residuals=residuals)
+    return Factorization(radius=mp.radius, eigenvector=ell, state=state, residuals=residuals)
 
 
 @dataclass(frozen=True)

@@ -20,22 +20,20 @@ from .cpmap import AlgebraMap, CpMap, algebra_map, superop_matrix
 from .errors import BudgetExceededError, ConvergenceError, PreconditionError
 from .mats import (
     CHECK_TOL,
-    CLUSTER_TOL,
     CONV_TOL,
     PSD_TOL,
     RANK_TOL,
     as_matrices,
     as_matrix,
-    degeneracy,
     frobenius_norm,
     inverse,
     kron,
     op_norm,
+    peripheral,
     psd_report,
     psd_sqrt,
     reorder_schur,
     schur,
-    schur_clusters,
     schur_sylvester,
     spectral_radius,
     unvec,
@@ -553,13 +551,12 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
 
     Exists exactly when the normalized powers ``(a/r)^n`` stay bounded, that is when no
     peripheral eigenvalue carries a Jordan block.  On one complex Schur form of ``a/r``, the
-    :func:`~cpspectra.mats.schur_clusters` with ``|value| >= r_t (1 - CLUSTER_TOL)``, ``r_t``
-    the form's radius, are peripheral, the window of :func:`~cpspectra.perron.spectral_structure`
-    and ``maximal_part``; a :func:`~cpspectra.mats.degeneracy` above 1 raises
-    :class:`PreconditionError`.  They are moved to lead and diagonalized by their
-    eigenvectors; the interior block is decoupled by the Sylvester solve and scaled by
-    ``diag(eps^(k-1), ..., eps, 1)``, halving ``epsilon`` (default 1; finite and positive)
-    until the norm fits.  No Jordan form and no second Schur form is computed.
+    peripheral clusters and their degeneracy indices are :func:`~cpspectra.mats.peripheral`'s,
+    the window of :func:`~cpspectra.perron.spectral_structure` and ``maximal_part`` too; a
+    degeneracy above 1 raises :class:`PreconditionError`.  They are moved to lead and
+    diagonalized by their eigenvectors; the interior block is decoupled by the Sylvester
+    solve and scaled by ``diag(eps^(k-1), ..., eps, 1)``, halving ``epsilon`` (default 1;
+    finite and positive) until the norm fits.  No Jordan form and no second Schur form is computed.
     """
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         raise PreconditionError(f"epsilon must be finite and positive (got {epsilon})")
@@ -569,13 +566,11 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     if r <= 1e-300:
         raise PreconditionError("balance_similarity requires a positive spectral radius")
     t, q = schur(a / r)
-    radius, clusters = schur_clusters(t)
-    peripheral = [c for c in clusters if abs(c.value) >= radius * (1.0 - CLUSTER_TOL)]
-    if any(degeneracy(t, c) > 1 for c in peripheral):
-        raise PreconditionError(
-            "unbounded normalized powers (peripheral Jordan block detected)"
-        )
-    t, q, p_count = reorder_schur(t, q, np.logical_or.reduce([c.members for c in peripheral]))
+    spec = peripheral(t)
+    if max(spec.degeneracy.values()) > 1:
+        raise PreconditionError("unbounded normalized powers (peripheral Jordan block detected)")
+    members = np.logical_or.reduce([spec.clusters[k].members for k in spec.degeneracy])
+    t, q, p_count = reorder_schur(t, q, members)
 
     vmat = np.linalg.eig(t[:p_count, :p_count])[1]
     vmat = vmat / np.linalg.norm(vmat, axis=0, keepdims=True)

@@ -8,6 +8,7 @@ from cpspectra import (
     AlgebraShape,
     CpMap,
     algebra_map,
+    choi_rank,
     cli,
     compress,
     cpmap,
@@ -121,6 +122,27 @@ def test_choi_and_kraus(capsys, files):
     assert code == 0
     assert len(report["values"]["kraus"]) == 4
     assert report["residuals"]["reassembly"] < 1e-9
+
+
+@pytest.mark.parametrize("tol, rank", [("1e-9", 3), ("1e-4", 2)])
+def test_choi_rank_comes_from_the_kraus_stack(capsys, monkeypatch, tmp_path, tol, rank):
+    # a near-dependent Kraus triple: its rank is choi_rank's, cut on the 9 x 3 stack of the
+    # vec A_i, and no SVD of the 9 x 9 Choi matrix is taken
+    rng = np.random.default_rng(0)
+    a, b, c = (random_matrix(rng, 3) for _ in range(3))
+    tau = CpMap((a, b, a + b + 1e-3 * c), AlgebraShape.full(3))
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(tau.to_json()))
+    shapes, real = [], np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    code, report = run(capsys, ["--tol-rank", tol, "choi", "--map", str(path)])
+    assert code == 0 and report["values"]["rank"] == rank == choi_rank(tau, float(tol))
+    assert (9, 3) in shapes and (9, 9) not in shapes
 
 
 def test_kraus_tol_rank_drops_small_eigenpairs(capsys, files, tmp_path):

@@ -101,6 +101,35 @@ def test_detects_a_private_import():
     assert private_imports(source) == ["_kraus_step (line 1)", "_action (line 2)"]
 
 
+def cluster_tol_readers(source: str) -> list[str]:
+    """The lines of a module that import or read ``CLUSTER_TOL``."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Name) and node.id == "CLUSTER_TOL")
+            or (isinstance(node, ast.Attribute) and node.attr == "CLUSTER_TOL")
+            or (isinstance(node, ast.ImportFrom) and any(a.name == "CLUSTER_TOL" for a in node.names))
+        }
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "mats.py"], ids=lambda p: p.name)
+def test_one_module_knows_the_peripheral_window(path):
+    # the peripheral clusters are mats.peripheral's alone: no other module reads the window
+    assert cluster_tol_readers(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_cluster_tol_reader():
+    source = (
+        "from .mats import CLUSTER_TOL, RANK_TOL\n"
+        "import cpspectra.mats as mats\n"
+        "def window(r):\n"
+        "    return r * (1 - mats.CLUSTER_TOL), RANK_TOL\n"
+    )
+    assert cluster_tol_readers(source) == [1, 4]
+
+
 def unit_floors(source: str) -> list[str]:
     """``function: call`` for each ``max(1, x)``-style threshold of a module: a two-argument
     ``max`` or ``np.maximum`` with the constant 1 as an argument, which makes a gate
@@ -121,13 +150,10 @@ def unit_floors(source: str) -> list[str]:
     return found
 
 
-# The unit floors left: the gates that scale-free certification has not reached yet, and
-# one that is not a scale gate.  A gate made relative leaves this list.
+# The unit floor left is not a scale gate; every gate compares with its tolerance times the
+# scale of what it checks.  A new floor changes this list.
 UNIT_FLOORS = {
     "perron.py": [
-        "_cesaro_limit: max(1.0, size)",  # the Cesaro stop rule
-        "_maximal_part: max(1.0, size)",  # the route gap
-        "maximal_factorization: max(1.0, float(np.linalg.norm(raw_state)))",  # the Hermitian gap of R
         "resolvent_gamma: max(1.0, r)",  # the default b, not a gate
     ],
 }
@@ -157,12 +183,13 @@ def test_detects_a_unit_floor():
 
 def psd_tol_gates(source: str) -> list[str]:
     """``function: comparison`` for each comparison of a module that reads ``psd_tol``,
-    outside ``psd_report``, the one positivity rule."""
+    outside ``psd_report``, the one positivity rule, and ``_psd_verdicts``, the private function
+    that writes it once for ``psd_report`` and ``psd_sqrt``."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Compare) and where != "psd_report" and any(
+            if isinstance(child, ast.Compare) and where not in ("psd_report", "_psd_verdicts") and any(
                 isinstance(n, ast.Name) and n.id == "psd_tol" for n in ast.walk(child)
             ):
                 found.append(f"{where}: {ast.unparse(child)}")
@@ -186,8 +213,9 @@ PSD_TOL_GATES = {
         "kraus_of_choi: float(w.min(initial=0.0)) < -psd_tol * top",
     ],
     "perron.py": [
-        # L = hat(1) is at unit scale for d = 1, where hat is a projector; not a PSD verdict
-        "_perron_of: norm <= psd_tol",
+        # a zero gate on L or R, relative to the scale ||hat|| ||x|| of its input's image; not a
+        # PSD verdict
+        "_perron: norm <= psd_tol * frobenius_norm(hat) * scale",
         # psd_report's strict rule lambda_min > psd_tol lambda_max, on the probe eigenvalues
         "irreducible_cp: _probe_ratios(superop_matrix(ext), rng) > psd_tol",
     ],

@@ -10,7 +10,10 @@ from cpspectra import (
     kron,
     matrix_from_json,
     matrix_to_json,
+    golden_ratio_map,
+    norm_achieving_check,
     numerical_rank,
+    perron_vector,
     psd_report,
     psd_sqrt,
     spectral_radius,
@@ -214,6 +217,26 @@ class TestMatrixFunctions:
         want = np.sqrt(c) * psd_sqrt(m)
         assert np.abs(psd_sqrt(c * m) - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_norm_achieving_check_decomposes_w_twice(self, monkeypatch):
+        # psd_sqrt decides on the eigenvalues of the eigh that gives the root, so w is taken
+        # apart once by the strict-positivity check of w and once by psd_sqrt
+        tau = golden_ratio_map()
+        w = perron_vector(tau)
+        sym, calls = (w + w.conj().T) / 2.0, []
+
+        def counted(name, real):
+            def spy(x, *args, **kwargs):
+                if np.shape(x) == sym.shape and np.array_equal(x, sym):
+                    calls.append(name)
+                return real(x, *args, **kwargs)
+
+            return spy
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        norm_achieving_check(tau, w)
+        assert calls == ["eigvalsh", "eigh"]
+
     def test_psd_sqrt_rejects_indefinite(self):
         with pytest.raises(PreconditionError):
             psd_sqrt(np.diag([1.0, -1.0]))
@@ -234,20 +257,35 @@ class TestOneJordanDecision:
         calls = []
 
         def counted(module):
-            def degeneracy(*args):
+            def peripheral(*args):
                 calls.append(module.__name__)
-                return mats.degeneracy(*args)
+                return mats.peripheral(*args)
 
-            return degeneracy
+            return peripheral
 
         for module in (perron, spectra):
-            assert module.degeneracy is mats.degeneracy
-            monkeypatch.setattr(module, "degeneracy", counted(module))
+            assert module.peripheral is mats.peripheral
+            monkeypatch.setattr(module, "peripheral", counted(module))
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(PreconditionError, match="peripheral Jordan block"):
             spectra.balance_similarity(jordan)
         assert perron.maximal_part(np.kron(np.eye(2), jordan)).degeneracy == 2
         assert calls == ["cpspectra.spectra", "cpspectra.perron"]
+
+    def test_one_svd_per_power(self, monkeypatch):
+        # a Jordan block of size 3 at 1: ||t||_2, then the rank of N, N^2 and N^3, one SVD each
+        t = (np.diag([1.0, 1.0, 1.0, 0.5]) + np.diag([1.0, 1.0, 0.0], 1)).astype(complex)
+        _, clusters = mats.schur_clusters(t)
+        calls, real = [], np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(np.linalg._linalg, "svd", spy)  # the one np.linalg.norm calls
+        assert mats.degeneracy(t, clusters[0]) == 3
+        assert calls == [(4, 4), (3, 3), (3, 3), (3, 3)]
 
     def test_a_normal_cluster_does_not_merge(self):
         # distinct eigenvalues 1e-6 apart with orthogonal eigenvectors stay two clusters

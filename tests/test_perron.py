@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import time
@@ -13,6 +14,7 @@ from cpspectra import (
     CpMap,
     FormatError,
     PreconditionError,
+    SuperOperator,
     algebra_basis,
     algebra_map,
     canonical_extension,
@@ -935,7 +937,7 @@ class TestCesaroOverflow:
 
     def test_overflowing_powers_are_a_convergence_error(self, monkeypatch):
         # read as d = 1, the doubled powers of the Jordan block overflow
-        monkeypatch.setattr(perron, "degeneracy", lambda *args: 1)
+        monkeypatch.setattr(mats, "degeneracy", lambda *args: 1)
         for call in (maximal_part, perron_vector, maximal_factorization):
             with pytest.raises(ConvergenceError, match="Cesaro partial sums overflow"):
                 call(self.tau)
@@ -1379,3 +1381,143 @@ class TestScaleFreeGates:
                 want = membership(x, tau).member
                 assert membership(np.sqrt(c) * x, scaled).member == want
             assert membership(tau.kraus[0], tau).member
+
+    jordan = perron_dense_map(np.random.default_rng(0), "jordan", (1, 1))
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-12, 1e-16])
+    def test_the_perron_vector_of_a_scaled_jordan_map(self, c):
+        # at d = 2, L = hat(1) scales like c: its zero gate is at the maximal part's own scale
+        scaled = CpMap(tuple(np.sqrt(c) * a for a in self.jordan.kraus), self.jordan.shape)
+        assert rel_max(perron_vector(scaled), c * perron_vector(self.jordan)) <= 1e-12
+
+    def test_a_corrupted_route_is_refused_at_any_scale(self, monkeypatch):
+        # the route gap is relative to the result's largest entry, about 1e-12 here
+        real = perron._contour_limit
+        monkeypatch.setattr(perron, "_contour_limit", lambda *args: real(*args) * (1.0 + 1e-3))
+        scaled = CpMap(tuple(np.sqrt(1e-12) * a for a in self.jordan.kraus), self.jordan.shape)
+        with pytest.raises(ConvergenceError, match=r"^projection and contour routes disagree by "):
+            maximal_part(scaled)
+
+
+NUMBER = r"[-+0-9.e]+"
+
+
+class TestEveryPerronGateRaises:
+    """Each gate of the maximal part and of its Perron elements raises its own error.  An
+    input reaches the gates that one can; a private route is corrupted for the others."""
+
+    @staticmethod
+    def trace_map(a):
+        """The matrix of ``X -> tr(X) a``: for ``tr(a) = 1`` its maximal part is itself, with
+        ``hat(1) = m a``."""
+        a = np.asarray(a, dtype=complex)
+        return np.outer(vec(a), vec(np.eye(a.shape[0])))
+
+    def test_a_larger_jordan_block_away_from_the_radius(self):
+        # r = 1 is simple, while -1 carries a Jordan block of size 2
+        mat = np.diag([1.0, -1.0, -1.0, 0.5]) + np.diag([0.0, 1.0, 0.0], 1)
+        message = "a peripheral eigenvalue away from the spectral radius has a larger Jordan block; "
+        with pytest.raises(PreconditionError, match=f"^{message}the map cannot be positive$"):
+            maximal_part(mat)
+
+    def test_routes_that_disagree(self, monkeypatch):
+        real = perron._cesaro_limit
+        monkeypatch.setattr(perron, "_cesaro_limit", lambda *args: real(*args) * (1.0 + 1e-3))
+        match = rf"^projection and Cesaro routes disagree by {NUMBER} \(> 1e-06 \* {NUMBER}\)$"
+        with pytest.raises(ConvergenceError, match=match):
+            maximal_part(golden_ratio_map())
+
+    def test_a_projector_that_is_not_idempotent(self, monkeypatch):
+        # (1 + 1e-7) P is within the route gap of P, but ten times the idempotency bound
+        real = perron._spectral_projector
+        monkeypatch.setattr(perron, "_spectral_projector", lambda *args: real(*args) * (1.0 + 1e-7))
+        message = "maximal part is not idempotent within tolerance at degeneracy index 1"
+        with pytest.raises(ConvergenceError, match=f"^{message}$"):
+            maximal_part(golden_ratio_map())
+
+    def test_a_part_that_is_not_nilpotent(self, monkeypatch):
+        # at d = 2, a projector off by 1e-7 of its largest entry keeps hat within the route
+        # gap, but not hat^2 within the nilpotency bound
+        real = perron._spectral_projector
+
+        def corrupted(*args):
+            p = real(*args)
+            return p + 1e-7 * np.abs(p).max() * np.random.default_rng(0).normal(size=p.shape)
+
+        monkeypatch.setattr(perron, "_spectral_projector", corrupted)
+        tau = perron_dense_map(np.random.default_rng(0), "jordan", (1, 1))
+        message = "maximal part is not nilpotent within tolerance at degeneracy index 2"
+        with pytest.raises(ConvergenceError, match=f"^{message}$"):
+            maximal_part(tau)
+
+    def test_a_maximal_part_that_annihilates_the_identity(self):
+        # X -> tr(b X) a with tr(b a) = 1 and tr(b) = 0 is its own maximal part, and sends 1 to 0
+        mat = np.outer(vec(np.diag([1.0, 0.0])), vec(np.diag([1.0, -1.0])))
+        with pytest.raises(ConvergenceError, match="^maximal part annihilates the identity$"):
+            perron_vector(mat)
+
+    def test_a_perron_vector_that_is_not_hermitian(self):
+        # the symmetrised L would be PSD: a Hermitian gap is refused as that of R is
+        match = rf"^computed Perron vector is not Hermitian \(gap {NUMBER}\); not silently fixed$"
+        with pytest.raises(ConvergenceError, match=match):
+            perron_vector(self.trace_map([[0.5, 0.1], [0.0, 0.5]]))
+
+    def test_a_perron_vector_that_is_not_psd(self):
+        with pytest.raises(ConvergenceError, match="^computed Perron vector is not PSD$"):
+            perron_vector(self.trace_map(np.diag([2.0, -1.0])))
+
+    def test_an_eigenvector_residual(self, monkeypatch):
+        # P + e (1 - P) X P is an idempotent of rank one within the route gap of P, whose
+        # image of 1 is no eigenvector
+        real = perron._spectral_projector
+
+        def corrupted(*args):
+            p = real(*args)
+            e = (np.eye(p.shape[0]) - p) @ np.random.default_rng(0).normal(size=p.shape) @ p
+            return p + 1e-7 * np.abs(p).max() / np.abs(e).max() * e
+
+        monkeypatch.setattr(perron, "_spectral_projector", corrupted)
+        match = rf"^Perron eigenvector residual {NUMBER} exceeds 1e-08 \* r \* \|\|L\|\|$"
+        for func in (perron_vector, maximal_factorization):
+            with pytest.raises(ConvergenceError, match=match):
+                func(golden_ratio_map())
+
+    @staticmethod
+    def change_hat(monkeypatch, change):
+        """Let ``_maximal_part`` return ``change(hat, L)`` for its matrix ``hat``, ``L = hat(1)``."""
+        real = perron._maximal_part
+
+        def changed(*args, **kwargs):
+            mp, mat = real(*args, **kwargs)
+            hat, m = mp.superop.matrix, mp.superop.m
+            ell = unvec(hat @ vec(np.eye(m)), m)
+            return dataclasses.replace(mp, superop=SuperOperator(m, change(hat, ell))), mat
+
+        monkeypatch.setattr(perron, "_maximal_part", changed)
+
+    @staticmethod
+    def add_to_state(b):
+        """``hat + e vec(L) vec(b)*``, ``e`` 1e-6 of ``hat``'s largest entry: of rank one, with the
+        same ``L`` for a traceless ``b``, and ``R`` moved by ``e b``."""
+        return lambda hat, ell: hat + 1e-6 * np.abs(hat).max() * np.outer(vec(ell), vec(b).conj())
+
+    def test_a_state_that_is_not_hermitian(self, monkeypatch):
+        self.change_hat(monkeypatch, self.add_to_state(np.diag([1j, -1j, 0.0])))
+        match = rf"^recovered state is not Hermitian \(gap {NUMBER}\); not silently fixed$"
+        with pytest.raises(ConvergenceError, match=match):
+            maximal_factorization(golden_ratio_map())
+
+    def test_a_state_residual(self, monkeypatch):
+        # a Hermitian b with tr(b L) = 0 leaves trace(R L) = 1, but R + e b is no eigenvector
+        b = np.zeros((3, 3), dtype=complex)
+        b[0, 1] = b[1, 0] = 1.0
+        self.change_hat(monkeypatch, self.add_to_state(b))
+        match = rf"^invariant state residual {NUMBER} exceeds 1e-08 \* r \* \|\|R\|\|$"
+        with pytest.raises(ConvergenceError, match=match):
+            maximal_factorization(golden_ratio_map())
+
+    def test_a_state_trace_residual(self, monkeypatch):
+        # (1 + 1e-6) hat keeps every eigenvector, but trace(R L) = 1 + 1e-6 before normalising
+        self.change_hat(monkeypatch, lambda hat, ell: (1.0 + 1e-6) * hat)
+        with pytest.raises(ConvergenceError, match=r"^factorization residuals too large: \{'eigenvector'"):
+            maximal_factorization(golden_ratio_map())

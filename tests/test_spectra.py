@@ -484,6 +484,17 @@ class TestNeumannWitness:
         assert np.abs(w - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.linalg.norm(tau(w) - s * (w - np.eye(3))) < 1e-10
 
+    def test_transient_growth_stalls_the_iteration(self, returned):
+        # X -> a* X a for a Jordan block with coupling 10: at s = r / 0.9 the rate r/s lets the
+        # loop start, but ||(phi/s)^n(1)|| grows like n^2 c^2 0.9^n and is still 1e-11 s after
+        # 400 steps, so the stalled iterate hands over to the dense solve
+        tau = CpMap((np.array([[1.0, 10.0], [0.0, 1.0]], dtype=complex),), AlgebraShape.full(2))
+        s = spectral_radius_of(tau) / 0.9
+        w = neumann_witness(tau, s)
+        assert returned == [None]
+        dense = unvec(np.linalg.solve(np.eye(4) - superop_matrix(tau) / s, vec(np.eye(2))))
+        assert np.abs(w - dense).max() <= 1e-12 * np.abs(dense).max()
+
     def test_contracting_iteration_converges(self, returned):
         # at s = 2 r the fixed point halves its residual a step and meets its tolerance
         tau = golden_ratio_map()
@@ -598,6 +609,15 @@ class TestNormAchieving:
         monkeypatch.setattr(spectra, "conjugate_map", forbidden)
         result = norm_achieving_check(tau, ell)
         assert abs(result.norm - result.radius) <= 1e-8 * result.radius
+
+    def test_a_conjugated_norm_that_misses_the_radius(self, monkeypatch):
+        # phi(w) 1e-6 below r w passes phi(w) <= r w, but its conjugated norm misses r by 1e-6 r
+        real = spectra._image
+        monkeypatch.setattr(spectra, "_image", lambda *args: real(*args) * (1.0 - 1e-6))
+        tau = golden_ratio_map()
+        match = r"^conjugated norm [-+0-9.e]+ misses the spectral radius [-+0-9.e]+ by [-+0-9.e]+$"
+        with pytest.raises(ConvergenceError, match=match):
+            norm_achieving_check(tau, perron_vector(tau))
 
     def test_w_outside_the_algebra(self):
         tau = golden_ratio_map()
@@ -731,6 +751,11 @@ class TestSingularPsdCombination:
         w1 = np.diag([1.0, 0.0])
         out = singular_psd_combination(w1, np.eye(2))
         assert np.abs(out - w1).max() == 0
+
+    def test_singular_second_input_returned(self):
+        w2 = np.diag([0.0, 3.0])
+        out = singular_psd_combination(np.eye(2), w2)
+        assert out is not w2 and np.abs(out - w2).max() == 0
 
     def test_hand_example(self):
         out = singular_psd_combination(np.eye(2), np.diag([1.0, 2.0]))
