@@ -9,7 +9,9 @@ by fixed conventions (see :mod:`cpspectra.mats`):
   of ``X -> sum_i A_i* X A_i`` is its reshuffle ``S[p + r*m, i + j*m] = Choi[p*m + i, r*m + j]``;
 * the conjugated Choi matrix is ``V V*``, so coefficient spaces, Choi ranks and
   canonical extensions all come from one thin SVD of ``V``, cut where
-  ``sigma <= sqrt(rank_tol) * sigma_max`` (the Choi eigenvalues are the ``sigma^2``).
+  ``sigma <= sqrt(rank_tol) * sigma_max`` (the Choi eigenvalues are the ``sigma^2``),
+  and :func:`dominates` decides ``V V* - W W*`` for the stack ``W`` of a second map
+  on the span of ``[V, W]``, from one thin QR, at side ``k + l`` and not m^2.
 
 A map on ``M_{n1} + ... + M_{nd}`` is read as ``iota o tau o E``: ``E``
 compresses to the block diagonal and ``iota`` embeds back into M_m, so the
@@ -39,6 +41,7 @@ from .mats import (
     RANK_TOL,
     as_matrix,
     frobenius_norm,
+    gram_difference_is_psd,
     of_side,
     psd_report,
     side_of,
@@ -387,10 +390,20 @@ def coefficient_space(tau: CpMap, rank_tol: float = RANK_TOL) -> CoefficientSpac
 
 
 def dominates(tau: CpMap, eta: CpMap, psd_tol: float = PSD_TOL) -> bool:
-    """Whether ``tau - eta`` is CP: ``Choi(tau) - Choi(eta)`` is PSD by :func:`psd_report`."""
+    """Whether ``tau - eta`` is CP: ``Choi(tau) - Choi(eta)`` is PSD by :func:`psd_report`'s rule.
+
+    Decided on the conjugated Choi difference ``V V* - W W*``, which has the same eigenvalues,
+    over the Kraus stacks ``V`` of ``tau`` (k columns) and ``W`` of ``eta`` (l columns), by
+    :func:`~cpspectra.mats.gram_difference_is_psd`: one thin QR of the m^2 x (k + l) stack
+    ``[V, W]`` and one ``eigvalsh`` of side ``min(m^2, k + l)``, so ``O(m^2 (k + l)^2)`` and no
+    m^2 x m^2 Choi matrix.  That side holds every nonzero eigenvalue of the difference, which
+    is all a PSD verdict reads; only ``is_psd`` is decided there.  Eigenvalues within
+    ``10 m^2 eps`` times the larger of the two Choi norms are rounding and count as 0, so two
+    Kraus lists of one map dominate each other.
+    """
     if tau.m != eta.m:
         raise PreconditionError("maps act on different sides")
-    return psd_report(choi_of(tau) - choi_of(eta), psd_tol).is_psd
+    return gram_difference_is_psd(_vec_stack(tau.kraus), _vec_stack(eta.kraus), psd_tol)
 
 
 @dataclass(frozen=True)

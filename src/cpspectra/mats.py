@@ -204,6 +204,36 @@ def _psd_verdicts(m: np.ndarray, eig: np.ndarray, psd_tol: float) -> PsdReport:
     return PsdReport(hermitian, hermitian and low >= -floor, hermitian and low > floor, low)
 
 
+def gram_difference_is_psd(y1, y2, psd_tol: float = PSD_TOL) -> bool:
+    """Whether ``Y1 Y1* - Y2 Y2*`` is PSD by :func:`psd_report`'s rule, for an ``n x k`` and
+    an ``n x l`` factor, in ``O(n (k + l)^2)`` and without forming the side-``n`` matrix.
+
+    One thin QR ``[Y1, Y2] = Q R`` gives ``C_i = Q* Y_i``, and the matrix is
+    ``Q (C1 C1* - C2 C2*) Q*``: the core of side ``min(n, k + l)`` has its nonzero
+    eigenvalues, and the zeros it leaves out move neither ``rho`` nor the floor of any PSD
+    verdict.  So only PSD is decided here, never strict positivity.  The ``C_i`` are two
+    products, so equal factors cancel to an exact zero.  Core eigenvalues within
+    ``10 n eps max(||C1||_2^2, ||C2||_2^2)``, the rounding of the subtraction at side ``n``
+    with :func:`schur_clusters`'s room of 10, are taken as 0, as :func:`psd_sqrt` drops its
+    dust: two factors of one product, such as two Kraus lists of one map, differ by that
+    rounding alone.  Both factors are first scaled by the one power of two that brings their
+    largest modulus into ``[1/2, 1)``, which is exact and changes no verdict, so no product
+    overflows or underflows at any scale.
+    """
+    y1, y2 = as_matrix(y1), as_matrix(y2)
+    top = max(float(np.abs(y1).max(initial=0.0)), float(np.abs(y2).max(initial=0.0)))
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    y1, y2 = scale * y1, scale * y2
+    qh = np.linalg.qr(np.hstack([y1, y2]))[0].conj().T
+    c1, c2 = qh @ y1, qh @ y2
+    gram = c1 @ c1.conj().T - c2 @ c2.conj().T
+    core = (gram + gram.conj().T) / 2.0  # Hermitian by construction: the rest is rounding
+    eig = np.linalg.eigvalsh(core)
+    rho = max(np.linalg.norm(c1, 2), np.linalg.norm(c2, 2)) ** 2
+    dust = 10.0 * y1.shape[0] * np.finfo(float).eps * rho
+    return _psd_verdicts(core, np.where(np.abs(eig) > dust, eig, 0.0), psd_tol).is_psd
+
+
 def psd_sqrt(a, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Hermitian square root of a PSD matrix, by :func:`psd_report`'s rule (so at any scale)
     on the eigenvalues of the one ``eigh`` it takes.

@@ -556,7 +556,9 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     degeneracy above 1 raises :class:`PreconditionError`.  They are moved to lead and
     diagonalized by their eigenvectors; the interior block is decoupled by the Sylvester
     solve and scaled by ``diag(eps^(k-1), ..., eps, 1)``, halving ``epsilon`` (default 1;
-    finite and positive) until the norm fits.  No Jordan form and no second Schur form is computed.
+    finite and positive) until the norm fits, or raising :class:`ConvergenceError` once
+    ``eps^(k-1)`` or its inverse leaves the float range.  No Jordan form and no second Schur
+    form is computed.
     """
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         raise PreconditionError(f"epsilon must be finite and positive (got {epsilon})")
@@ -586,10 +588,12 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
 
     for _ in range(80):
         scale = eps ** np.arange(n - p_count - 1, -1, -1)
-        if not np.all(scale > 0.0):
-            raise ConvergenceError("interior scaling underflowed")
+        with np.errstate(divide="ignore", over="ignore"):  # reported below
+            unscale = 1.0 / scale
+        if not np.all(np.isfinite(unscale)):  # scale underflowed to 0, or 1 / scale overflows
+            raise ConvergenceError("interior scaling left the float range")
         c = np.diag(scale)
-        if op_norm(c @ t22 @ np.diag(1.0 / scale)) <= (1.0 + mu) / 2.0:
+        if op_norm(c @ t22 @ np.diag(unscale)) <= (1.0 + mu) / 2.0:
             f = np.eye(n, dtype=complex)
             f[p_count:, p_count:] = c
             p_full = f @ g_inv @ w_inv @ q.conj().T

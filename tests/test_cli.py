@@ -396,6 +396,16 @@ def test_irreducible_overflow_exits_2(capsys, tmp_path):
     assert "overflow" in report["error"]["message"]
 
 
+def test_balance_scaling_overflow_exits_2(capsys, tmp_path):
+    # the interior scaling of balance_similarity overflows on this matrix: exit 2, not 3
+    a = np.random.default_rng(2).normal(size=(16, 16))
+    (tmp_path / "a.json").write_text(json.dumps(matrix_to_json(a)))
+    code, report = run(capsys, ["balance", "--matrix", str(tmp_path / "a.json")])
+    assert code == 2
+    assert report["error"]["code"] == "precondition"
+    assert "float range" in report["error"]["message"]
+
+
 def test_jsr_brute_and_friedland_overflow_exit_2(capsys, tmp_path):
     # word products and phi(w) of 1e160-scaled operators overflow: exit 2, not malformed input (3)
     rng = np.random.default_rng(0)

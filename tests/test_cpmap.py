@@ -37,7 +37,16 @@ from cpspectra import (
     vec,
 )
 from cpspectra.reference_maps import double_trace_map, golden_ratio_map, path_adjacency_map, trace_corner_map
-from helpers import random_cpmap, random_matrix, random_psd, random_unitary, reference_superop
+from helpers import (
+    random_cpmap,
+    random_matrix,
+    random_psd,
+    random_unitary,
+    rect_kraus,
+    reference_superop,
+    ring_pairs,
+    triangular_pairs,
+)
 
 
 def unit(m, i, j):
@@ -282,6 +291,16 @@ def mixed(tau, rng):
     return CpMap(tuple(np.tensordot(u, np.array(tau.kraus), axes=1)), tau.shape)
 
 
+def scaled_map(tau, q):
+    """The map ``q tau``, through the Kraus list ``sqrt(q) A_i``."""
+    return CpMap(tuple(np.sqrt(q) * a for a in tau.kraus), tau.shape)
+
+
+def rect_map(rng, blocks, pairs):
+    """The benchmark's map on ``blocks``: one Gaussian rectangle per pair of ``pairs(d)``."""
+    return CpMap(tuple(rect_kraus(rng, blocks, pairs(len(blocks)))), AlgebraShape(blocks))
+
+
 class TestWrongSide:
     """Calling a map on a matrix of another side is a FormatError naming both sides."""
 
@@ -331,6 +350,29 @@ class TestKrausMixing:
             s_mix = superop_of(canonical_extension(mix)).matrix
             assert np.abs(s_mix - s_tau).max() <= 1e-12 * np.abs(s_tau).max()
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_mixed_lists_dominate_each_other(self, c):
+        # tau - mix is 0, so CP: the difference of the two Choi matrices is rounding alone
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            m, k = int(rng.integers(1, 13)), int(rng.integers(1, 6))
+            tau = full_map(*(np.sqrt(c) * random_matrix(rng, m) for _ in range(k)))
+            mix, other = mixed(tau, rng), mixed(tau, rng)
+            for a, b in ((tau, mix), (mix, tau), (mix, other), (other, mix)):
+                assert dominates(a, b), (m, k)
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_a_mix_scaled_by_one_plus_1e_10_is_dominated_one_way(self, c):
+        # tau - (1 + 1e-10) tau is -1e-10 tau, far beyond the rounding that is taken as 0
+        rng = np.random.default_rng(24)
+        for _ in range(40):
+            m, k = int(rng.integers(1, 13)), int(rng.integers(1, 6))
+            tau = full_map(*(np.sqrt(c) * random_matrix(rng, m) for _ in range(k)))
+            for small, mix in ((tau, mixed(tau, rng)), (mixed(tau, rng), tau)):
+                big = scaled_map(mix, 1.0 + 1e-10)
+                assert not dominates(small, big), (m, k)
+                assert dominates(big, small), (m, k)
+
 
 class TestKrausSpanRoute:
     def test_no_choi_matrix_and_no_eigh(self, monkeypatch):
@@ -371,6 +413,14 @@ class TestHugeKrausNorms:
         small, huge = self.scaled_pair(1.0), self.scaled_pair(1e160)
         assert len(canonical_extension(huge).kraus) == len(canonical_extension(small).kraus) == 2
         assert coefficient_space(huge).dimension == coefficient_space(small).dimension == 2
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e170])
+    def test_domination_keeps_its_unscaled_verdicts(self, scale):
+        # the Choi entries of these lists underflow to 0 or overflow to inf; the Kraus
+        # stacks are scaled by a power of two first, so tau - part is CP and part - tau is not
+        tau = self.scaled_pair(scale)
+        part = CpMap(tau.kraus[:1], tau.shape)
+        assert [dominates(tau, part), dominates(part, tau), dominates(tau, tau)] == [True, False, True]
 
     def test_superoperator_overflow_is_a_convergence_error(self):
         huge = self.scaled_pair(1e160)
@@ -494,6 +544,70 @@ class TestDomination:
             p_eta = coefficient_space(eta).projector()
             assert np.abs(p_tau @ p_eta - p_eta).max() < 1e-10
 
+    @staticmethod
+    def known_pairs(tau, rng):
+        """``(tau', eta, verdict)`` triples with known answers: a sub-sum ``part`` of tau's
+        Kraus list, twice that part, and ``alpha_a`` scaled by ``t / ||c||^2`` for a member
+        ``a = sum_i c_i A_i``, which tau dominates exactly when ``t <= 1`` (the ``A_i`` are
+        linearly independent)."""
+        part = CpMap(tau.kraus[: len(tau.kraus) // 2], tau.shape)
+        twice = scaled_map(part, 2.0)
+        coeff = rng.normal(size=len(tau.kraus)) + 1j * rng.normal(size=len(tau.kraus))
+        alpha = CpMap((np.tensordot(coeff, np.array(tau.kraus), axes=1),), tau.shape)
+        alpha = [scaled_map(alpha, t / np.vdot(coeff, coeff).real) for t in (0.9, 1.1)]
+        return [
+            (tau, part, True),
+            (part, tau, False),
+            (alpha[1], tau, False),
+            (tau, alpha[0], True),
+            (tau, alpha[1], False),
+            (tau, twice, False),
+            (twice, tau, False),
+        ]
+
+    @pytest.mark.parametrize(
+        "blocks, pairs",
+        [
+            ((2, 2), ring_pairs),
+            ((3, 3), triangular_pairs),
+            ((4, 4), ring_pairs),
+            ((4, 4, 4), triangular_pairs),
+            ((6, 6, 6), ring_pairs),
+            ((12, 12), triangular_pairs),
+        ],
+    )
+    def test_span_route_agrees_with_the_dense_choi_difference(self, blocks, pairs):
+        # the dense route, kept here only: psd_report of the m^2 x m^2 Choi difference
+        rng = np.random.default_rng(sum(blocks))
+        tau = rect_map(rng, blocks, pairs)
+        cases = self.known_pairs(tau, rng)
+        for a, b, want in cases[:3] if tau.m == 24 else cases:  # at most 3 dense calls at m = 24
+            assert dominates(a, b) == psd_report(choi_of(a) - choi_of(b)).is_psd == want
+
+    def test_no_choi_matrix_and_no_eigh_beyond_k_plus_l(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dominates built a Choi matrix")
+
+        sides = []
+
+        def spy(original):
+            def recorded(a, *args, **kwargs):
+                sides.append(np.shape(a)[-1])
+                return original(a, *args, **kwargs)
+
+            return recorded
+
+        rng = np.random.default_rng(12)
+        taus = [rect_map(rng, (12, 12), pairs) for pairs in (triangular_pairs, ring_pairs)]
+        monkeypatch.setattr(cpmap, "choi_of", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+        for tau in taus:
+            for a, b, want in self.known_pairs(tau, rng):
+                del sides[:]
+                assert dominates(a, b) == want
+                assert sides and max(sides) <= len(a.kraus) + len(b.kraus)
+
 
 class TestMembership:
     def test_first_kraus_operator(self):
@@ -525,6 +639,24 @@ class TestMembership:
                 for q in (1.0, 10.0, 1e3):
                     scaled = full_map(*(np.sqrt(q) * a for a in tau.kraus))
                     assert not dominates(scaled, full_map(probe))
+
+    @pytest.mark.parametrize("blocks", [(4, 4, 4, 4), (6, 6, 6, 6)])
+    def test_agrees_with_domination_at_workload_scale(self, blocks):
+        # acceptance criterion 8's law on the benchmark's ring maps: q tau dominates alpha_a
+        # from the certificate q on for a member, and for no q in (1, 10, 1e3) otherwise
+        rng = np.random.default_rng(len(blocks) * blocks[0])
+        tau = rect_map(rng, blocks, ring_pairs)
+        for _ in range(3):
+            coeff = rng.normal(size=len(tau.kraus)) + 1j * rng.normal(size=len(tau.kraus))
+            probe = np.tensordot(coeff, np.array(tau.kraus), axes=1)
+            result = membership(probe, tau)
+            assert result.member
+            for q in (result.q, 10.0 * result.q, 1e3 * result.q):
+                assert dominates(scaled_map(tau, q), CpMap((probe,), tau.shape))
+            outsider = random_matrix(rng, tau.m)
+            assert not membership(outsider, tau).member
+            for q in (1.0, 10.0, 1e3):
+                assert not dominates(scaled_map(tau, q), CpMap((outsider,), tau.shape))
 
     def test_rank_tol_decides_the_space(self):
         rng = np.random.default_rng(0)

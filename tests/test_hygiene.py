@@ -184,7 +184,7 @@ def test_detects_a_unit_floor():
 def psd_tol_gates(source: str) -> list[str]:
     """``function: comparison`` for each comparison of a module that reads ``psd_tol``,
     outside ``psd_report``, the one positivity rule, and ``_psd_verdicts``, the private function
-    that writes it once for ``psd_report`` and ``psd_sqrt``."""
+    that writes it once for ``psd_report``, ``psd_sqrt`` and ``gram_difference_is_psd``."""
     found = []
 
     def visit(node, where):
@@ -298,6 +298,51 @@ def test_detects_a_map_type_test():
         "    return isinstance(op, AlgebraMap)\n"
     )
     assert map_type_tests(source) == ["norm: CpMap", "norm: SuperOperator", "norm: AlgebraMap"]
+
+
+def choi_of_callers(source: str) -> list[str]:
+    """``function: call`` for each call of ``choi_of`` in a module, by name or as an attribute."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child.func, "id", getattr(child.func, "attr", None)) if isinstance(child, ast.Call) else None
+            if name == "choi_of":
+                found.append(f"{where}: {ast.unparse(child)}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# The m^2 x m^2 Choi matrix of a Kraus list is built for the superoperator and for the two
+# CLI commands that print or rebuild one; every verdict on a CpMap decides from its Kraus
+# stack (dominates from the span of two).  A new caller changes this table.
+CHOI_OF_CALLERS = {
+    "cli.py": [
+        "_choi: choi_of(args.map)",
+        "_kraus: choi_of(CpMap(tuple(ops), AlgebraShape.full(ops[0].shape[0])))",
+    ],
+    "cpmap.py": [
+        "superop_of: choi_of(tau)",
+    ],
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_choi_of_callers_are_listed(path):
+    assert choi_of_callers(path.read_text(encoding="utf-8")) == CHOI_OF_CALLERS.get(path.name, [])
+
+
+def test_detects_a_choi_of_caller():
+    source = (
+        "from .cpmap import choi_of, choi_of_superop\n"
+        "def dominates(tau, eta):\n"
+        "    return psd_report(choi_of(tau) - cpmap.choi_of(eta))\n"
+        "def is_cp(s):\n"
+        "    return choi_of_superop(s), choi_of\n"
+    )
+    assert choi_of_callers(source) == ["dominates: choi_of(tau)", "dominates: cpmap.choi_of(eta)"]
 
 
 def test_cli_import_leaves_scipy_out():

@@ -745,6 +745,14 @@ class TestBalanceSimilarity:
         for b in self.rotated(a, 7):
             assert balance_similarity(b).norm <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("side, seed", [(16, 2), (20, 0), (30, 0), (30, 1), (30, 2)])
+    def test_interior_scaling_overflow_is_a_convergence_error(self, side, seed):
+        # halving epsilon until the interior block fits drives 1 / scale past the float range;
+        # that is a failed iteration, not a malformed matrix (FormatError)
+        a = np.random.default_rng(seed).normal(size=(side, side))
+        with pytest.raises(ConvergenceError, match="interior scaling left the float range"):
+            balance_similarity(a)
+
 
 class TestSingularPsdCombination:
     def test_singular_input_returned(self):
