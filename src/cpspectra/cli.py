@@ -177,9 +177,7 @@ def _witness(args, tol, inputs):
 
 
 def _balance(args, tol, inputs):
-    if args.epsilon is not None:
-        inputs["epsilon"] = args.epsilon
-    result = balance_similarity(args.matrix, epsilon=args.epsilon)
+    result = balance_similarity(args.matrix)
     values = {"p": matrix_to_json(result.p), "norm": result.norm, "radius": result.radius}
     return values, {"norm_excess": result.norm - result.radius}
 
@@ -328,9 +326,7 @@ _COMMANDS = {
     "witness": (
         "resolvent witness of r(phi) < s", ("map",), (_arg("--s", type=float, required=True),), _witness
     ),
-    "balance": (
-        "similarity achieving norm = spectral radius", ("matrix",), (_arg("--epsilon", type=float),), _balance
-    ),
+    "balance": ("similarity achieving norm = spectral radius", ("matrix",), (), _balance),
     "choi": ("Choi matrix of a CP map", ("map",), (), _choi),
     "kraus": ("Kraus operators of a PSD Choi matrix", ("choi",), (), _kraus),
     "coeff-space": ("orthonormal basis of the coefficient space", ("map",), (), _coeff_space),

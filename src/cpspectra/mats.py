@@ -390,8 +390,11 @@ def _trsyl(t: np.ndarray, sdim: int) -> tuple[np.ndarray, float, int]:
 
 def schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Schur form ``mat = q t q*``: real quasi-triangular for a real ``mat``, whose
-    2 x 2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(|b c|)``; triangular for a complex one."""
+    2 x 2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(|b c|)``; triangular for a complex one.
+    Any other shape than n x n is a :class:`FormatError`: ``gees`` writes n x n in place."""
     a = np.asarray(mat, complex if np.iscomplexobj(mat) else float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise FormatError(f"expected a square matrix, got shape {a.shape}")
     if not a.size:
         return a.copy(), a.copy()
     t, q, info = _gees(a)

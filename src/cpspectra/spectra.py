@@ -4,7 +4,8 @@ Covers the plain spectral radius of a map, the outer spectral radius of a
 tuple (square root of the spectral radius of the associated CP map), brute
 force and tensor-power bounds for the joint spectral radius, scaled-norm and
 eigenvalue-quotient evaluators, resolvent witnesses and similarity balancing,
-which runs on the Schur and Jordan-block kernel of :mod:`cpspectra.mats`.
+which runs on the Schur and Jordan-block kernel of :mod:`cpspectra.mats` and
+scales the interior block by the root of one Stein equation.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .mats import (
     frobenius_norm,
     inverse,
     kron,
+    of_side,
     op_norm,
     peripheral,
     psd_report,
@@ -237,7 +239,7 @@ class JsrEstimate:
     parameter: int
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
+        if self.lower > self.upper * (1.0 + 1e-12):
             raise ConvergenceError(
                 f"inconsistent JSR bounds: lower {self.lower} > upper {self.upper}"
             )
@@ -414,7 +416,7 @@ def scaled_outer_radius(mats_list, v, psd_tol: float = PSD_TOL) -> float:
     scalings.  ``v`` must be strictly positive.
     """
     mats = as_matrices(mats_list)
-    v = as_matrix(v)
+    v = of_side(v, mats[0].shape[0])
     if not psd_report(v, psd_tol).is_strictly_positive:
         raise PreconditionError("scaling matrix v must be strictly positive")
     vi = inverse(v)
@@ -546,29 +548,29 @@ class BalanceResult:
     radius: float
 
 
-def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
+def balance_similarity(a) -> BalanceResult:
     """Invertible P with ``||P a P^-1|| <= r(a) * (1 + _BALANCE_SLACK)``, slack ``1e-6``.
 
     Exists exactly when the normalized powers ``(a/r)^n`` stay bounded, that is when no
-    peripheral eigenvalue carries a Jordan block.  On one complex Schur form of ``a/r``, the
-    peripheral clusters and their degeneracy indices are :func:`~cpspectra.mats.peripheral`'s,
+    peripheral eigenvalue carries a Jordan block.  On one complex Schur form of ``a``, ``r``,
+    the peripheral clusters and their degeneracy indices are :func:`~cpspectra.mats.peripheral`'s,
     the window of :func:`~cpspectra.perron.spectral_structure` and ``maximal_part`` too; a
     degeneracy above 1 raises :class:`PreconditionError`.  They are moved to lead and
-    diagonalized by their eigenvectors; the interior block is decoupled by the Sylvester
-    solve and scaled by ``diag(eps^(k-1), ..., eps, 1)``, halving ``epsilon`` (default 1;
-    finite and positive) until the norm fits, or raising :class:`ConvergenceError` once
-    ``eps^(k-1)`` or its inverse leaves the float range.  No Jordan form and no second Schur
-    form is computed.
+    diagonalized by their eigenvectors; the interior block ``t22`` is decoupled by the
+    Sylvester solve and scaled by ``C``, the Cholesky root of ``X = C* C`` solving the Stein
+    equation ``X - S* X S = 1`` for ``S = t22 / (r rho)``, ``rho = (1 + mu) / 2`` and ``mu``
+    the largest interior ``|lambda| / r``.  Then ``||C t22 C^-1||^2 <= r^2 rho^2 ||1 - X^-1||``.
+    Smith's doubling sums ``X = sum_k (S^k)* S^k`` as ``X <- X + A* X A``, ``A <- A^2`` until
+    ``||A||_F^2 <= eps``.  An overflow, a failed Cholesky factorisation or a norm above the
+    slack raises :class:`ConvergenceError`; a non-square ``a`` is a :class:`FormatError`.
     """
-    if epsilon is not None and not 0.0 < epsilon < math.inf:
-        raise PreconditionError(f"epsilon must be finite and positive (got {epsilon})")
     a = as_matrix(a)
     n = a.shape[0]
-    r = spectral_radius(a)
+    t, q = schur(a)
+    spec = peripheral(t)
+    r = spec.radius
     if r <= 1e-300:
         raise PreconditionError("balance_similarity requires a positive spectral radius")
-    t, q = schur(a / r)
-    spec = peripheral(t)
     if max(spec.degeneracy.values()) > 1:
         raise PreconditionError("unbounded normalized powers (peripheral Jordan block detected)")
     members = np.logical_or.reduce([spec.clusters[k].members for k in spec.degeneracy])
@@ -582,26 +584,26 @@ def balance_similarity(a, epsilon: float | None = None) -> BalanceResult:
     w_inv[:p_count, p_count:] = -schur_sylvester(t, p_count)
     g_inv = np.eye(n, dtype=complex)
     g_inv[:p_count, :p_count] = np.linalg.inv(vmat)
-    t22 = t[p_count:, p_count:]
-    mu = float(np.abs(np.diag(t22)).max(initial=0.0))
-    eps = epsilon if epsilon is not None else 1.0
-
-    for _ in range(80):
-        scale = eps ** np.arange(n - p_count - 1, -1, -1)
-        with np.errstate(divide="ignore", over="ignore"):  # reported below
-            unscale = 1.0 / scale
-        if not np.all(np.isfinite(unscale)):  # scale underflowed to 0, or 1 / scale overflows
-            raise ConvergenceError("interior scaling left the float range")
-        c = np.diag(scale)
-        if op_norm(c @ t22 @ np.diag(unscale)) <= (1.0 + mu) / 2.0:
-            f = np.eye(n, dtype=complex)
-            f[p_count:, p_count:] = c
-            p_full = f @ g_inv @ w_inv @ q.conj().T
-            norm = op_norm(p_full @ a @ np.linalg.inv(p_full))
-            if norm <= r * (1.0 + _BALANCE_SLACK):
-                return BalanceResult(p=p_full, norm=norm, radius=r)
-        eps /= 2.0
-    raise ConvergenceError("interior scaling failed to reach the target norm")
+    t22 = t[p_count:, p_count:] / r
+    s = t22 / ((1.0 + float(np.abs(np.diag(t22)).max(initial=0.0))) / 2.0)
+    x, f = np.eye(n - p_count, dtype=complex), np.eye(n, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        # a float mu / rho = 2 mu / (1 + mu) below 1 is at most 1 - 2^-53, and (1 - 2^-53)^(2^64)
+        # underflows: 64 doublings take S^(2^k) below eps unless it overflows; the norm check decides
+        for _ in range(64):
+            if np.linalg.norm(s) ** 2 <= np.finfo(float).eps:
+                break
+            x, s = x + s.conj().T @ x @ s, s @ s
+        try:
+            f[p_count:, p_count:] = np.linalg.cholesky(_finite(x, "the Stein doubling")).conj().T
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("the Stein solution is not positive definite") from exc
+        p_full = f @ g_inv @ w_inv @ q.conj().T
+        balanced = p_full @ a @ np.linalg.inv(p_full)
+    norm = op_norm(_finite(balanced, "the balanced matrix"))
+    if norm > r * (1.0 + _BALANCE_SLACK):
+        raise ConvergenceError(f"balanced norm {norm} exceeds the spectral radius {r} past the slack")
+    return BalanceResult(p=p_full, norm=norm, radius=r)
 
 
 def singular_psd_combination(w1, w2, psd_tol: float = PSD_TOL, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -611,7 +613,8 @@ def singular_psd_combination(w1, w2, psd_tol: float = PSD_TOL, rank_tol: float =
     the combination ``w1 - w2/d`` with ``d = r(w1^-1/2 w2 w1^-1/2)`` is
     singular and PSD.
     """
-    w1, w2 = as_matrix(w1), as_matrix(w2)
+    w1 = as_matrix(w1)
+    w2 = of_side(w2, w1.shape[0])
     rep1, rep2 = psd_report(w1, psd_tol), psd_report(w2, psd_tol)
     if not rep1.is_psd or not rep2.is_psd:
         raise PreconditionError("inputs must both be PSD")

@@ -20,7 +20,7 @@ from cpspectra import (
 )
 from cpspectra.cli import main
 from cpspectra.reference_maps import golden_ratio_map, trace_corner_map
-from helpers import random_matrix, random_strictly_positive
+from helpers import random_matrix, random_strictly_positive, random_unitary
 
 GOLD = (1 + np.sqrt(5)) / 2
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -336,11 +336,8 @@ def test_exit_code_precondition(capsys, files):
     [
         (["witness", "--map", str(DATA / "trace_corner_map.json"), "--s", "nan"], "requires s > r"),
         (["witness", "--map", str(DATA / "trace_corner_map.json"), "--s", "inf"], "requires a finite s"),
-        (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=-1"], "epsilon"),
-        (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=0"], "epsilon"),
-        (["balance", "--matrix", str(DATA / "interior_jordan.json"), "--epsilon=nan"], "epsilon"),
     ],
-    ids=["witness-s-nan", "witness-s-inf", "balance-epsilon-negative", "balance-epsilon-zero", "balance-epsilon-nan"],
+    ids=["witness-s-nan", "witness-s-inf"],
 )
 def test_bad_command_value_is_a_precondition_error(capsys, argv, message):
     code, report = run(capsys, argv)
@@ -396,14 +393,38 @@ def test_irreducible_overflow_exits_2(capsys, tmp_path):
     assert "overflow" in report["error"]["message"]
 
 
-def test_balance_scaling_overflow_exits_2(capsys, tmp_path):
-    # the interior scaling of balance_similarity overflows on this matrix: exit 2, not 3
+def test_balance_of_a_gaussian_matrix_exits_0(capsys, tmp_path):
+    # a plain Gaussian matrix: its eigenvalues are distinct, so it balances
     a = np.random.default_rng(2).normal(size=(16, 16))
     (tmp_path / "a.json").write_text(json.dumps(matrix_to_json(a)))
     code, report = run(capsys, ["balance", "--matrix", str(tmp_path / "a.json")])
-    assert code == 2
-    assert report["error"]["code"] == "precondition"
-    assert "float range" in report["error"]["message"]
+    assert code == 0
+    assert report["values"]["norm"] <= report["values"]["radius"] * (1 + 1e-6)
+
+
+def test_balance_of_a_long_interior_jordan_block_exits_0_or_2(capsys, tmp_path):
+    # this input balances in exact arithmetic; that the balanced norm misses the slack today is
+    # a known numerical limitation.  Required: a certified balance (0) or a failed solve (2),
+    # never malformed input (3)
+    j = np.diag([1.0] + [0.9] * 15)
+    j[range(1, 15), range(2, 16)] = 1.0
+    u = random_unitary(np.random.default_rng(0), 16)
+    (tmp_path / "a.json").write_text(json.dumps(matrix_to_json(u @ j @ u.conj().T)))
+    code, report = run(capsys, ["balance", "--matrix", str(tmp_path / "a.json")])
+    if code == 0:
+        assert report["values"]["norm"] <= report["values"]["radius"] * (1 + 1e-6)
+    else:
+        assert code == 2 and report["error"]["code"] == "precondition", report
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_balance_of_a_non_square_matrix_exits_3(capsys, tmp_path, shape):
+    (tmp_path / "a.json").write_text(json.dumps(matrix_to_json(np.ones(shape))))
+    code, report = run(capsys, ["balance", "--matrix", str(tmp_path / "a.json")])
+    assert code == 3 and report["error"] == {
+        "code": "format",
+        "message": f"expected a square matrix, got shape {shape}",
+    }
 
 
 def test_jsr_brute_and_friedland_overflow_exit_2(capsys, tmp_path):
@@ -507,13 +528,6 @@ def test_digest_covers_the_shape_flag(capsys, tmp_path):
     digests = {shape: report["inputs_digest"] for shape, report in reports.items()}
     assert len({digests[None], digests["3"], digests["2,1"]}) == 3
     assert digests["2,1"] == digests[" 2, 1"]  # the parsed blocks, not the flag's text
-
-
-def test_digest_covers_the_epsilon_flag(capsys):
-    argv = ["balance", "--matrix", str(DATA / "interior_jordan.json")]
-    reports = [run(capsys, argv + extra)[1] for extra in ([], ["--epsilon", "1"], ["--epsilon", "0.001"])]
-    assert reports[1]["values"]["p"] != reports[2]["values"]["p"]
-    assert len({report["inputs_digest"] for report in reports}) == 3
 
 
 @pytest.mark.parametrize(

@@ -406,7 +406,7 @@ ENTRY_POINTS = {
     "preserves_algebra": ["tau"],
     "jsr_tensor_approx": ["mats_list", "k"],
     "norm_achieving_check": ["phi", "w", "psd_tol"],
-    "balance_similarity": ["a", "epsilon"],
+    "balance_similarity": ["a"],
 }
 
 

@@ -373,6 +373,17 @@ class TestSchurKernel:
             for got, want, name in schur_kernel_outputs(a, rng):
                 assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype, (a.shape, name)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (0, 3), (3,), (2, 2, 2)])
+    def test_non_square_is_a_format_error_before_lapack(self, monkeypatch, shape):
+        # gees writes an n x n form in place: a rows x cols buffer must never reach it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gees reached with a non-square matrix")
+
+        monkeypatch.setattr(mats, "_gees", forbidden)
+        for a in (np.ones(shape), np.ones(shape, complex)):
+            with pytest.raises(FormatError, match="expected a square matrix"):
+                mats.schur(a)
+
 
 class TestMatrixJson:
     def test_round_trip(self):

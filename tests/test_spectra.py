@@ -210,6 +210,16 @@ class TestJsrBrute:
         with pytest.raises(BudgetExceededError, match=r"^word enumeration size 6 exceeds the budget 5$"):
             jsr_brute(pair[:1], 6, budget=5)
 
+    @pytest.mark.parametrize("c", [1e8, 1e30, 1e50])
+    def test_bound_consistency_is_judged_at_the_bounds_scale(self, c):
+        # for a normal matrix lower = r and upper = ||a|| agree up to rounding, which at scale c
+        # exceeds any absolute margin
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            u = random_unitary(rng, 4)
+            est = jsr_brute([c * u @ np.diag([1.0, 0.5, 0.3, 0.2]) @ u.conj().T], 6)
+            assert est.lower == pytest.approx(c, rel=1e-12) and est.upper == pytest.approx(c, rel=1e-12)
+
     def test_necklace_representatives(self):
         from cpspectra.spectra import _necklaces
 
@@ -393,6 +403,10 @@ class TestScaledOuterRadius:
     def test_rejects_indefinite_scaling(self):
         with pytest.raises(PreconditionError):
             scaled_outer_radius([np.eye(2)], np.diag([1.0, -1.0]))
+
+    def test_wrong_side_scaling_is_a_format_error(self):
+        with pytest.raises(FormatError, match="does not match"):
+            scaled_outer_radius([np.eye(2)], np.eye(3))
 
 
 class TestFriedland:
@@ -670,6 +684,7 @@ class TestBalanceSimilarity:
         # every Schur factorisation of the package runs LAPACK gees through mats._gees
         monkeypatch.setattr(mats, "_gees", counted)
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
         rng = np.random.default_rng(16)
         inputs = [np.array([[1.0, 0, 0], [0, 0.5, 100.0], [0, 0, 0.5]])]
         inputs += [random_normal_matrix(rng, side, radius=1.7) for side in (3, 12)]
@@ -677,9 +692,9 @@ class TestBalanceSimilarity:
         for a in inputs:
             calls.clear()
             balance_similarity(a)
-            # one unsorted form of a / r: the kernel's gees takes the matrix and nothing else
+            # one unsorted form of a itself: the radius is read off it, not off eigvals
             (args, kwargs), = calls
-            assert not kwargs and len(args) == 1 and np.array_equal(args[0], a / spectral_radius(a))
+            assert not kwargs and len(args) == 1 and np.array_equal(args[0], a)
 
     def test_peripheral_jordan_rejected(self):
         with pytest.raises(PreconditionError):
@@ -694,11 +709,14 @@ class TestBalanceSimilarity:
         with pytest.raises(PreconditionError):
             balance_similarity(np.array([[0.0, 1.0], [0, 0.0]]))
 
-    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_rejects_bad_epsilon(self, epsilon):
-        a = np.array([[1.0, 0, 0], [0, 0.5, 100.0], [0, 0, 0.5]])
-        with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
-            balance_similarity(a, epsilon=epsilon)
+    def test_rejects_the_empty_matrix(self):
+        with pytest.raises(PreconditionError, match="positive spectral radius"):
+            balance_similarity(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(FormatError, match="expected a square matrix"):
+            balance_similarity(np.ones(shape))
 
     @staticmethod
     def rotated(a, seed):
@@ -746,12 +764,46 @@ class TestBalanceSimilarity:
             assert balance_similarity(b).norm <= 1.0 + 1e-6
 
     @pytest.mark.parametrize("side, seed", [(16, 2), (20, 0), (30, 0), (30, 1), (30, 2)])
-    def test_interior_scaling_overflow_is_a_convergence_error(self, side, seed):
-        # halving epsilon until the interior block fits drives 1 / scale past the float range;
-        # that is a failed iteration, not a malformed matrix (FormatError)
+    def test_gaussian_matrices_are_balanced(self, side, seed):
+        # distinct eigenvalues, so a balancing similarity exists
         a = np.random.default_rng(seed).normal(size=(side, side))
-        with pytest.raises(ConvergenceError, match="interior scaling left the float range"):
-            balance_similarity(a)
+        result = balance_similarity(a)
+        r = float(np.abs(np.linalg.eigvals(a)).max())
+        assert result.radius == pytest.approx(r, rel=1e-9)
+        assert op_norm(result.p @ a @ np.linalg.inv(result.p)) <= r * (1 + 1e-6)
+        assert np.linalg.cond(result.p) < 1e4
+
+    def test_long_interior_jordan_block_is_balanced_or_a_convergence_error(self):
+        # a size-15 Jordan block at 0.9 under a simple radius of 1 does balance in exact
+        # arithmetic.  Today its Stein root is too ill conditioned for the balanced norm to meet
+        # the slack, a known numerical limitation and not required behaviour; what is required
+        # is a certified balance or a failed solve (exit 2), never a malformed matrix (exit 3)
+        j = np.diag([1.0] + [0.9] * 15)
+        j[range(1, 15), range(2, 16)] = 1.0
+        u = random_unitary(np.random.default_rng(0), 16)
+        a = u @ j @ u.conj().T
+        try:
+            result = balance_similarity(a)
+        except ConvergenceError:
+            return
+        assert op_norm(result.p @ a @ np.linalg.inv(result.p)) <= 1 + 1e-6
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-8, 1e8, 1e150])
+    def test_scaling_and_rotation_laws(self, c):
+        # r(c a) = r(c v a v*) = c r(a), and both keep the ratio of the balanced norm to r
+        rng = np.random.default_rng(17)
+        for side in (3, 8):
+            t = np.diag(rng.uniform(0.2, 1.0, side) * np.exp(2j * np.pi * rng.uniform(size=side)))
+            t[0, 0] = 1.3
+            t += np.triu(random_matrix(rng, side), 1)  # not normal, same spectrum
+            u = random_unitary(rng, side)
+            a = u @ t @ u.conj().T
+            base = balance_similarity(a)
+            v = random_unitary(rng, side)
+            for b in (c * a, c * (v @ a @ v.conj().T)):
+                result = balance_similarity(b)
+                assert result.radius == pytest.approx(c * base.radius, rel=1e-12)
+                assert result.norm / result.radius == pytest.approx(base.norm / base.radius, abs=1e-12)
 
 
 class TestSingularPsdCombination:
@@ -787,6 +839,10 @@ class TestSingularPsdCombination:
     def test_rejects_indefinite(self):
         with pytest.raises(PreconditionError):
             singular_psd_combination(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_wrong_side_is_a_format_error(self):
+        with pytest.raises(FormatError, match="does not match"):
+            singular_psd_combination(np.eye(2), np.eye(3))
 
 
 class TestStrictlyPositiveInputsAtAnyScale:
