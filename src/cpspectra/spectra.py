@@ -249,9 +249,9 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     """Brute-force joint spectral radius bounds from words up to length n_max.
 
     upper = min over n of max over length-n words of ``||product||^(1/n)``;
-    lower = max over enumerated words of ``r(product)^(1/|word|)``, where the
-    eigenvalues are taken for one word per necklace, since cyclic rotations
-    of a word share its spectrum.  The enumeration size
+    lower = max over enumerated words of ``r(product)^(1/|word|)``, with eigenvalues for
+    one Lyndon word per primitive necklace: rotations of a word share its spectrum, and
+    ``W = U^j``, ``|U| = n0``, has ``r(W)^(1/(j n0)) = r(U)^(1/n0)``.  The enumeration size
     ``d + d^2 + ... + d^n_max`` must fit the budget; it is summed only when its leading
     power ``d^n_max`` is at most ``2^64 (|budget| + 1)``, so a huge ``n_max`` is refused at
     once, naming that power.
@@ -276,12 +276,10 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     for n in range(1, n_max + 1):
         if n > 1:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                level = np.einsum("kij,ajl->kail", level, gens).reshape(
-                    -1, gens.shape[1], gens.shape[2]
-                )
+                level = np.matmul(level[:, None], gens[None]).reshape(-1, *gens.shape[1:])
         try:
             svals = np.linalg.svd(level, compute_uv=False)
-            radii_max = float(np.abs(np.linalg.eigvals(level[_necklaces(d, n)])).max())
+            radii_max = float(np.abs(np.linalg.eigvals(level[_lyndon_words(d, n)])).max(initial=0.0))
         except np.linalg.LinAlgError as exc:
             _finite(level, f"the products of {n} letters")
             raise ConvergenceError(f"words of length {n}: {exc}") from exc
@@ -291,15 +289,15 @@ def jsr_brute(mats_list, n_max: int, budget: int = 10**6) -> JsrEstimate:
     return JsrEstimate(lower, upper, "brute", n_max)
 
 
-def _necklaces(d: int, n: int) -> np.ndarray:
-    """Indices of the length-n words over d letters that are least among their
-    cyclic rotations; a word's index has its first letter most significant."""
+def _lyndon_words(d: int, n: int) -> np.ndarray:
+    """Indices of the length-n words over d letters that are strictly less than each
+    nontrivial cyclic rotation; a word's index has its first letter most significant."""
     words = np.arange(d**n)
-    least, rotated = words, words
+    least, rotated = d**n, words
     for _ in range(n - 1):
         rotated = (rotated % d ** (n - 1)) * d + rotated // d ** (n - 1)
         least = np.minimum(least, rotated)
-    return words[words == least]
+    return words[words < least]
 
 
 def _symmetric_lifts(m: int, k: int) -> list[np.ndarray]:

@@ -174,9 +174,10 @@ class TestJsrBrute:
 
     def test_matches_the_every_word_loop(self):
         # reference: each word's product, norm and spectral radius one by one,
-        # with no necklace reduction (rotations give the same radius up to rounding)
+        # with no Lyndon reduction (rotations and powers give the same root up to
+        # rounding); d = 1 has no Lyndon word past length 1
         rng = np.random.default_rng(15)
-        for m, d, n_max in ((2, 2, 8), (3, 3, 5), (5, 2, 6)):
+        for m, d, n_max in ((2, 2, 8), (3, 3, 5), (5, 2, 6), (3, 1, 6), (12, 2, 6)):
             mats = [random_matrix(rng, m) for _ in range(d)]
             lower, upper = 0.0, np.inf
             for n in range(1, n_max + 1):
@@ -220,13 +221,43 @@ class TestJsrBrute:
             est = jsr_brute([c * u @ np.diag([1.0, 0.5, 0.3, 0.2]) @ u.conj().T], 6)
             assert est.lower == pytest.approx(c, rel=1e-12) and est.upper == pytest.approx(c, rel=1e-12)
 
-    def test_necklace_representatives(self):
-        from cpspectra.spectra import _necklaces
+    def test_lyndon_representatives(self):
+        from cpspectra.spectra import _lyndon_words
 
-        for d, n in ((2, 1), (2, 6), (3, 4), (4, 3)):
+        for d, n in ((1, 1), (1, 3), (2, 1), (2, 6), (3, 4), (4, 3)):
             words = list(itertools.product(range(d), repeat=n))
-            least = [i for i, w in enumerate(words) if all(w <= w[r:] + w[:r] for r in range(n))]
-            assert _necklaces(d, n).tolist() == least
+            lyndon = [i for i, w in enumerate(words) if all(w < w[r:] + w[:r] for r in range(1, n))]
+            assert _lyndon_words(d, n).tolist() == lyndon
+
+        def mobius(k):
+            primes = [p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))]
+            return 0 if any(k % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+        # Moreau's necklace-polynomial count (1/n) sum_{k | n} mu(k) d^(n/k)
+        for d in (1, 2, 3):
+            counts = [len(_lyndon_words(d, n)) for n in range(1, 9)]
+            moreau = [
+                sum(mobius(k) * d ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
+                for n in range(1, 9)
+            ]
+            assert counts == moreau
+        assert [len(_lyndon_words(2, n)) for n in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
+
+    def test_eigenvalues_only_on_lyndon_words(self, monkeypatch):
+        # 71 Lyndon words of length 1..8 over two letters reach eigvals, of the 510 words
+        rng = np.random.default_rng(19)
+        a, b = random_matrix(rng, 4), random_matrix(rng, 4)
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def spy(x):
+            seen.append(x.shape[0])
+            return eigvals(x)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        est = jsr_brute([a, b], 8)
+        assert sum(seen) == 71 and len(seen) == 8
+        assert 0.0 < est.lower <= est.upper
 
 
 class TestJsrTensor:
@@ -246,13 +277,25 @@ class TestJsrTensor:
             assert est.lower == pytest.approx(est.upper)
             assert est.upper == pytest.approx(spectral_radius(a), rel=1e-8, abs=1e-10)
 
-    def test_singleton_at_k_20(self):
+    def test_singleton_at_k_20(self, monkeypatch):
         # Sym^20(C^2) has side 21, so the 2^20-side Kronecker power is never
-        # formed.  A normal matrix keeps the lifted eigenvalue well conditioned.
+        # formed: each kron is C^2 (x) Sym^(j-1), of side at most 2 * 20, and the
+        # lifted superoperator has side 21^2.  A normal matrix keeps the lifted
+        # eigenvalue well conditioned.
+        sides = {}
+        for name in ("kron", "superop_matrix"):
+            wrapped = getattr(spectra, name)
+
+            def spy(*args, wrapped=wrapped, name=name):
+                out = wrapped(*args)
+                sides.setdefault(name, []).append(out.shape)
+                return out
+
+            monkeypatch.setattr(spectra, name, spy)
         a = random_normal_matrix(np.random.default_rng(20), 2, radius=0.9)
-        start = time.perf_counter()
         est = jsr_tensor_approx([a], 20)
-        assert time.perf_counter() - start < 1.0
+        assert len(sides["kron"]) == 19 and max(max(s) for s in sides["kron"]) <= 40
+        assert sides["superop_matrix"] == [(441, 441)]
         assert est.lower == pytest.approx(est.upper)
         assert est.upper == pytest.approx(0.9, rel=1e-12)
 
